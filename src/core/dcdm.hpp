@@ -19,6 +19,7 @@
 #pragma once
 
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -39,7 +40,12 @@ struct JoinResult {
   bool already_on_tree = false;  ///< s was a relay node; no graft needed
   std::vector<graph::NodeId> graft_path;  ///< chosen path (graft node first)
   bool restructured = false;     ///< loop elimination re-parented some node
-  std::vector<graph::NodeId> removed_nodes;  ///< pruned by loop elimination
+  /// Pruned by loop elimination, ascending.
+  std::vector<graph::NodeId> removed_nodes;
+  /// (surviving router, child it lost) for every tree edge loop elimination
+  /// cut: routers ascending, then each router's old child order — the order
+  /// the m-router sends its detach CLEARs in. Empty unless restructured.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> detached;
 };
 
 struct LeaveResult {
@@ -71,6 +77,13 @@ class DcdmTree {
   /// tree mutation to. Requires `m` to be a current member.
   double admitted_bound(graph::NodeId m) const;
 
+  /// Cached multicast delay of on-tree node `v`: bit-identical to
+  /// tree().node_delay(g, v), without its walk to the root.
+  double multicast_delay(graph::NodeId v) const {
+    SCMP_EXPECTS(tree_.on_tree(v));
+    return delay_[static_cast<std::size_t>(v)];
+  }
+
   double tree_cost() const { return tree_.tree_cost(*g_); }
   double tree_delay() const { return tree_.tree_delay(*g_); }
 
@@ -79,20 +92,23 @@ class DcdmTree {
   /// whose delay a restructure changed.
   void record_admission(graph::NodeId m, double bound);
 
+  /// Recomputes the cached delay of `top` and of every node below it, and
+  /// re-admits each member whose delay changed.
+  void refresh_delays(graph::NodeId top);
+
   const graph::Graph* g_;
   const graph::AllPairsPaths* paths_;
   DcdmConfig cfg_;
   graph::MulticastTree tree_;
   /// Per-member admitted bound (see admitted_bound); unused slots hold NaN.
   std::vector<double> admitted_bound_;
-
-  // Per-instance scratch, sized once for the graph: join() is the m-router's
-  // hot path and must not allocate per call (tools/lint.py hot-path-alloc).
-  std::vector<graph::NodeId> scratch_old_parent_;
-  std::vector<char> scratch_was_on_tree_;
-  /// Pre-graft multicast delay per member; NaN for non-members.
-  std::vector<double> scratch_old_delay_;
-  /// Winning graft path, materialized once per join via path_to_into().
+  /// Multicast delay per on-tree node (see multicast_delay). Each entry is
+  /// node_delay's own leaf-to-root sum, recomputed only when the node's root
+  /// path changes; off-tree slots are stale and never read.
+  std::vector<double> delay_;
+  /// Winning graft path, materialized once per join via path_to_into()
+  /// (join() is the m-router's hot path and must not allocate per call,
+  /// tools/lint.py hot-path-alloc).
   std::vector<graph::NodeId> scratch_graft_;
 };
 

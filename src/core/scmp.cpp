@@ -125,10 +125,37 @@ void Scmp::send_control_unicast(graph::NodeId from, sim::Packet pkt) {
   pkt.req = retx_.next_req();
   obs::flight_record(obs::FlightEventKind::kSend, net().now(), pkt.req,
                      control_name(pkt.type), pkt.group, from, pkt.dst);
-  retx_.arm(from, pkt.req, [this, from, copy = pkt]() {
+  // The receiver acknowledges unicast control end to end, to pkt.src (see
+  // send_ack), so the request is tracked there. That is `from` itself,
+  // except when a stale m-router re-sends a requester's packet (redirect).
+  retx_.arm(pkt.src, pkt.req, [this, from, copy = pkt]() {
     net().send_unicast(from, copy);
   });
   net().send_unicast(from, std::move(pkt));
+}
+
+void Scmp::redirect_to_mrouter(graph::NodeId at, const sim::Packet& pkt) {
+  // A JOIN, LEAVE or encapsulated data packet that reached a router no
+  // longer anchoring its group: a failover happened while it was in flight.
+  // The stale anchor forwards it to the group's current m-router.
+  obs::counter("scmp.rx.redirected", sim::to_string(pkt.type)).inc();
+  sim::Packet fwd = pkt;
+  fwd.dst = mrouter_of(pkt.group);
+  if (pkt.type == sim::PacketType::kDataEncap) {
+    // protocol: fire-and-forget(data traffic is best-effort by design — the
+    // paper's reliability machinery covers control packets only (DATA_ENCAP
+    // redirected from a stale m-router).)
+    net().send_unicast(at, std::move(fwd));
+    return;
+  }
+  send_control_unicast(at, std::move(fwd));
+}
+
+void Scmp::drop_malformed(graph::NodeId at, const sim::Packet& pkt,
+                          const char* reason) {
+  obs::counter("scmp.rx.dropped", reason).inc();
+  log_debug("scmp: router ", at, " dropped ", sim::to_string(pkt.type),
+            " packet for g", pkt.group, ": ", reason);
 }
 
 void Scmp::send_ack(graph::NodeId at, const sim::Packet& pkt,
@@ -354,18 +381,7 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
     return;
   }
 
-  DcdmTree& t = tree_for(group);
-
-  // Snapshot the children sets so a loop-eliminating join can be installed
-  // as a minimal diff (BRANCH + targeted detaches) instead of a full tree.
-  std::vector<std::vector<graph::NodeId>> old_children;
-  if (!cfg_.always_full_tree) {
-    old_children.resize(static_cast<std::size_t>(net().graph().num_nodes()));
-    for (graph::NodeId v : t.tree().on_tree_nodes())
-      old_children[static_cast<std::size_t>(v)] = t.tree().children(v);
-  }
-
-  const JoinResult res = t.join(requester);
+  const JoinResult res = tree_for(group).join(requester);
   obs::flight_record(obs::FlightEventKind::kCompute, now, req, "DCDM", group,
                      requester, mrouter_of(group));
   if (!res.is_new_member || res.already_on_tree) return;  // no topology change
@@ -375,24 +391,14 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
     install_full_tree(group, res.removed_nodes, version);
     return;
   }
-  if (res.restructured) {
-    // Routers that fell off the tree drop their entries; surviving routers
-    // that lost a child (the re-parented node or a pruned chain head) detach
-    // it. Child *additions* all lie on the new branch, which the BRANCH
-    // packet installs, including the re-parented node's new upstream.
-    const graph::NodeId root = mrouter_of(group);
-    for (graph::NodeId r : res.removed_nodes)
-      send_clear(group, r, {}, version);
-    for (graph::NodeId v = 0; v < net().graph().num_nodes(); ++v) {
-      const auto& before = old_children[static_cast<std::size_t>(v)];
-      if (before.empty() || v == root || !t.tree().on_tree(v)) continue;
-      const auto& after = t.tree().children(v);
-      for (graph::NodeId c : before) {
-        if (std::find(after.begin(), after.end(), c) == after.end())
-          send_clear(group, v, {c}, version);
-      }
-    }
-  }
+  // A loop-eliminating join installs as a minimal diff: routers that fell
+  // off the tree drop their entries, and surviving routers that lost a
+  // child (the re-parented node or a pruned chain head) detach it. Child
+  // *additions* all lie on the new branch, which the BRANCH packet
+  // installs, including the re-parented node's new upstream.
+  for (graph::NodeId r : res.removed_nodes) send_clear(group, r, {}, version);
+  for (const auto& [router, child] : res.detached)
+    send_clear(group, router, {child}, version);
   install_branch(group, requester, version);
 }
 
@@ -922,10 +928,13 @@ void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
   if (cleared_version_[static_cast<std::size_t>(at)].count(pkt.group) &&
       cleared_version_[static_cast<std::size_t>(at)][pkt.group] > pkt.uid)
     return;
+  if (pkt.payload.size() % 4 != 0) {  // not a whole number of words
+    drop_malformed(at, pkt, "tree_length");
+    return;
+  }
   const TreeWords words = from_bytes(pkt.payload);
   if (!is_well_formed(words)) {
-    log_debug("scmp: router ", at, " dropped malformed TREE packet for g",
-              pkt.group);
+    drop_malformed(at, pkt, "tree_malformed");
     return;
   }
 
@@ -956,7 +965,10 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
   SCMP_EXPECTS(from != graph::kInvalidNode);
   const auto& path = pkt.path;
   const auto pos = std::find(path.begin(), path.end(), at);
-  SCMP_ASSERT(pos != path.end());
+  if (pos == path.end()) {
+    drop_malformed(at, pkt, "branch_off_path");
+    return;
+  }
 
   Entry* e = mutable_entry_at(at, pkt.group);
   if (e != nullptr && e->version > pkt.uid) return;  // overtaken install
@@ -1145,11 +1157,17 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
   obs::FlightCause flight_scope(pkt.req);
   switch (pkt.type) {
     case sim::PacketType::kJoin:
-      SCMP_ASSERT(at == mrouter_of(pkt.group));
+      if (at != mrouter_of(pkt.group)) {
+        redirect_to_mrouter(at, pkt);
+        break;
+      }
       mrouter_handle_join(pkt.group, pkt.src, pkt.req);
       break;
     case sim::PacketType::kLeave:
-      SCMP_ASSERT(at == mrouter_of(pkt.group));
+      if (at != mrouter_of(pkt.group)) {
+        redirect_to_mrouter(at, pkt);
+        break;
+      }
       mrouter_handle_leave(pkt.group, pkt.src);
       break;
     case sim::PacketType::kTree:
@@ -1168,7 +1186,10 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
       forward_data(at, pkt, from);
       break;
     case sim::PacketType::kDataEncap: {
-      SCMP_ASSERT(at == mrouter_of(pkt.group));
+      if (at != mrouter_of(pkt.group)) {
+        redirect_to_mrouter(at, pkt);
+        break;
+      }
       sim::Packet data = pkt;
       data.type = sim::PacketType::kData;
       data.dst = graph::kInvalidNode;

@@ -275,6 +275,16 @@ class Scmp final : public proto::MulticastProtocol {
   void send_control_unicast(graph::NodeId from, sim::Packet pkt);
   void send_ack(graph::NodeId at, const sim::Packet& pkt, graph::NodeId from);
 
+  // Packets are input: no packet content or timing may abort the process.
+  /// Forwards a JOIN, LEAVE or DATA_ENCAP that reached `at` although `at` no
+  /// longer anchors its group (a failover overtook it) to the current
+  /// m-router; counted in scmp.rx.redirected.
+  void redirect_to_mrouter(graph::NodeId at, const sim::Packet& pkt);
+  /// Counts (scmp.rx.dropped, tagged by `reason`) and logs a malformed
+  /// control packet the handler at `at` discards.
+  void drop_malformed(graph::NodeId at, const sim::Packet& pkt,
+                      const char* reason);
+
   // Soft-state reconciliation (reconcile_all phases).
   int resolicit_membership();
   int repair_installed_state();

@@ -14,26 +14,6 @@ MulticastTree::MulticastTree(NodeId root, int num_nodes) : root_(root) {
   tree_size_ = 1;
 }
 
-bool MulticastTree::on_tree(NodeId v) const {
-  SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return on_tree_[static_cast<std::size_t>(v)] != 0;
-}
-
-NodeId MulticastTree::parent(NodeId v) const {
-  SCMP_EXPECTS(on_tree(v));
-  return parent_[static_cast<std::size_t>(v)];
-}
-
-const std::vector<NodeId>& MulticastTree::children(NodeId v) const {
-  SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return children_[static_cast<std::size_t>(v)];
-}
-
-bool MulticastTree::is_member(NodeId v) const {
-  SCMP_EXPECTS(v >= 0 && v < num_nodes());
-  return member_[static_cast<std::size_t>(v)] != 0;
-}
-
 void MulticastTree::set_member(NodeId v, bool member) {
   SCMP_EXPECTS(!member || on_tree(v));
   member_[static_cast<std::size_t>(v)] = member ? 1 : 0;
@@ -121,12 +101,13 @@ void MulticastTree::graft_path(const std::vector<NodeId>& path) {
   }
 }
 
-void MulticastTree::prune_upward_from(NodeId v) {
+void MulticastTree::prune_upward_from(NodeId v, std::vector<NodeId>* removed) {
   NodeId cur = v;
   while (cur != root_ && on_tree(cur) && children(cur).empty() &&
          !is_member(cur)) {
     const NodeId p = parent_[static_cast<std::size_t>(cur)];
     remove_node(cur);
+    if (removed != nullptr) removed->push_back(cur);
     cur = p;
   }
 }
@@ -188,6 +169,8 @@ std::vector<std::pair<NodeId, NodeId>> MulticastTree::edges() const {
 bool MulticastTree::validate(const Graph& g) const {
   if (!on_tree(root_)) return false;
   if (parent_[static_cast<std::size_t>(root_)] != kInvalidNode) return false;
+  // Flat pass: flags, parent links and their graph edges, and every child
+  // entry pointing back at the node that lists it.
   int counted = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
     const auto idx = static_cast<std::size_t>(v);
@@ -197,26 +180,23 @@ bool MulticastTree::validate(const Graph& g) const {
       continue;
     }
     ++counted;
+    for (NodeId c : children_[idx]) {
+      if (parent_[static_cast<std::size_t>(c)] != v) return false;
+    }
     if (v == root_) continue;
     const NodeId p = parent_[idx];
     if (p == kInvalidNode || !on_tree(p)) return false;
     if (g.edge(v, p) == nullptr) return false;
-    const auto& sib = children_[static_cast<std::size_t>(p)];
-    if (std::count(sib.begin(), sib.end(), v) != 1) return false;
-    // Cycle check: the walk to the root must terminate within tree_size_ hops.
-    int hops = 0;
-    for (NodeId cur = v; cur != root_;
-         cur = parent_[static_cast<std::size_t>(cur)]) {
-      if (++hops > tree_size_) return false;
-    }
   }
   if (counted != tree_size_) return false;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId c : children_[static_cast<std::size_t>(v)]) {
-      if (parent_[static_cast<std::size_t>(c)] != v) return false;
-    }
-  }
-  return true;
+  // With the lists mirroring the parents, a walk from the root reaches every
+  // on-tree node exactly once iff no node is listed twice, none is missing
+  // from its parent's list and there is no cycle. A node listed twice makes
+  // the walk revisit it without end, so the visits are capped.
+  int visited = 0;
+  return walk_subtree(root_,
+                      [&](NodeId) { return ++visited <= tree_size_; }) &&
+         visited == tree_size_;
 }
 
 }  // namespace scmp::graph

@@ -5,6 +5,7 @@
 // old upstream branch) and pruning dangling branches after a member leaves.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,12 +20,27 @@ class MulticastTree {
   NodeId root() const { return root_; }
   int num_nodes() const { return static_cast<int>(parent_.size()); }
 
-  bool on_tree(NodeId v) const;
-  /// Parent of an on-tree node; kInvalidNode for the root.
-  NodeId parent(NodeId v) const;
-  const std::vector<NodeId>& children(NodeId v) const;
+  // The four accessors below are inline: DCDM's scans and the install
+  // encoders call them millions of times per simulation run.
 
-  bool is_member(NodeId v) const;
+  bool on_tree(NodeId v) const {
+    SCMP_EXPECTS(v >= 0 && v < num_nodes());
+    return on_tree_[static_cast<std::size_t>(v)] != 0;
+  }
+  /// Parent of an on-tree node; kInvalidNode for the root.
+  NodeId parent(NodeId v) const {
+    SCMP_EXPECTS(on_tree(v));
+    return parent_[static_cast<std::size_t>(v)];
+  }
+  const std::vector<NodeId>& children(NodeId v) const {
+    SCMP_EXPECTS(v >= 0 && v < num_nodes());
+    return children_[static_cast<std::size_t>(v)];
+  }
+
+  bool is_member(NodeId v) const {
+    SCMP_EXPECTS(v >= 0 && v < num_nodes());
+    return member_[static_cast<std::size_t>(v)] != 0;
+  }
   /// Marks/unmarks group membership. A node must be on the tree to be a member.
   void set_member(NodeId v, bool member);
   std::vector<NodeId> members() const;
@@ -40,19 +56,22 @@ class MulticastTree {
   /// to lead into x is pruned upward (paper Fig. 5 loop elimination) —
   /// unless re-parenting would create a cycle (x is the root or an ancestor
   /// of the new segment), in which case the redundant new segment is pruned
-  /// instead.
+  /// instead. Every node whose parent changes lies on `path` and ends up
+  /// under its predecessor there.
   void graft_path(const std::vector<NodeId>& path);
 
   /// Removes `v` and then its ancestors while they remain non-member leaves
-  /// (never removes the root). Models the hop-by-hop PRUNE of §III-C.
-  void prune_upward_from(NodeId v);
+  /// (never removes the root). Models the hop-by-hop PRUNE of §III-C. When
+  /// `removed` is given, the removed chain is appended to it, `v` first.
+  void prune_upward_from(NodeId v, std::vector<NodeId>* removed = nullptr);
 
   /// Path root..v along tree edges. Requires v on tree.
   std::vector<NodeId> path_from_root(NodeId v) const;
 
   /// Sum of link costs over all tree edges.
   double tree_cost(const Graph& g) const;
-  /// Delay of the tree path root->v (the paper's multicast delay "ml").
+  /// Delay of the tree path root->v (the paper's multicast delay "ml"),
+  /// summed edge by edge from v up to the root.
   double node_delay(const Graph& g, NodeId v) const;
   /// Longest multicast delay over all members (the paper's tree delay).
   double tree_delay(const Graph& g) const;
@@ -61,8 +80,40 @@ class MulticastTree {
   std::vector<std::pair<NodeId, NodeId>> edges() const;
 
   /// Structural invariants: root on tree, parents on tree, parent edges exist
-  /// in g, children lists mirror parents, no cycles, members on tree.
+  /// in g, children lists mirror parents (each child listed exactly once),
+  /// no cycles, members on tree. One flat pass over the n nodes plus one
+  /// walk_subtree() from the root; allocation-free.
   bool validate(const Graph& g) const;
+
+  /// Preorder visit of the subtree rooted at `top` along the children lists,
+  /// without a stack: step down to a first child, or climb to the nearest
+  /// ancestor with a next sibling. `visit(v)` returning false stops the walk
+  /// (walk_subtree then returns false). Requires every visited node's parent
+  /// to list it; a node listed twice is visited again and again, so a caller
+  /// walking an untrusted tree must bound its visits (validate does).
+  template <typename Visit>
+  bool walk_subtree(NodeId top, Visit&& visit) const {
+    NodeId cur = top;
+    for (;;) {
+      if (!visit(cur)) return false;
+      const auto& kids = children_[static_cast<std::size_t>(cur)];
+      if (!kids.empty()) {
+        cur = kids.front();
+        continue;
+      }
+      for (;;) {
+        if (cur == top) return true;
+        const NodeId p = parent_[static_cast<std::size_t>(cur)];
+        const auto& sib = children_[static_cast<std::size_t>(p)];
+        const auto next = std::find(sib.begin(), sib.end(), cur) + 1;
+        if (next != sib.end()) {
+          cur = *next;
+          break;
+        }
+        cur = p;
+      }
+    }
+  }
 
  private:
   void attach(NodeId child, NodeId parent);

@@ -110,22 +110,6 @@ int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v,
   return static_cast<int>(dirty.size());
 }
 
-double AllPairsPaths::sl_delay(NodeId u, NodeId v) const {
-  return sl_from(u).distance(v);
-}
-
-double AllPairsPaths::sl_cost(NodeId u, NodeId v) const {
-  return sl_from(u).companion_distance(v);
-}
-
-double AllPairsPaths::lc_cost(NodeId u, NodeId v) const {
-  return lc_from(u).distance(v);
-}
-
-double AllPairsPaths::lc_delay(NodeId u, NodeId v) const {
-  return lc_from(u).companion_distance(v);
-}
-
 std::vector<NodeId> AllPairsPaths::sl_path(NodeId u, NodeId v) const {
   return sl_from(u).path_to(v);
 }
@@ -142,16 +126,6 @@ void AllPairsPaths::sl_path_into(NodeId u, NodeId v,
 void AllPairsPaths::lc_path_into(NodeId u, NodeId v,
                                  std::vector<NodeId>& out) const {
   lc_from(u).path_to_into(v, out);
-}
-
-const ShortestPaths& AllPairsPaths::sl_from(NodeId u) const {
-  SCMP_EXPECTS(u >= 0 && u < num_nodes());
-  return by_delay_[static_cast<std::size_t>(u)];
-}
-
-const ShortestPaths& AllPairsPaths::lc_from(NodeId u) const {
-  SCMP_EXPECTS(u >= 0 && u < num_nodes());
-  return by_cost_[static_cast<std::size_t>(u)];
 }
 
 }  // namespace scmp::graph

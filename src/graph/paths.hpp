@@ -49,14 +49,21 @@ class AllPairsPaths {
   int apply_link_event(const Graph& g, NodeId u, NodeId v,
                        const ParallelFor& pf = {});
 
+  // The lookups below are inline: DCDM's candidate scan makes four of them
+  // per on-tree node on every join.
+
   /// Delay of the shortest-delay path u->v (the paper's "unicast delay").
-  double sl_delay(NodeId u, NodeId v) const;
+  double sl_delay(NodeId u, NodeId v) const { return sl_from(u).distance(v); }
   /// Cost of that same shortest-delay path (companion weight).
-  double sl_cost(NodeId u, NodeId v) const;
+  double sl_cost(NodeId u, NodeId v) const {
+    return sl_from(u).companion_distance(v);
+  }
   /// Cost of the least-cost path u->v.
-  double lc_cost(NodeId u, NodeId v) const;
+  double lc_cost(NodeId u, NodeId v) const { return lc_from(u).distance(v); }
   /// Delay of that same least-cost path (companion weight).
-  double lc_delay(NodeId u, NodeId v) const;
+  double lc_delay(NodeId u, NodeId v) const {
+    return lc_from(u).companion_distance(v);
+  }
 
   /// The P_sl path u..v (shortest delay).
   std::vector<NodeId> sl_path(NodeId u, NodeId v) const;
@@ -68,8 +75,14 @@ class AllPairsPaths {
   void sl_path_into(NodeId u, NodeId v, std::vector<NodeId>& out) const;
   void lc_path_into(NodeId u, NodeId v, std::vector<NodeId>& out) const;
 
-  const ShortestPaths& sl_from(NodeId u) const;
-  const ShortestPaths& lc_from(NodeId u) const;
+  const ShortestPaths& sl_from(NodeId u) const {
+    SCMP_EXPECTS(u >= 0 && u < num_nodes());
+    return by_delay_[static_cast<std::size_t>(u)];
+  }
+  const ShortestPaths& lc_from(NodeId u) const {
+    SCMP_EXPECTS(u >= 0 && u < num_nodes());
+    return by_cost_[static_cast<std::size_t>(u)];
+  }
 
   int num_nodes() const { return static_cast<int>(by_delay_.size()); }
 

@@ -108,26 +108,38 @@ int Network::link_backlog(graph::NodeId from, graph::NodeId to) const {
 
 void Network::fail_link(graph::NodeId u, graph::NodeId v) {
   SCMP_EXPECTS(graph_.has_edge(u, v));
-  // Preserve the per-directed-link byte counters across the index reshuffle.
-  std::map<std::pair<graph::NodeId, graph::NodeId>, std::uint64_t> bytes;
+  // Preserve every surviving directed link's state across the index
+  // reshuffle: its byte counter, and its queue — a packet still serialising
+  // there finishes, and leaves the backlog, when it was scheduled to.
+  struct LinkState {
+    SimTime free_at = 0.0;
+    std::uint64_t bytes = 0;
+    int backlog = 0;
+  };
+  std::map<std::pair<graph::NodeId, graph::NodeId>, LinkState> kept;
   for (graph::NodeId from = 0; from < graph_.num_nodes(); ++from) {
+    const auto f = static_cast<std::size_t>(from);
     const auto& nbs = graph_.neighbors(from);
     for (std::size_t i = 0; i < nbs.size(); ++i)
-      bytes[{from, nbs[i].to}] =
-          link_bytes_[static_cast<std::size_t>(from)][i];
+      kept[{from, nbs[i].to}] = {link_free_[f][i], link_bytes_[f][i],
+                                 link_backlog_[f][i]};
   }
   graph_.remove_edge(u, v);
   SCMP_EXPECTS(graph_.is_connected());  // unicast routing needs reachability
 
   routing_ = UnicastRouting(graph_, graph::Metric::kDelay);
   for (graph::NodeId from = 0; from < graph_.num_nodes(); ++from) {
+    const auto f = static_cast<std::size_t>(from);
     const auto& nbs = graph_.neighbors(from);
-    link_free_[static_cast<std::size_t>(from)].assign(nbs.size(), 0.0);
-    link_bytes_[static_cast<std::size_t>(from)].assign(nbs.size(), 0);
-    link_backlog_[static_cast<std::size_t>(from)].assign(nbs.size(), 0);
-    for (std::size_t i = 0; i < nbs.size(); ++i)
-      link_bytes_[static_cast<std::size_t>(from)][i] =
-          bytes[{from, nbs[i].to}];
+    link_free_[f].resize(nbs.size());
+    link_bytes_[f].resize(nbs.size());
+    link_backlog_[f].resize(nbs.size());
+    for (std::size_t i = 0; i < nbs.size(); ++i) {
+      const LinkState& s = kept[{from, nbs[i].to}];
+      link_free_[f][i] = s.free_at;
+      link_bytes_[f][i] = s.bytes;
+      link_backlog_[f][i] = s.backlog;
+    }
   }
 }
 
@@ -233,7 +245,7 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   free_at = start + tx;
   // The packet leaves the egress queue when its transmission completes. The
   // slot is re-resolved at fire time: fail_link() reshuffles the adjacency
-  // (and resets the counters of removed links).
+  // (and drops the state of the removed link).
   queue_->schedule_at(free_at, [this, from, to]() {
     const auto& neighbors = graph_.neighbors(from);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {

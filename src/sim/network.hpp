@@ -59,7 +59,8 @@ class Network {
 
   /// Removes the link {u, v} and reconverges the unicast routing substrate
   /// (the link-state protocol every router runs). Packets already in flight
-  /// on the link still arrive. The residual topology must stay connected
+  /// on the link still arrive; every other link keeps its queue and byte
+  /// counter. The residual topology must stay connected
   /// (unicast routing assumes reachability). Multicast protocols are told
   /// separately via MulticastProtocol::on_topology_change().
   void fail_link(graph::NodeId u, graph::NodeId v);

@@ -1,9 +1,11 @@
 // Golden equivalence: DcdmTree's table-lookup candidate scan against the
 // pre-optimization reference scan that materialized all 2m candidate paths
 // and re-walked them with path_weight(). The two must agree bit-for-bit —
-// same trees, same graft paths, same loop-elimination prunes (and therefore
-// the same BRANCH/PRUNE/CLEAR install traffic), same admitted bounds — over
-// membership churn on the paper topologies and seeded random graphs.
+// same trees, same graft paths, same loop-elimination prunes and detach
+// lists (and therefore the same BRANCH/PRUNE/CLEAR install traffic), same
+// admitted bounds, and a delay cache equal to the reference's node_delay
+// walks — over membership churn on the paper topologies, seeded random
+// graphs and a transit-stub topology.
 #include "core/dcdm.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "helpers.hpp"
 #include "topo/arpanet.hpp"
+#include "topo/transit_stub.hpp"
 #include "util/rng.hpp"
 
 namespace scmp::core {
@@ -99,6 +102,11 @@ class ReferenceDcdm {
     std::vector<std::pair<graph::NodeId, double>> old_member_delay;
     for (graph::NodeId m : tree_.members())
       old_member_delay.emplace_back(m, tree_.node_delay(*g_, m));
+    // The children sets, for the detach diff the m-router used to compute.
+    std::vector<std::vector<graph::NodeId>> old_children(
+        static_cast<std::size_t>(g_->num_nodes()));
+    for (graph::NodeId v : tree_.on_tree_nodes())
+      old_children[static_cast<std::size_t>(v)] = tree_.children(v);
 
     tree_.graft_path(best.path);
     tree_.set_member(s, true);
@@ -120,6 +128,15 @@ class ReferenceDcdm {
       } else if (tree_.parent(v) !=
                  old_parent[static_cast<std::size_t>(v)]) {
         result.restructured = true;
+      }
+    }
+    // Every surviving router's lost children, in the m-router's CLEAR order.
+    for (graph::NodeId v = 0; v < g_->num_nodes(); ++v) {
+      if (!tree_.on_tree(v)) continue;
+      const auto& now = tree_.children(v);
+      for (graph::NodeId c : old_children[static_cast<std::size_t>(v)]) {
+        if (std::find(now.begin(), now.end(), c) == now.end())
+          result.detached.emplace_back(v, c);
       }
     }
     return result;
@@ -163,6 +180,7 @@ void expect_join_results_equal(const JoinResult& got, const JoinResult& want) {
   EXPECT_EQ(got.graft_path, want.graft_path);
   EXPECT_EQ(got.restructured, want.restructured);
   EXPECT_EQ(got.removed_nodes, want.removed_nodes);
+  EXPECT_EQ(got.detached, want.detached);
 }
 
 void expect_trees_equal(const graph::Graph& g, const DcdmTree& got,
@@ -176,19 +194,27 @@ void expect_trees_equal(const graph::Graph& g, const DcdmTree& got,
   EXPECT_EQ(got.tree_delay(), want.tree().tree_delay(g));
   for (graph::NodeId m : got.tree().members())
     EXPECT_EQ(got.admitted_bound(m), want.admitted_bound(m)) << "member " << m;
+  for (graph::NodeId v : want.tree().on_tree_nodes())
+    EXPECT_EQ(got.multicast_delay(v), want.tree().node_delay(g, v))
+        << "node " << v;
 }
 
-void run_churn(const graph::Graph& g, double slack, std::uint64_t seed,
-               int events) {
+/// Drives both implementations through the same churn and returns how many
+/// joins restructured the tree (grafts that re-entered it).
+int run_churn(const graph::Graph& g, double slack, std::uint64_t seed,
+              int events) {
   const graph::AllPairsPaths paths(g);
   DcdmTree opt(g, paths, 0, DcdmConfig{slack});
   ReferenceDcdm ref(g, paths, 0, DcdmConfig{slack});
   Rng rng(seed);
+  int restructures = 0;
   for (int i = 0; i < events; ++i) {
     const auto v =
         static_cast<graph::NodeId>(rng.uniform_int(1, g.num_nodes() - 1));
     if (rng.uniform01() < 0.65) {
-      expect_join_results_equal(opt.join(v), ref.join(v));
+      const JoinResult got = opt.join(v);
+      expect_join_results_equal(got, ref.join(v));
+      if (got.restructured) ++restructures;
     } else {
       const LeaveResult a = opt.leave(v);
       const LeaveResult b = ref.leave(v);
@@ -196,8 +222,9 @@ void run_churn(const graph::Graph& g, double slack, std::uint64_t seed,
       EXPECT_EQ(a.removed_nodes, b.removed_nodes);
     }
     expect_trees_equal(g, opt, ref);
-    if (::testing::Test::HasFailure()) return;  // first divergence is enough
+    if (::testing::Test::HasFailure()) break;  // first divergence is enough
   }
+  return restructures;
 }
 
 TEST(DcdmGoldenEquivalence, PaperFig5AllSlacks) {
@@ -213,6 +240,23 @@ TEST(DcdmGoldenEquivalence, ArpanetTightest) {
 TEST(DcdmGoldenEquivalence, ArpanetLoosest) {
   Rng rng(3);
   run_churn(topo::arpanet(rng).graph, kLoosest, 8, 120);
+}
+
+TEST(DcdmGoldenEquivalence, TransitStubReentersTree) {
+  // The paper topologies may never graft a path that re-enters the tree;
+  // transit-stub churn does, so this case pins the loop-elimination branch:
+  // its detach list, its prunes and the delay cache of the subtrees it
+  // moves. Only a delay constraint can pick such a path: with positive link
+  // costs, the node where a path re-enters always offers a cheaper
+  // candidate, so the loosest slack never re-enters.
+  Rng rng(4);
+  const auto topo = topo::transit_stub(topo::TransitStubConfig{}, rng);
+  int reentries = 0;
+  for (std::uint64_t seed : {11u, 12u}) {
+    reentries += run_churn(topo.graph, 1.0, seed, 400);
+    run_churn(topo.graph, kLoosest, seed, 400);
+  }
+  EXPECT_GT(reentries, 0);
 }
 
 class GoldenProperty : public ::testing::TestWithParam<std::uint64_t> {};

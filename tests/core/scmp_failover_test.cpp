@@ -7,6 +7,7 @@
 
 #include "core/scmp.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace scmp::core {
 namespace {
@@ -111,6 +112,45 @@ TEST(ScmpFailover, LeavesContinueAfterFailover) {
   f.queue_.run_all();
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
   EXPECT_EQ(f.send_and_collect(5), (std::vector<graph::NodeId>{1}));
+}
+
+/// Growth of scmp.rx.redirected[`tag`] while `run` executes.
+template <typename Run>
+std::uint64_t redirects_during(const char* tag, Run&& run) {
+  obs::set_metrics_enabled(true);
+  obs::Counter& redirected = obs::counter("scmp.rx.redirected", tag);
+  const std::uint64_t before = redirected.value();
+  run();
+  obs::set_metrics_enabled(false);
+  return redirected.value() - before;
+}
+
+TEST(ScmpFailover, JoinInFlightIsRedirectedToStandby) {
+  // The JOIN from router 3 is still travelling to router 0 when the
+  // failover moves the group to router 5. Router 0 no longer anchors the
+  // group, so it forwards the JOIN to the standby instead of aborting.
+  FailoverFixture f(test::line(6), 0);
+  f.scmp_->host_join(3, kGroup);
+  f.scmp_->fail_over_to(5);
+  EXPECT_EQ(redirects_during("JOIN", [&] { f.queue_.run_all(); }), 1u);
+
+  const DcdmTree* tree = f.scmp_->group_tree(kGroup);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->root(), 5);
+  EXPECT_TRUE(tree->tree().is_member(3));
+  EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
+  EXPECT_EQ(f.send_and_collect(5), (std::vector<graph::NodeId>{3}));
+}
+
+TEST(ScmpFailover, EncapsulatedDataInFlightIsRedirectedToStandby) {
+  FailoverFixture f(test::line(6), 0);
+  f.scmp_->host_join(3, kGroup);
+  f.queue_.run_all();
+  f.scmp_->send_data(4, kGroup);  // off-tree source: encapsulated toward 0
+  f.scmp_->fail_over_to(5);
+  EXPECT_EQ(redirects_during("DATA_ENCAP", [&] { f.queue_.run_all(); }), 1u);
+  ASSERT_EQ(f.deliveries_.size(), 1u);
+  EXPECT_EQ(f.deliveries_.begin()->second, (std::vector<graph::NodeId>{3}));
 }
 
 TEST(ScmpFailover, MultipleGroupsAllRebuilt) {

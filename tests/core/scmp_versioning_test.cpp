@@ -5,9 +5,14 @@
 // operations can produce.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "core/scmp.hpp"
 #include "core/tree_packet.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace scmp::core {
 namespace {
@@ -127,6 +132,63 @@ TEST(ScmpVersioning, MalformedTreePacketIsDropped) {
   // The corrupted install neither crashed the router nor disturbed state.
   EXPECT_EQ(f.entry_version(1), before);
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
+}
+
+// Packets are input: a TREE whose payload is not a whole number of words,
+// or a BRANCH whose path does not name the receiving router, is counted
+// and dropped by its handler, never an abort.
+
+/// Every router's installed entry for kGroup, as comparable tuples
+/// (router, upstream, version, downstream routers, downstream interfaces).
+using InstalledEntry = std::tuple<graph::NodeId, graph::NodeId, std::uint64_t,
+                                  std::set<graph::NodeId>, std::set<int>>;
+std::vector<InstalledEntry> installed(const VersioningFixture& f) {
+  std::vector<InstalledEntry> out;
+  for (graph::NodeId v = 0; v < f.g_.num_nodes(); ++v) {
+    if (const Scmp::Entry* e = f.scmp_->entry_at(v, kGroup))
+      out.emplace_back(v, e->upstream, e->version, e->downstream_routers,
+                       e->downstream_ifaces);
+  }
+  return out;
+}
+
+/// Sends `pkt` over link 0 -> 1 and returns how much the scmp.rx.dropped
+/// counter tagged `reason` rose.
+std::uint64_t drops_after(VersioningFixture& f, sim::Packet pkt,
+                          const char* reason) {
+  obs::set_metrics_enabled(true);
+  obs::Counter& drops = obs::counter("scmp.rx.dropped", reason);
+  const std::uint64_t before = drops.value();
+  f.net_.send_link(0, 1, std::move(pkt));
+  f.queue_.run_all();
+  obs::set_metrics_enabled(false);
+  return drops.value() - before;
+}
+
+TEST(ScmpVersioning, RaggedTreePayloadIsCountedAndDropped) {
+  VersioningFixture f;
+  const auto before = installed(f);
+  sim::Packet tp;
+  tp.type = sim::PacketType::kTree;
+  tp.group = kGroup;
+  tp.src = 0;
+  tp.uid = f.entry_version(1) + 50;
+  tp.payload = {1, 0, 0, 0, 7};  // five bytes: not a whole word count
+  EXPECT_EQ(drops_after(f, std::move(tp), "tree_length"), 1u);
+  EXPECT_EQ(installed(f), before);
+}
+
+TEST(ScmpVersioning, BranchNotNamingReceiverIsCountedAndDropped) {
+  VersioningFixture f;
+  const auto before = installed(f);
+  sim::Packet branch;
+  branch.type = sim::PacketType::kBranch;
+  branch.group = kGroup;
+  branch.src = 0;
+  branch.uid = f.entry_version(1) + 50;
+  branch.path = {0, 2, 3, 4};  // delivered to router 1, which it omits
+  EXPECT_EQ(drops_after(f, std::move(branch), "branch_off_path"), 1u);
+  EXPECT_EQ(installed(f), before);
 }
 
 TEST(ScmpVersioning, RefreshReconvergesDivergedState) {

@@ -27,6 +27,9 @@ TEST(MetricsRace, ConcurrentUpdateRegisterSnapshot) {
   constexpr int kIters = 2000;
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
+  // Registered up front: the reader below may snapshot before any writer
+  // thread has started, and it expects a non-empty registry.
+  counter("test.race.counter");
 
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([w] {

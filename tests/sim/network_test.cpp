@@ -222,6 +222,38 @@ TEST_F(NetworkTest, FailLinkPreservesByteCounters) {
   EXPECT_EQ(net.bytes_on_link(0, 1), 77u);
 }
 
+TEST_F(NetworkTest, FailLinkKeepsOtherLinksQueues) {
+  // Regression: fail_link used to reset every link's backlog and busy-until
+  // time. A packet still serialising on another link then started a later
+  // packet early and, on completing, drove that link's backlog to -1, which
+  // the drop-tail check reads as a full queue: every later packet dropped.
+  graph::Graph ring(4);
+  ring.add_edge(0, 1, 1, 1);
+  ring.add_edge(1, 2, 1, 1);
+  ring.add_edge(2, 3, 1, 1);
+  ring.add_edge(3, 0, 1, 1);
+  EventQueue q;
+  Network net(ring, q, /*bandwidth_bps=*/1e6);  // 64 B serialise in 512 us
+  RecordingAgent agents[4];
+  for (graph::NodeId v = 0; v < 4; ++v) net.attach(v, &agents[v]);
+
+  net.send_link(0, 1, Packet{});
+  q.run_until(1e-4);  // mid-transmission
+  net.fail_link(2, 3);
+  EXPECT_EQ(net.link_backlog(0, 1), 1);
+  net.send_link(0, 1, Packet{});  // queues behind the first packet
+  q.run_all();
+  ASSERT_EQ(agents[1].received.size(), 2u);
+  // FIFO kept: the second packet started when the first finished.
+  EXPECT_NEAR(q.now(), 2 * 5.12e-4 + 1e-6, 1e-12);
+  EXPECT_EQ(net.link_backlog(0, 1), 0);
+
+  net.send_link(0, 1, Packet{});
+  q.run_all();
+  EXPECT_EQ(agents[1].received.size(), 3u);
+  EXPECT_EQ(net.stats().queue_drops, 0u);
+}
+
 TEST(NetworkDeath, FailLinkRejectsDisconnection) {
   const auto g = test::line(4);
   EventQueue q;

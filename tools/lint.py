@@ -37,7 +37,8 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    to_string in src/sim/packet.cpp), so adding a packet type
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
-                   path and the Dijkstra kernel) must not construct a
+                   path, the tree operations it runs, the Dijkstra kernel
+                   and the event core) must not construct a
                    std::vector or call the allocating convenience accessors
                    (members()/on_tree_nodes()/sl_path()/lc_path()/path_to())
                    — they reuse per-instance scratch buffers instead. A
@@ -119,13 +120,19 @@ PACKET_HPP = "src/sim/packet.hpp"
 PACKET_CPP = "src/sim/packet.cpp"
 
 # Allocation-free hot paths: file -> function definitions the hot-path-alloc
-# rule scans. join() runs per membership change, dijkstra_into() n times per
-# path-database rebuild, and the event-queue/transmit trio once per simulated
-# event or link crossing; an accidental per-call allocation here is a real
-# throughput regression even when every test stays green.
+# rule scans. join() runs per membership change — with its delay-cache
+# refresh, the tree mutations it makes and the validate() it ensures —
+# dijkstra_into() n times per path-database rebuild, and the
+# event-queue/transmit trio once per simulated event or link crossing; an
+# accidental per-call allocation here is a real throughput regression even
+# when every test stays green.
 HOT_PATH_FUNCS = {
     "src/core/dcdm.cpp": ("DcdmTree::join", "DcdmTree::leave",
-                          "DcdmTree::delay_bound_for"),
+                          "DcdmTree::delay_bound_for",
+                          "DcdmTree::refresh_delays"),
+    "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
+                                     "MulticastTree::prune_upward_from",
+                                     "MulticastTree::validate"),
     "src/graph/dijkstra.cpp": ("dijkstra_into",),
     "src/sim/event_queue.cpp": ("EventQueue::schedule_at",
                                 "EventQueue::run_next"),
