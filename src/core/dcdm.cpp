@@ -74,6 +74,8 @@ double DcdmTree::delay_bound_for(graph::NodeId joining) const {
 JoinResult DcdmTree::join(graph::NodeId s) {
   SCMP_EXPECTS(g_->valid(s));
   OBS_SPAN("dcdm.join");
+  static obs::Counter& calls = obs::counter("dcdm.join.calls");
+  calls.inc();
   JoinResult result;
   if (tree_.is_member(s)) return result;  // duplicate join
   result.is_new_member = true;
@@ -213,6 +215,8 @@ JoinResult DcdmTree::join(graph::NodeId s) {
 LeaveResult DcdmTree::leave(graph::NodeId s) {
   SCMP_EXPECTS(g_->valid(s));
   OBS_SPAN("dcdm.leave");
+  static obs::Counter& calls = obs::counter("dcdm.leave.calls");
+  calls.inc();
   LeaveResult result;
   if (!tree_.is_member(s)) return result;
   result.was_member = true;

@@ -349,7 +349,7 @@ void Scmp::local_membership_change(GroupId group, bool joined) {
   } else {
     db_.record_leave(group, root, now);
     if (epoch_enabled()) {
-      epoch_enqueue(group);
+      epoch_enqueue(group, root);
       return;
     }
     tree_for(group).leave(root);
@@ -376,7 +376,7 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
   if (epoch_enabled()) {
     // Batched mode: the database record above keeps billing / dedup /
     // session semantics identical, but the tree work is deferred to the
-    // epoch close where the group gets one net-resolved recomputation.
+    // epoch close, which replays the group's net-resolved delta.
     epoch_enqueue(group);
     return;
   }
@@ -431,7 +431,7 @@ void Scmp::mrouter_handle_leave(GroupId group, graph::NodeId requester) {
                      mrouter_of(group));
   db_.record_leave(group, requester, net().now());
   if (epoch_enabled()) {
-    epoch_enqueue(group);
+    epoch_enqueue(group, requester);
   } else {
     tree_for(group).leave(requester);
   }
@@ -728,9 +728,10 @@ void Scmp::start_reconciliation(double interval, double horizon) {
 
 // ---------------------------------------------------------------------------
 // Epoch-batched membership pipeline: a flash crowd of JOIN/LEAVE arrivals is
-// coalesced per epoch — O(epochs × touched groups) DCDM recomputations
-// instead of O(events) — and installed with one versioned wave per group
-// (the nox mcrouteinstaller pattern: coalesce, recompute once, install).
+// coalesced per epoch and net-resolved per group; the close replays only the
+// net delta through DCDM (a member that joined and left inside the epoch
+// costs nothing) and installs only the resulting tree diff, with one
+// install version per group.
 // ---------------------------------------------------------------------------
 
 void Scmp::set_epoch_interval(double seconds) {
@@ -738,10 +739,11 @@ void Scmp::set_epoch_interval(double seconds) {
   epoch_interval_ = seconds;
 }
 
-void Scmp::epoch_enqueue(GroupId group) {
+void Scmp::epoch_enqueue(GroupId group, graph::NodeId left) {
   static obs::Counter& deferred = obs::counter("scmp.epoch.deferred");
   deferred.inc();
-  epoch_touched_.insert(group);
+  std::set<graph::NodeId>& leaves = epoch_touched_[group];
+  if (left != graph::kInvalidNode) leaves.insert(left);
   if (epoch_flush_scheduled_) return;
   // One-shot close, scheduled only while work is pending: the event queue
   // stays drainable (a periodic tick would never let run_all terminate), and
@@ -758,31 +760,119 @@ void Scmp::flush_epoch() {
   epoch_flush_scheduled_ = false;
   if (epoch_touched_.empty()) return;
   flushes.inc();
-  // std::set iteration = ascending group order: the batch handed to
-  // rebuild_trees is deterministic regardless of arrival interleaving.
-  std::vector<GroupId> changed;
-  changed.reserve(epoch_touched_.size());
-  for (GroupId group : epoch_touched_) {
+  std::map<GroupId, std::set<graph::NodeId>> batch;
+  batch.swap(epoch_touched_);  // arrivals after this instant open a new epoch
+  // std::map iteration = ascending group order, whatever the arrival
+  // interleaving.
+  for (const auto& [group, left] : batch) {
     if (!db_.session_active(group) && !trees_.contains(group))
       continue;  // session ended mid-epoch (idle expiry raced the close)
-    // Net resolution: a member that joined and left (or left and rejoined)
-    // within the epoch cancels out. Only groups whose database membership
-    // differs from the authoritative tree's member set need a recomputation.
-    const auto& want = db_.members_of(group);
-    const std::vector<graph::NodeId> have = tree_for(group).tree().members();
-    if (std::equal(have.begin(), have.end(), want.begin(), want.end())) {
+    if (replay_delta(group, left)) {
+      recomputes.inc();
+    } else {
       coalesced.inc();
-      continue;
     }
-    changed.push_back(group);
   }
-  epoch_touched_.clear();
-  if (changed.empty()) return;
-  recomputes.inc(static_cast<std::uint64_t>(changed.size()));
-  // One DCDM recomputation and one versioned install wave per net-changed
-  // group, in parallel across groups when a pool is registered. Arrivals
-  // during the wave open a fresh epoch.
-  rebuild_trees(changed, pool_);
+}
+
+bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
+  DcdmTree& dcdm = tree_for(group);
+  const graph::MulticastTree& tree = dcdm.tree();
+  const std::set<graph::NodeId>& want = db_.members_of(group);
+  // Net resolution: a member that joined and left within the epoch is in
+  // neither the tree nor the database and costs nothing. A member whose
+  // LEAVE arrived leaves the tree even when it rejoined: its DR's PRUNE
+  // erased the installed path, so the rejoin must graft and install anew.
+  std::vector<graph::NodeId> leaving;
+  for (graph::NodeId m : tree.members()) {
+    if (!want.contains(m) || left.contains(m)) leaving.push_back(m);
+  }
+  const bool grows = std::any_of(
+      want.begin(), want.end(),
+      [&](graph::NodeId m) { return !tree.is_member(m); });
+  if (leaving.empty() && !grows) return false;
+  if (convergence() != nullptr) convergence()->note_event(group);
+
+  // The tree before the replay as (router, child) edges in detach-CLEAR
+  // order: routers ascending, then each router's child order.
+  const graph::NodeId n = tree.num_nodes();
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> old_edges;
+  old_edges.reserve(static_cast<std::size_t>(tree.tree_size()));
+  for (graph::NodeId w = 0; w < n; ++w) {
+    if (!tree.on_tree(w)) continue;
+    for (graph::NodeId c : tree.children(w)) old_edges.emplace_back(w, c);
+  }
+  // Per node, the parent whose installed edge to it is still intact: its
+  // old tree parent, unless a leave pruned it — the DR's PRUNE cascade
+  // already erased that router's entry, even if a join grafts it back.
+  std::vector<graph::NodeId> intact_parent(static_cast<std::size_t>(n),
+                                           graph::kInvalidNode);
+  for (const auto& [w, c] : old_edges)
+    intact_parent[static_cast<std::size_t>(c)] = w;
+
+  // The replay: leaves first, then the missing members in ascending order.
+  for (graph::NodeId m : leaving) {
+    for (graph::NodeId v : dcdm.leave(m).removed_nodes)
+      intact_parent[static_cast<std::size_t>(v)] = graph::kInvalidNode;
+  }
+  std::vector<graph::NodeId> joined;
+  for (graph::NodeId m : want) {
+    if (tree.is_member(m)) continue;
+    dcdm.join(m);
+    joined.push_back(m);
+  }
+
+  // Install the diff. Every packet below touches its own (router, child)
+  // pairs, so one version serves them all in any arrival order.
+  const std::uint64_t version = next_install_version(group);
+  std::vector<graph::NodeId> removed;
+  for (const auto& [w, c] : old_edges) {
+    if (!tree.on_tree(c)) removed.push_back(c);
+  }
+  std::sort(removed.begin(), removed.end());
+  for (graph::NodeId r : removed) send_clear(group, r, {}, version);
+  for (std::size_t i = 0; i < old_edges.size();) {
+    const graph::NodeId w = old_edges[i].first;
+    std::vector<graph::NodeId> lost;
+    for (; i < old_edges.size() && old_edges[i].first == w; ++i) {
+      const graph::NodeId c = old_edges[i].second;
+      if (tree.on_tree(w) && (!tree.on_tree(c) || tree.parent(c) != w))
+        lost.push_back(c);
+    }
+    if (!lost.empty()) send_clear(group, w, std::move(lost), version);
+  }
+  // BRANCHes to every joined member whose own edge is not intact: only a
+  // BRANCH's terminal hop hands a DR its member interfaces, and a relay
+  // entry this close creates has none. Then one BRANCH to a member below
+  // each other new, re-parented or regrafted edge none of them crossed;
+  // every non-root leaf is a member, so each such edge has one below it.
+  const graph::NodeId root = tree.root();
+  std::vector<char> crossed(static_cast<std::size_t>(n), 0);
+  const auto intact = [&](graph::NodeId v) {
+    return intact_parent[static_cast<std::size_t>(v)] == tree.parent(v);
+  };
+  const auto branch_to = [&](graph::NodeId member) {
+    install_branch(group, member, version);
+    for (graph::NodeId v = member;
+         v != root && !crossed[static_cast<std::size_t>(v)];
+         v = tree.parent(v))
+      crossed[static_cast<std::size_t>(v)] = 1;
+  };
+  for (graph::NodeId m : joined) {
+    if (!intact(m)) branch_to(m);
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!tree.on_tree(v) || crossed[static_cast<std::size_t>(v)] || intact(v))
+      continue;  // the root is always intact
+    graph::NodeId below = graph::kInvalidNode;
+    tree.walk_subtree(v, [&](graph::NodeId x) {
+      if (tree.is_member(x)) below = x;
+      return below == graph::kInvalidNode;
+    });
+    SCMP_ASSERT(below != graph::kInvalidNode);
+    branch_to(below);
+  }
+  return true;
 }
 
 void Scmp::rebuild_trees(const std::vector<GroupId>& groups,

@@ -56,9 +56,10 @@ class Scmp final : public proto::MulticastProtocol {
     /// install work is deferred to the close of the current epoch, this many
     /// simulated seconds after the first deferred arrival. At the close every
     /// touched group is net-resolved (a member that joined and left within
-    /// one epoch cancels out) and net-changed groups get exactly one DCDM
-    /// recomputation plus one versioned install wave. 0 (the default) keeps
-    /// the per-request path bit-identical to the pre-epoch protocol.
+    /// one epoch cancels out); a net-changed group replays its delta on its
+    /// live DCDM tree — leaves, then ascending joins — and installs only the
+    /// tree diff under one install version. 0 (the default) keeps the
+    /// per-request path bit-identical to the pre-epoch protocol.
     double epoch_interval = 0.0;
     /// Service-database shard count (deterministic group→shard hash; see
     /// MRouterDatabase). Internal layout only — observable behavior is
@@ -115,8 +116,9 @@ class Scmp final : public proto::MulticastProtocol {
 
   /// Registers a compute pool whose worker threads run the path-database
   /// refreshes and per-group tree rebuilds triggered by topology changes
-  /// (one Dijkstra source per task, §II-B). The pool must outlive the
-  /// registration; nullptr (the default) reverts to serial.
+  /// (one Dijkstra source per task, §II-B). Epoch closes never use it: they
+  /// replay a few DCDM joins and leaves per group, serially. The pool must
+  /// outlive the registration; nullptr (the default) reverts to serial.
   void set_compute_pool(const TreeComputePool* pool) { pool_ = pool; }
 
   /// The m-routers' global dual-weight path database (P_sl / P_lc).
@@ -253,14 +255,22 @@ class Scmp final : public proto::MulticastProtocol {
 
   // Epoch-batched membership pipeline (Config::epoch_interval > 0).
   bool epoch_enabled() const { return epoch_interval_ > 0.0; }
-  /// Marks `group` touched in the open epoch and schedules the one-shot
-  /// epoch-close event when none is outstanding.
-  void epoch_enqueue(GroupId group);
+  /// Marks `group` touched in the open epoch — recording `left` as a member
+  /// whose LEAVE arrived, when given — and schedules the one-shot epoch-close
+  /// event when none is outstanding.
+  void epoch_enqueue(GroupId group, graph::NodeId left = graph::kInvalidNode);
   /// Epoch close: net-resolves every touched group against the service
-  /// database and gives each net-changed group one DCDM recomputation and
-  /// one versioned install wave (rebuild_trees, parallel on the registered
-  /// compute pool).
+  /// database and replays each net-changed group's delta (replay_delta).
   void flush_epoch();
+  /// Brings `group`'s live tree to the database membership: leave() every
+  /// member the database no longer lists or whose LEAVE is in `left`, then
+  /// join() the missing members in ascending order, and install exactly the
+  /// tree diff under one version — an entry-drop CLEAR per router that left
+  /// the tree, a detach CLEAR per surviving router that lost children, a
+  /// BRANCH per joined member whose own tree edge the close made, and a
+  /// BRANCH across every other new, re-parented or pruned-and-regrafted
+  /// edge. Returns false (and does nothing) when the delta is empty.
+  bool replay_delta(GroupId group, const std::set<graph::NodeId>& left);
   void local_membership_change(GroupId group, bool joined);
   /// Starts a new install operation for the group and returns its version.
   std::uint64_t next_install_version(GroupId group) {
@@ -334,8 +344,11 @@ class Scmp final : public proto::MulticastProtocol {
   TransitModel transit_model_;
   double session_idle_expiry_ = 0.0;  ///< 0 = sessions never auto-expire
   double epoch_interval_ = 0.0;       ///< 0 = per-request (no batching)
-  /// Groups with membership changes recorded but tree work still deferred.
-  std::set<GroupId> epoch_touched_;
+  /// Groups with membership changes recorded but tree work still deferred,
+  /// each with the members whose LEAVE reached the m-router this epoch (a
+  /// leaf's PRUNE erased its installed path, so a rejoin must reinstall it).
+  /// Cleared at every close: bounded by one epoch's arrivals.
+  std::map<GroupId, std::set<graph::NodeId>> epoch_touched_;
   bool epoch_flush_scheduled_ = false;
 };
 

@@ -225,13 +225,16 @@ CheckOutcome ChurnModelChecker::replay(
   World w(cfg_);
   // Epoch-equivalence differential check: a batched run (epoch_interval > 0)
   // drags a sequential shadow world (identical config, interval 0) through
-  // the same event sequence. At every audit point — both worlds drained and
-  // reconciled to their fixpoints — batched and sequential must agree on the
-  // service database's membership and on each tree's member set, and the
-  // shadow must pass the full invariant catalog itself. The *internal* tree
-  // shapes may legitimately differ: per-request processing grafts members in
-  // arrival order onto a tree carrying relay residue of past members, while
-  // the epoch close recomputes canonically from the final membership.
+  // the same event sequence. The batched world drains only at audit points,
+  // so one epoch close sees every event applied since the previous one (up
+  // to audit_stride: net resolution, coalescing and mixed closes included),
+  // while the shadow drains after every event. At every audit point — both
+  // worlds drained and reconciled to their fixpoints — batched and
+  // sequential must agree on the service database's membership and on each
+  // tree's member set, and the shadow must pass the full invariant catalog
+  // itself. The *internal* tree shapes may legitimately differ: per-request
+  // processing grafts members in arrival order, while an epoch close
+  // replays the net delta with leaves first and joins in ascending order.
   std::unique_ptr<World> shadow;
   std::unique_ptr<InvariantAuditor> shadow_auditor;
   if (cfg_.epoch_interval > 0.0) {
@@ -328,8 +331,13 @@ CheckOutcome ChurnModelChecker::replay(
   };
 
   for (std::size_t i = 0; i < events.size(); ++i) {
+    const bool stride_hit =
+        (i + 1) % static_cast<std::size_t>(cfg_.audit_stride) == 0;
+    const bool audit_point = stride_hit || i + 1 == events.size();
     if (apply(w, events[i])) ++outcome.executed;
-    w.queue.run_all();  // drain to quiescence: audits are only valid here
+    // Drain to quiescence (audits are only valid there): after every event
+    // per request, only at audit points in burst-batched epoch mode.
+    if (cfg_.epoch_interval <= 0.0 || audit_point) w.queue.run_all();
     if (shadow != nullptr) {
       // The shadow's applicability guards agree with the main world's (both
       // graphs evolve identically from the same topo seed), so the executed
@@ -338,9 +346,7 @@ CheckOutcome ChurnModelChecker::replay(
       shadow->queue.run_all();
     }
     obs::timeseries().maybe_sample(w.queue.now());
-    const bool stride_hit =
-        (i + 1) % static_cast<std::size_t>(cfg_.audit_stride) == 0;
-    if (stride_hit || i + 1 == events.size()) {
+    if (audit_point) {
       reconcile_to_fixpoint(w);
       if (shadow != nullptr) reconcile_to_fixpoint(*shadow);
       if (!audit_at(static_cast<int>(i))) {

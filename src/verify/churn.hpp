@@ -1,7 +1,8 @@
 // Deterministic churn model-checker (the ISSUE's tentpole driver): explores
 // a seeded random interleaving of JOIN / LEAVE / SEND / link-failure events
 // against a fresh SCMP world, draining the event queue to quiescence after
-// every event and re-validating the full invariant catalog. On a violation
+// every event (in epoch mode: after every burst of audit_stride events) and
+// re-validating the full invariant catalog. On a violation
 // the failing event sequence is shrunk with delta debugging (ddmin) to a
 // minimal reproducing trace, which serialises to a replayable text artifact.
 //
@@ -69,12 +70,13 @@ struct ChurnConfig {
   double control_loss_rate = 0.0;
   std::uint64_t loss_seed = 1;
   /// Epoch-batched membership (Scmp::Config::epoch_interval). When > 0 the
-  /// replay additionally runs a *sequential shadow world* (identical config
-  /// with interval 0) through the same event sequence and checks the
-  /// batched-vs-sequential equivalence contract at every audit point: both
-  /// worlds must agree on database membership and tree member sets per
-  /// group, and the shadow world must pass the full invariant catalog too.
-  /// Divergence is reported as "epoch-equivalence" violations.
+  /// batched world drains only at audit points, so each epoch close sees a
+  /// burst of up to audit_stride events, and the replay additionally runs a
+  /// *sequential shadow world* (identical config with interval 0, drained
+  /// after every event) through the same event sequence. At every audit
+  /// point both worlds must agree on database membership and tree member
+  /// sets per group, and the shadow world must pass the full invariant
+  /// catalog too. Divergence is reported as "epoch-equivalence" violations.
   double epoch_interval = 0.0;
   /// Runtime-only knob (never serialized into trace artifacts): enable the
   /// per-group convergence tracker on each replay world and copy its stats

@@ -1,16 +1,19 @@
 // Epoch-batched membership (Scmp::Config::epoch_interval) and the sharded
 // service database: the batched pipeline must be *equivalent* to per-request
-// processing — identical database membership and tree member sets at every
-// quiescent point, full invariant catalog clean in both worlds — and its
-// full distributed state must be bit-identical across database shard counts
-// and compute-pool thread counts at any fixed interval. Plus the ISSUE's
-// join-leave-burst regressions: a JOIN immediately followed by a LEAVE of
-// the same member must converge to the no-member fixpoint with no orphan
-// installed state on either path (per-request, and net-resolved at the
-// epoch close), and a lossy join storm must drain the retransmission table
-// back to zero.
+// processing — identical database membership and tree member sets and
+// consistent installed state at every quiescent point, full invariant
+// catalog clean in both worlds — and its full distributed state must be
+// bit-identical across database shard counts and compute-pool thread counts
+// at any fixed interval. An epoch close installs only the tree diff: no
+// TREE packets, CLEARs exactly where edges went away. Plus the join-leave
+// burst regressions: a JOIN immediately followed by a LEAVE of the same
+// member must converge to the no-member fixpoint with no orphan installed
+// state on either path (per-request, and net-resolved at the epoch close), a
+// leaf that leaves and rejoins inside one epoch is reinstalled, and a lossy
+// join storm must drain the retransmission table back to zero.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -122,6 +125,12 @@ TEST(ScmpEpoch, BatchedMatchesSequentialAtEveryQuiescentPoint) {
         EXPECT_EQ(tree_members(*batched.scmp, g),
                   tree_members(*sequential.scmp, g))
             << "interval " << interval << " burst " << step << " group " << g;
+        // The close installs only a diff, so every burst must leave the
+        // installed state exactly on the replayed tree.
+        EXPECT_TRUE(batched.scmp->network_state_consistent(g))
+            << "interval " << interval << " burst " << step << " group " << g;
+        EXPECT_TRUE(sequential.scmp->network_state_consistent(g))
+            << "interval " << interval << " burst " << step << " group " << g;
       }
     }
     expect_no_violations(*batched.scmp, "batched");
@@ -187,6 +196,100 @@ TEST(ScmpEpoch, JoinThenLeaveSameEpochNetResolvesToNoOp) {
   const verify::GroupSnapshot snap = verify::take_group_snapshot(*f.scmp, 1);
   EXPECT_TRUE(snap.entries.empty()) << "net no-op still installed state";
   expect_no_violations(*f.scmp, "batched join+leave");
+}
+
+TEST(ScmpEpoch, LeafLeaveAndRejoinInOneEpochIsReinstalled) {
+  // The DR's PRUNE erases a leaving leaf's installed path at once; when the
+  // member rejoins before the close, database and tree membership agree
+  // again, so only the recorded LEAVE tells the close to reinstall it.
+  Fixture f(test::line(6), config(0.5));
+  f.scmp->host_join(3, 1);
+  f.scmp->host_join(5, 1);
+  f.drain();
+  ASSERT_TRUE(f.scmp->network_state_consistent(1));
+  f.scmp->host_leave(5, 1);
+  f.queue.run_until(f.queue.now() + 0.01);  // PRUNE and LEAVE land
+  f.scmp->host_join(5, 1);
+  f.drain();
+  EXPECT_EQ(tree_members(*f.scmp, 1), (std::vector<graph::NodeId>{3, 5}));
+  EXPECT_TRUE(f.scmp->network_state_consistent(1));
+  expect_no_violations(*f.scmp, "leaf leave + rejoin in one epoch");
+}
+
+// ---- epoch-close install traffic -------------------------------------------
+
+/// Control packets an epoch close puts on the wire, seen at their first hop.
+struct CloseTraffic {
+  int branch_waves = 0;  ///< BRANCHes leaving the m-router
+  int trees = 0;         ///< TREE transmissions, any hop
+  /// CLEARs by target: empty = entry drop, else the detached children.
+  std::map<graph::NodeId, std::vector<graph::NodeId>> clears;
+};
+
+void watch_close(Fixture& f, CloseTraffic& out) {
+  const graph::NodeId root = f.scmp->mrouter();
+  f.net.add_transmit_observer([&out, root](graph::NodeId from, graph::NodeId,
+                                           const sim::Packet& pkt,
+                                           sim::SimTime) {
+    if (pkt.type == sim::PacketType::kTree) ++out.trees;
+    if (from != root) return;
+    if (pkt.type == sim::PacketType::kBranch) ++out.branch_waves;
+    if (pkt.type == sim::PacketType::kClear) {
+      EXPECT_FALSE(out.clears.contains(pkt.dst)) << "two CLEARs to " << pkt.dst;
+      out.clears[pkt.dst] = pkt.path;
+    }
+  });
+}
+
+TEST(ScmpEpoch, CloseWithOneNewMemberSendsOneBranchWave) {
+  Fixture f(test::line(6), config(0.5));
+  f.scmp->host_join(3, 1);
+  f.drain();
+  CloseTraffic traffic;
+  watch_close(f, traffic);
+  f.scmp->host_join(5, 1);
+  f.drain();
+  EXPECT_EQ(traffic.branch_waves, 1);
+  EXPECT_EQ(traffic.trees, 0);
+  EXPECT_TRUE(traffic.clears.empty());
+  EXPECT_TRUE(f.scmp->network_state_consistent(1));
+}
+
+TEST(ScmpEpoch, RestructuringCloseDetachesExactlyTheEdgeDiff) {
+  // The paper's Fig. 5: g3 = 5 joining re-parents node 2 from 1 to the root
+  // (loop elimination). One join per close, in the paper's order.
+  Fixture f(test::paper_fig5_topology(), config(0.5));
+  f.scmp->host_join(4, 1);
+  f.drain();
+  f.scmp->host_join(3, 1);
+  f.drain();
+  const graph::MulticastTree before = f.scmp->group_tree(1)->tree();
+  CloseTraffic traffic;
+  watch_close(f, traffic);
+  f.scmp->host_join(5, 1);
+  f.drain();
+  const graph::MulticastTree& after = f.scmp->group_tree(1)->tree();
+
+  // Expected CLEARs from the edge diff: an entry drop per router that left
+  // the tree, a detach per surviving router for the children it lost.
+  std::map<graph::NodeId, std::vector<graph::NodeId>> want;
+  for (graph::NodeId w = 0; w < before.num_nodes(); ++w) {
+    if (!before.on_tree(w) || w == before.root()) continue;
+    if (!after.on_tree(w)) {
+      want[w] = {};
+      continue;
+    }
+    for (graph::NodeId c : before.children(w)) {
+      if (!after.on_tree(c) || after.parent(c) != w) want[w].push_back(c);
+    }
+  }
+  EXPECT_EQ(want, (std::map<graph::NodeId, std::vector<graph::NodeId>>{
+                      {1, {2}}}));
+  EXPECT_EQ(traffic.clears, want);
+  EXPECT_EQ(traffic.branch_waves, 1);
+  EXPECT_EQ(traffic.trees, 0);
+  EXPECT_TRUE(f.scmp->network_state_consistent(1));
+  expect_no_violations(*f.scmp, "restructuring close");
 }
 
 TEST(ScmpEpoch, RuntimeIntervalChangeTakesEffect) {
