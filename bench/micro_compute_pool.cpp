@@ -1,56 +1,73 @@
 // Micro-benchmark of the m-router's parallel tree-compute pool (§II-B):
-// rebuilding many group trees serially vs on worker threads — the hot path
-// of a hot-standby failover at an ISP m-router serving many sessions.
+// a hot-standby failover rebuilding many group trees serially vs on worker
+// threads — the hot path of failover at an ISP m-router serving many
+// sessions. Each iteration fails the anchor over to the other of two
+// routers, so every group is rebuilt at a new root through Scmp's one
+// rebuild path; draining the resulting install wave is not timed.
 #include <benchmark/benchmark.h>
 
 #include "core/compute_pool.hpp"
+#include "core/scmp.hpp"
+#include "igmp/igmp.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 #include "topo/waxman.hpp"
 
 namespace {
 
 using namespace scmp;
 
-struct Env {
-  topo::Topology topo;
-  graph::AllPairsPaths paths;
-  std::vector<core::GroupMembership> groups;
+constexpr int kGroups = 64;
 
-  Env() : topo([] {
-            Rng rng(3);
-            topo::WaxmanConfig cfg;
-            cfg.num_nodes = 100;
-            cfg.alpha = 0.25;
-            cfg.beta = 0.2;
-            return topo::waxman(cfg, rng);
-          }()),
-          paths(topo.graph) {
+struct Domain {
+  explicit Domain(const core::TreeComputePool* pool)
+      : topo([] {
+          Rng rng(3);
+          topo::WaxmanConfig cfg;
+          cfg.num_nodes = 100;
+          cfg.alpha = 0.25;
+          cfg.beta = 0.2;
+          return topo::waxman(cfg, rng);
+        }()),
+        net(topo.graph, queue),
+        igmp(queue, topo.graph.num_nodes()),
+        scmp(net, igmp, [] {
+          core::Scmp::Config cfg;
+          cfg.mrouter = 0;
+          cfg.dcdm = core::DcdmConfig{1.0};
+          return cfg;
+        }()) {
+    scmp.set_compute_pool(pool);
     Rng rng(5);
-    for (int i = 0; i < 64; ++i) {
-      core::GroupMembership gm;
-      gm.group = i + 1;
-      for (int v : rng.sample_without_replacement(99, 20))
-        gm.join_order.push_back(v + 1);
-      groups.push_back(std::move(gm));
+    for (int group = 1; group <= kGroups; ++group) {
+      for (int v : rng.sample_without_replacement(98, 20))
+        scmp.host_join(v + 2, group);  // neither anchor is a member
     }
+    queue.run_all();
   }
+
+  topo::Topology topo;
+  sim::EventQueue queue;
+  sim::Network net;
+  igmp::IgmpDomain igmp;
+  core::Scmp scmp;
 };
 
-const Env& env() {
-  static const Env e;
-  return e;
-}
-
-void BM_BuildTreesThreads(benchmark::State& state) {
-  const core::TreeComputePool pool(env().topo.graph, env().paths,
-                                   static_cast<int>(state.range(0)));
+void BM_FailoverRebuildThreads(benchmark::State& state) {
+  const core::TreeComputePool pool(static_cast<int>(state.range(0)));
+  Domain d(&pool);
+  graph::NodeId standby = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pool.build_trees(0, env().groups, core::DcdmConfig{1.0}));
+    d.scmp.fail_over(d.scmp.mrouter(), standby);
+    benchmark::DoNotOptimize(d.scmp.group_tree(1));
+    state.PauseTiming();
+    d.queue.run_all();
+    standby = 1 - standby;
+    state.ResumeTiming();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(env().groups.size()));
+  state.SetItemsProcessed(state.iterations() * kGroups);
 }
-BENCHMARK(BM_BuildTreesThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_FailoverRebuildThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->MeasureProcessCPUTime();
 
 }  // namespace

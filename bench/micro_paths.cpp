@@ -37,8 +37,7 @@ BENCHMARK(BM_PathsRebuildSerial)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 void BM_PathsRebuildPool(benchmark::State& state) {
   const auto topo = make_topo(static_cast<int>(state.range(0)));
   graph::AllPairsPaths paths(topo.graph);
-  const core::TreeComputePool pool(topo.graph, paths,
-                                   static_cast<int>(state.range(1)));
+  const core::TreeComputePool pool(static_cast<int>(state.range(1)));
   const graph::ParallelFor pf = pool.parallel_for();
   for (auto _ : state) {
     paths.rebuild(topo.graph, pf);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -36,16 +36,12 @@ int auto_thread_count() {
 
 }  // namespace
 
-TreeComputePool::TreeComputePool(const graph::Graph& g,
-                                 const graph::AllPairsPaths& paths,
-                                 int threads)
-    : g_(&g), paths_(&paths) {
-  if (threads <= 0) threads = auto_thread_count();
-  threads_ = std::max(threads, 1);
-}
+TreeComputePool::TreeComputePool(int threads)
+    : threads_(std::max(threads <= 0 ? auto_thread_count() : threads, 1)) {}
 
 void TreeComputePool::for_each_index(
     std::size_t count, const std::function<void(std::size_t)>& fn) const {
+  SCMP_EXPECTS(fn != nullptr);
   if (count == 0) return;
   OBS_SPAN("pool.for_each");
   static obs::Counter& tasks = obs::counter("pool.tasks");
@@ -71,34 +67,6 @@ void TreeComputePool::for_each_index(
     });
   }
   for (auto& t : pool) t.join();
-}
-
-std::map<GroupId, DcdmTree> TreeComputePool::build_trees(
-    graph::NodeId root, const std::vector<GroupMembership>& groups,
-    const DcdmConfig& cfg) const {
-  OBS_SPAN("pool.build_trees");
-  SCMP_EXPECTS(g_->valid(root));
-  for (const GroupMembership& gm : groups) {
-    SCMP_EXPECTS(gm.group >= 0);
-    SCMP_EXPECTS(!gm.join_order.empty());
-    for (graph::NodeId member : gm.join_order) SCMP_EXPECTS(g_->valid(member));
-  }
-
-  // Build into an index-addressed vector of slots, then move into the map:
-  // workers never touch shared structures.
-  std::vector<DcdmTree> slots;
-  slots.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i)
-    slots.emplace_back(*g_, *paths_, root, cfg);
-
-  for_each_index(groups.size(), [&](std::size_t i) {
-    for (graph::NodeId member : groups[i].join_order) slots[i].join(member);
-  });
-
-  std::map<GroupId, DcdmTree> out;
-  for (std::size_t i = 0; i < groups.size(); ++i)
-    out.emplace(groups[i].group, std::move(slots[i]));
-  return out;
 }
 
 }  // namespace scmp::core

@@ -5,39 +5,27 @@
 // adopt a multiprocessor or a cluster computer architecture").
 //
 // Per-group work (tree computation) is embarrassingly parallel: each group's
-// DCDM tree depends only on that group's membership. The pool partitions the
-// groups over a fixed set of worker threads; results are written into
-// per-group slots, so the outcome is bit-identical to a serial run
-// regardless of thread count or scheduling.
+// DCDM tree depends only on that group's membership. The pool partitions an
+// index range over a fixed set of worker threads; callers write results into
+// per-index slots, so the outcome is bit-identical to a serial run
+// regardless of thread count or scheduling. Scmp::set_compute_pool routes
+// the path-database refreshes and per-group tree rebuilds through it.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <map>
-#include <set>
-#include <vector>
 
-#include "core/dcdm.hpp"
-#include "graph/graph.hpp"
 #include "graph/paths.hpp"
 
 namespace scmp::core {
 
-using GroupId = int;
-
-/// Membership snapshot for one group: the routers whose hosts subscribed,
-/// in join order (DCDM is order-sensitive).
-struct GroupMembership {
-  GroupId group = -1;
-  std::vector<graph::NodeId> join_order;
-};
-
 /// Thread-safety: the pool is share-nothing by construction. Workers
 /// receive disjoint index ranges and write only into caller-provided
-/// per-index slots; the only cross-thread state is the read-only graph and
-/// path database plus the caller's `fn`, which must itself be safe to
-/// invoke concurrently on distinct indices. There is consequently no mutex
-/// to annotate (util/thread_annotations.hpp policy); the `tsa` preset and
-/// the compute_pool_race_test TSan stress pin this property.
+/// per-index slots; the only cross-thread state is the caller's `fn`, which
+/// must itself be safe to invoke concurrently on distinct indices. There is
+/// consequently no mutex to annotate (util/thread_annotations.hpp policy);
+/// the `tsa` preset and the compute_pool_race_test TSan stress pin this
+/// property.
 class TreeComputePool {
  public:
   /// `threads` <= 0 selects an automatic thread count: the SCMP_THREADS
@@ -45,20 +33,12 @@ class TreeComputePool {
   /// reproducible across runners with different core counts), otherwise the
   /// hardware concurrency (which may report 0 on some platforms — treated
   /// as 1). Results never depend on the choice, only wall-clock does.
-  TreeComputePool(const graph::Graph& g, const graph::AllPairsPaths& paths,
-                  int threads = 0);
+  explicit TreeComputePool(int threads = 0);
 
   int thread_count() const { return threads_; }
 
-  /// Builds the DCDM tree of every group concurrently. Deterministic: the
-  /// result for a group depends only on (root, cfg, join_order).
-  std::map<GroupId, DcdmTree> build_trees(
-      graph::NodeId root, const std::vector<GroupMembership>& groups,
-      const DcdmConfig& cfg) const;
-
-  /// Generic parallel-for over group indices with static partitioning
-  /// (deterministic assignment of work to slots; used by build_trees and
-  /// exposed for other per-group m-router tasks such as accounting rollups).
+  /// Generic parallel-for over indices with static partitioning
+  /// (deterministic assignment of work to slots).
   void for_each_index(std::size_t count,
                       const std::function<void(std::size_t)>& fn) const;
 
@@ -74,8 +54,6 @@ class TreeComputePool {
   }
 
  private:
-  const graph::Graph* g_;
-  const graph::AllPairsPaths* paths_;
   int threads_;
 };
 

@@ -1,61 +1,44 @@
 #include "core/database.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
 
 namespace scmp::core {
 
-MRouterDatabase::MRouterDatabase(int num_shards) {
-  SCMP_EXPECTS(num_shards >= 1);
-  shards_.resize(static_cast<std::size_t>(num_shards));
-}
-
-std::size_t MRouterDatabase::shard_of(GroupId group) const {
-  const std::uint32_t mixed = static_cast<std::uint32_t>(group) * 2654435761u;
-  return mixed % shards_.size();
-}
-
 McastAddress MRouterDatabase::start_session(GroupId group, double now) {
-  Shard& shard = shard_for(group);
-  const auto it = shard.active.find(group);
-  if (it != shard.active.end()) return it->second.address;
+  const auto it = active_.find(group);
+  if (it != active_.end()) return it->second.address;
   SessionRecord rec;
   rec.group = group;
   rec.address = next_address_++;
   rec.started_at = now;
-  shard.active.emplace(group, rec);
+  active_.emplace(group, rec);
   return rec.address;
 }
 
 void MRouterDatabase::end_session(GroupId group, double now) {
-  Shard& shard = shard_for(group);
-  const auto it = shard.active.find(group);
-  SCMP_EXPECTS(it != shard.active.end());
+  const auto it = active_.find(group);
+  SCMP_EXPECTS(it != active_.end());
   it->second.ended_at = now;
   ended_.push_back(it->second);
-  shard.active.erase(it);
-  shard.members.erase(group);
+  active_.erase(it);
+  members_.erase(group);
 }
 
 bool MRouterDatabase::session_active(GroupId group) const {
-  return shard_for(group).active.contains(group);
+  return active_.contains(group);
 }
 
 std::optional<McastAddress> MRouterDatabase::address_of(GroupId group) const {
-  const Shard& shard = shard_for(group);
-  const auto it = shard.active.find(group);
-  if (it == shard.active.end()) return std::nullopt;
+  const auto it = active_.find(group);
+  if (it == active_.end()) return std::nullopt;
   return it->second.address;
 }
 
 std::vector<std::pair<GroupId, McastAddress>>
 MRouterDatabase::published_addresses() const {
   std::vector<std::pair<GroupId, McastAddress>> out;
-  for (const Shard& shard : shards_)
-    for (const auto& [group, rec] : shard.active)
-      out.emplace_back(group, rec.address);
-  std::sort(out.begin(), out.end());
+  out.reserve(active_.size());
+  for (const auto& [group, rec] : active_) out.emplace_back(group, rec.address);
   return out;
 }
 
@@ -63,24 +46,22 @@ bool MRouterDatabase::record_join(GroupId group, graph::NodeId router,
                                   double now, std::uint64_t req) {
   if (req != 0 && !seen_join_reqs_.insert(req).second)
     return false;  // retransmitted JOIN: already recorded and billed
-  shard_for(group).members[group].insert(router);
+  members_[group].insert(router);
   log_.push_back({now, group, router, true});
   return true;
 }
 
 void MRouterDatabase::record_leave(GroupId group, graph::NodeId router,
                                    double now) {
-  Shard& shard = shard_for(group);
-  const auto it = shard.members.find(group);
-  if (it != shard.members.end()) it->second.erase(router);
+  const auto it = members_.find(group);
+  if (it != members_.end()) it->second.erase(router);
   log_.push_back({now, group, router, false});
 }
 
 void MRouterDatabase::record_data_forwarded(GroupId group,
                                             std::uint64_t bytes) {
-  Shard& shard = shard_for(group);
-  const auto it = shard.active.find(group);
-  if (it == shard.active.end()) return;
+  const auto it = active_.find(group);
+  if (it == active_.end()) return;
   ++it->second.data_packets_forwarded;
   it->second.data_bytes_forwarded += bytes;
 }
@@ -88,15 +69,13 @@ void MRouterDatabase::record_data_forwarded(GroupId group,
 const std::set<graph::NodeId>& MRouterDatabase::members_of(
     GroupId group) const {
   static const std::set<graph::NodeId> kEmpty;
-  const Shard& shard = shard_for(group);
-  const auto it = shard.members.find(group);
-  return it == shard.members.end() ? kEmpty : it->second;
+  const auto it = members_.find(group);
+  return it == members_.end() ? kEmpty : it->second;
 }
 
 std::optional<SessionRecord> MRouterDatabase::session(GroupId group) const {
-  const Shard& shard = shard_for(group);
-  const auto it = shard.active.find(group);
-  if (it != shard.active.end()) return it->second;
+  const auto it = active_.find(group);
+  if (it != active_.end()) return it->second;
   for (const auto& rec : ended_)
     if (rec.group == group) return rec;
   return std::nullopt;
@@ -104,12 +83,8 @@ std::optional<SessionRecord> MRouterDatabase::session(GroupId group) const {
 
 std::vector<SessionRecord> MRouterDatabase::all_sessions() const {
   std::vector<SessionRecord> out;
-  for (const Shard& shard : shards_)
-    for (const auto& [group, rec] : shard.active) out.push_back(rec);
-  std::sort(out.begin(), out.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              return a.group < b.group;
-            });
+  out.reserve(active_.size() + ended_.size());
+  for (const auto& [group, rec] : active_) out.push_back(rec);
   out.insert(out.end(), ended_.begin(), ended_.end());
   return out;
 }

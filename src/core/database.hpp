@@ -2,14 +2,9 @@
 // management (issue / revoke / publish), session lifecycle records, and the
 // membership on-off log the paper calls out for scheduling and
 // accounting/billing. All service-related state the m-router is the sole
-// owner of lives here, queryable by outsiders.
-//
-// Per-group state (session records, member sets) is partitioned into shards
-// keyed by a deterministic group→shard hash so a flash crowd touching many
-// groups keeps each shard's map small and epoch flushes can walk only the
-// shards they touched. Sharding is an internal layout choice: every query
-// merges shards back into group-sorted order, so observable behavior is
-// bit-identical for any shard count (the golden traces pin this).
+// owner of lives here, queryable by outsiders. Per-group state (session
+// records, member sets) lives in group-keyed ordered maps, so every query
+// answers in group-sorted order.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +40,6 @@ struct MembershipEvent {
 
 class MRouterDatabase {
  public:
-  /// `num_shards` partitions per-group state; must be >= 1. The shard count
-  /// never changes observable results, only map sizes.
-  explicit MRouterDatabase(int num_shards = 1);
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Deterministic group→shard hash (Knuth multiplicative; no std::hash,
-  /// whose layout is implementation-defined).
-  std::size_t shard_of(GroupId group) const;
-
   /// Starts a session for `group`, issuing a fresh multicast address.
   /// Idempotent: re-starting an active session returns its address.
   McastAddress start_session(GroupId group, double now);
@@ -87,16 +72,8 @@ class MRouterDatabase {
   int billing_events(graph::NodeId router) const;
 
  private:
-  /// Per-group state lives in exactly one shard.
-  struct Shard {
-    std::map<GroupId, SessionRecord> active;
-    std::map<GroupId, std::set<graph::NodeId>> members;
-  };
-
-  Shard& shard_for(GroupId group) { return shards_[shard_of(group)]; }
-  const Shard& shard_for(GroupId group) const { return shards_[shard_of(group)]; }
-
-  std::vector<Shard> shards_;
+  std::map<GroupId, SessionRecord> active_;
+  std::map<GroupId, std::set<graph::NodeId>> members_;
   std::vector<SessionRecord> ended_;
   std::vector<MembershipEvent> log_;
   std::set<std::uint64_t> seen_join_reqs_;  ///< request uids already billed

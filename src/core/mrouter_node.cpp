@@ -4,10 +4,9 @@ namespace scmp::core {
 
 MRouterNode::MRouterNode(sim::Network& net, igmp::IgmpDomain& igmp,
                          Scmp::Config cfg, int fabric_ports, int threads)
-    : paths_(net.graph()),
-      pool_(net.graph(), paths_, threads),
-      scmp_(net, igmp, cfg),
-      fabric_(fabric_ports) {}
+    : pool_(threads), scmp_(net, igmp, cfg), fabric_(fabric_ports) {
+  scmp_.set_compute_pool(&pool_);
+}
 
 MRouterNode::FabricSync MRouterNode::sync_fabric() {
   FabricSync result;

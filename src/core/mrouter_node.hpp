@@ -6,8 +6,9 @@
 //     sources the m-router has seen occupy input ports, the fabric merges
 //     them (PN -> CCN) and the DN delivers the merged stream to the output
 //     port that roots the group's multicast tree in the domain.
-//   * fail_over_to() performs the hot-standby failover with all per-group
-//     tree rebuilds running on the compute pool.
+//   * the compute pool is registered with the protocol engine, so its
+//     failovers (protocol().fail_over_to()) and topology repairs run their
+//     path-database refreshes and per-group tree rebuilds on the pool.
 #pragma once
 
 #include <map>
@@ -23,7 +24,7 @@ namespace scmp::core {
 class MRouterNode {
  public:
   /// `fabric_ports` must be a power of two; `threads` <= 0 selects the
-  /// hardware concurrency.
+  /// automatic thread count (see TreeComputePool).
   MRouterNode(sim::Network& net, igmp::IgmpDomain& igmp, Scmp::Config cfg,
               int fabric_ports = 64, int threads = 0);
 
@@ -52,11 +53,6 @@ class MRouterNode {
     return fabric_.output_port(group);
   }
 
-  /// Hot-standby failover with parallel tree rebuilds (§II-B + §V).
-  void fail_over_to(graph::NodeId standby) {
-    scmp_.fail_over_to(standby, &pool_);
-  }
-
   /// Makes data transiting the m-router pay for its path through the
   /// sandwich fabric: `per_stage_seconds` per 2x2 switch stage (and merge
   /// level), looked up from the current fabric configuration by the sending
@@ -72,8 +68,7 @@ class MRouterNode {
   void set_port_capacity(double bps) { port_capacity_bps_ = bps; }
 
  private:
-  graph::AllPairsPaths paths_;
-  TreeComputePool pool_;
+  TreeComputePool pool_;  ///< declared first: outlives scmp_'s registration
   Scmp scmp_;
   fabric::MRouterFabric fabric_;
   std::map<GroupId, std::map<graph::NodeId, int>> input_ports_;

@@ -78,10 +78,8 @@ const char* control_name(sim::PacketType t) {
 Scmp::Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg)
     : MulticastProtocol(net, igmp),
       cfg_(cfg),
-      db_(cfg.db_shards),
       paths_(net.graph()),
-      retx_(net.queue(), cfg.reliability),
-      epoch_interval_(cfg.epoch_interval) {
+      retx_(net.queue(), cfg.reliability) {
   SCMP_EXPECTS(cfg.epoch_interval >= 0.0);
   mrouters_ = cfg.mrouters.empty()
                   ? std::vector<graph::NodeId>{cfg.mrouter}
@@ -467,8 +465,6 @@ void Scmp::install_branch(GroupId group, graph::NodeId member,
   if (path.size() < 2) return;  // member is the anchoring m-router itself
   static obs::Counter& installs = obs::counter("scmp.installs.branch");
   installs.inc();
-  for (std::size_t i = 1; i < path.size(); ++i)
-    ever_installed_[group].insert(path[i]);
 
   sim::Packet branch;
   branch.type = sim::PacketType::kBranch;
@@ -488,8 +484,6 @@ void Scmp::install_full_tree(GroupId group,
   installs.inc();
   const graph::MulticastTree& tree = tree_for(group).tree();
   const graph::NodeId root = mrouter_of(group);
-  for (graph::NodeId v : tree.on_tree_nodes())
-    if (v != root) ever_installed_[group].insert(v);
 
   // Routers that fell off the tree drop their entries.
   for (graph::NodeId r : removed) {
@@ -515,35 +509,13 @@ void Scmp::end_group_session(GroupId group) {
   const auto it = trees_.find(group);
   if (it == trees_.end()) return;
   if (convergence() != nullptr) convergence()->note_event(group);
-  const graph::NodeId root = mrouter_of(group);
   const std::uint64_t version = next_install_version(group);
-  for (graph::NodeId v : ever_installed_[group]) {
-    if (v != root) send_clear(group, v, {}, version);
-  }
-  ever_installed_.erase(group);
+  // send_clear skips the root, which holds no Entry for its own group.
+  for (graph::NodeId v : it->second.tree().on_tree_nodes())
+    send_clear(group, v, {}, version);
   senders_.erase(group);
   trees_.erase(it);
   if (db_.session_active(group)) db_.end_session(group, net().now());
-}
-
-void Scmp::refresh_group(GroupId group) {
-  const auto it = trees_.find(group);
-  if (it == trees_.end()) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
-  const graph::NodeId root = mrouter_of(group);
-  const std::uint64_t version = next_install_version(group);
-  // Anti-entropy: routers that held install state since the last refresh but
-  // are off the current tree get cleared; the tree itself is re-announced.
-  const graph::MulticastTree& tree = it->second.tree();
-  std::set<graph::NodeId> current;
-  for (graph::NodeId v : tree.on_tree_nodes()) current.insert(v);
-  // ever_installed_ stays cumulative: without acknowledgements the m-router
-  // cannot know a CLEAR was applied (it may have lost a version race), so
-  // every refresh re-clears all ever-installed off-tree routers.
-  for (graph::NodeId v : ever_installed_[group]) {
-    if (v != root && !current.contains(v)) send_clear(group, v, {}, version);
-  }
-  install_full_tree(group, {}, version);
 }
 
 // ---------------------------------------------------------------------------
@@ -734,11 +706,6 @@ void Scmp::start_reconciliation(double interval, double horizon) {
 // install version per group.
 // ---------------------------------------------------------------------------
 
-void Scmp::set_epoch_interval(double seconds) {
-  SCMP_EXPECTS(seconds >= 0.0);
-  epoch_interval_ = seconds;
-}
-
 void Scmp::epoch_enqueue(GroupId group, graph::NodeId left) {
   static obs::Counter& deferred = obs::counter("scmp.epoch.deferred");
   deferred.inc();
@@ -749,7 +716,7 @@ void Scmp::epoch_enqueue(GroupId group, graph::NodeId left) {
   // stays drainable (a periodic tick would never let run_all terminate), and
   // a drained queue implies every deferred membership change was flushed.
   epoch_flush_scheduled_ = true;
-  net().queue().schedule_in(epoch_interval_, [this]() { flush_epoch(); });
+  net().queue().schedule_in(cfg_.epoch_interval, [this]() { flush_epoch(); });
 }
 
 void Scmp::flush_epoch() {
@@ -875,67 +842,46 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
   return true;
 }
 
-void Scmp::rebuild_trees(const std::vector<GroupId>& groups,
-                         const TreeComputePool* pool) {
+void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
   OBS_SPAN("scmp.rebuild");
   if (convergence() != nullptr) {
     for (GroupId group : groups) convergence()->note_event(group);
   }
-  // Rebuild the given groups' trees from the membership database — on the
-  // compute pool's worker threads when one is provided (per-group rebuilds
-  // are independent, §II-B), serially otherwise. Join order is the
-  // database's sorted member order in both paths, so the two produce
-  // identical trees. Groups are partitioned by their anchoring m-router.
-  std::map<GroupId, DcdmTree> rebuilt;
-  if (pool != nullptr) {
-    std::map<graph::NodeId, std::vector<GroupMembership>> jobs_by_root;
-    for (GroupId group : groups) {
-      GroupMembership gm;
-      gm.group = group;
-      const auto& members = db_.members_of(group);
-      if (members.empty()) {
-        // A memberless session (everyone left, idle expiry pending) rebuilds
-        // to the bare root; build_trees requires a non-empty snapshot.
-        rebuilt.emplace(group, DcdmTree(net().graph(), paths_,
-                                        mrouter_of(group), cfg_.dcdm));
-        continue;
-      }
-      gm.join_order.assign(members.begin(), members.end());
-      jobs_by_root[mrouter_of(group)].push_back(std::move(gm));
-    }
-    for (const auto& [root, jobs] : jobs_by_root) {
-      auto built = pool->build_trees(root, jobs, cfg_.dcdm);
-      for (auto& [group, tree] : built)
-        rebuilt.emplace(group, std::move(tree));
-    }
+  // Fresh trees from the membership database, joined in its ascending member
+  // order. Per-group builds are independent (§II-B): each task joins only
+  // its own slot's tree and reads shared state, so the registered pool's
+  // workers produce exactly the trees the serial loop does.
+  std::vector<DcdmTree> fresh;
+  fresh.reserve(groups.size());
+  for (GroupId group : groups)
+    fresh.emplace_back(net().graph(), paths_, mrouter_of(group), cfg_.dcdm);
+  const auto build = [&](std::size_t i) {
+    for (graph::NodeId member : db_.members_of(groups[i]))
+      fresh[i].join(member);
+  };
+  if (pool_ != nullptr) {
+    pool_->for_each_index(groups.size(), build);
   } else {
-    for (GroupId group : groups) {
-      DcdmTree fresh(net().graph(), paths_, mrouter_of(group), cfg_.dcdm);
-      for (graph::NodeId member : db_.members_of(group)) fresh.join(member);
-      rebuilt.emplace(group, std::move(fresh));
-    }
+    for (std::size_t i = 0; i < groups.size(); ++i) build(i);
   }
 
-  for (GroupId group : groups) {
-    auto it = trees_.find(group);
-    SCMP_ASSERT(it != trees_.end());
-    DcdmTree& old_tree = it->second;
-    DcdmTree& fresh = rebuilt.at(group);
-    const graph::NodeId root = mrouter_of(group);
-    const std::uint64_t version = next_install_version(group);
-    // Clear stale state everywhere the new tree will not overwrite it;
-    // versioning makes this safe against racing older installs.
-    for (graph::NodeId v : ever_installed_[group]) {
-      if (v == root || fresh.tree().on_tree(v)) continue;
-      send_clear(group, v, {}, version);
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    DcdmTree& tree = trees_.at(groups[i]);
+    // The old tree's routers the new tree drops lose their entries; the TREE
+    // install overwrites every other one. The old root (a failed m-router)
+    // held no Entry, and send_clear skips the new one.
+    const graph::MulticastTree& old_tree = tree.tree();
+    std::vector<graph::NodeId> dropped;
+    for (graph::NodeId v : old_tree.on_tree_nodes()) {
+      if (v != old_tree.root() && !fresh[i].tree().on_tree(v))
+        dropped.push_back(v);
     }
-    old_tree = std::move(fresh);
-    install_full_tree(group, {}, version);
+    tree = std::move(fresh[i]);
+    install_full_tree(groups[i], dropped, next_install_version(groups[i]));
   }
 }
 
-void Scmp::fail_over(graph::NodeId failed, graph::NodeId standby,
-                     const TreeComputePool* pool) {
+void Scmp::fail_over(graph::NodeId failed, graph::NodeId standby) {
   OBS_SPAN("scmp.failover");
   SCMP_EXPECTS(net().graph().valid(standby));
   if (failed == standby) return;
@@ -955,7 +901,7 @@ void Scmp::fail_over(graph::NodeId failed, graph::NodeId standby,
       entries_[static_cast<std::size_t>(standby)].erase(group);
     }
   }
-  rebuild_trees(affected, pool);
+  rebuild_trees(affected);
 }
 
 std::vector<GroupId> Scmp::rebuild_candidates() const {
@@ -966,10 +912,10 @@ std::vector<GroupId> Scmp::rebuild_candidates() const {
     // A memberless session whose tree is already bare (root-only) has
     // nothing a topology change can invalidate: no tree edges, no installed
     // state the rebuild's install wave would touch. Rebuilding it anyway
-    // wastes a DCDM run and emits empty-tree install traffic (anti-entropy
-    // CLEARs to every ever-installed router). The tree-size check keeps the
-    // guard precise in batched mode, where a group can be memberless in the
-    // database while its tree still awaits the epoch flush.
+    // would build a fresh tree and spend an install version on an install
+    // that sends nothing. The tree-size check keeps the guard precise in
+    // batched mode, where a group can be memberless in the database while
+    // its tree still awaits the epoch flush.
     if (db_.members_of(group).empty() && tree.tree().tree_size() == 1) {
       skipped.inc();
       continue;
@@ -988,7 +934,7 @@ void Scmp::on_topology_change() {
   paths_.rebuild(net().graph(),
                  pool_ != nullptr ? pool_->parallel_for()
                                   : graph::ParallelFor{});
-  rebuild_trees(rebuild_candidates(), pool_);
+  rebuild_trees(rebuild_candidates());
 }
 
 int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
@@ -999,7 +945,7 @@ int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   const int recomputed = paths_.apply_link_event(
       net().graph(), u, v,
       pool_ != nullptr ? pool_->parallel_for() : graph::ParallelFor{});
-  rebuild_trees(rebuild_candidates(), pool_);
+  rebuild_trees(rebuild_candidates());
   return recomputed;
 }
 
@@ -1224,6 +1170,16 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
                          graph::NodeId from) {
   if (pkt.type == sim::PacketType::kAck) {
     retx_.ack(at, pkt.req);
+    return;
+  }
+  // JOIN, LEAVE and CLEAR name their originator in pkt.src: the m-router
+  // records and grafts it, and the end-to-end ack is unicast back to it. A
+  // packet naming no router is discarded before any of that.
+  const bool src_named = pkt.type == sim::PacketType::kJoin ||
+                         pkt.type == sim::PacketType::kLeave ||
+                         pkt.type == sim::PacketType::kClear;
+  if (src_named && !net().graph().valid(pkt.src)) {
+    drop_malformed(at, pkt, "bad_src");
     return;
   }
   if (pkt.req != 0 && is_scmp_control(pkt.type)) {

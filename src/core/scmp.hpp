@@ -16,8 +16,11 @@
 //
 // Failure handling (paper §V, advantage 4, extended): fail_over moves every
 // group anchored at a failed m-router to a hot standby, rebuilding trees
-// from the replicated service database (optionally on the parallel compute
-// pool); on_topology_change() repairs all trees after a link failure.
+// from the replicated service database; on_topology_change() and
+// handle_link_event() repair all trees after a link failure. All three share
+// one rebuild path, fanned out over the registered compute pool when there
+// is one. Installed state a rebuild or teardown cannot name is left to the
+// one anti-entropy mechanism, digest reconciliation (reconcile_all).
 #pragma once
 
 #include <functional>
@@ -61,10 +64,6 @@ class Scmp final : public proto::MulticastProtocol {
     /// tree diff under one install version. 0 (the default) keeps the
     /// per-request path bit-identical to the pre-epoch protocol.
     double epoch_interval = 0.0;
-    /// Service-database shard count (deterministic group→shard hash; see
-    /// MRouterDatabase). Internal layout only — observable behavior is
-    /// identical for any value >= 1.
-    int db_shards = 8;
   };
 
   Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg);
@@ -88,17 +87,14 @@ class Scmp final : public proto::MulticastProtocol {
 
   /// Promotes `standby` to replace the failed m-router: every group anchored
   /// at `failed` is re-anchored, its tree rebuilt from the database replica
-  /// and reinstalled; stale state is cleared (paper §V hot-standby
-  /// failover). When `pool` is given, the per-group rebuilds run on its
-  /// worker threads (§II-B); the result is identical to the serial rebuild.
-  void fail_over(graph::NodeId failed, graph::NodeId standby,
-                 const TreeComputePool* pool = nullptr);
+  /// and reinstalled, and the old tree's routers the new tree drops are
+  /// cleared (paper §V hot-standby failover). The per-group rebuilds run on
+  /// the registered compute pool's workers (§II-B) when one is set; the
+  /// result is identical to the serial rebuild.
+  void fail_over(graph::NodeId failed, graph::NodeId standby);
 
   /// Single-m-router convenience: fails the primary over to `standby`.
-  void fail_over_to(graph::NodeId standby,
-                    const TreeComputePool* pool = nullptr) {
-    fail_over(mrouter(), standby, pool);
-  }
+  void fail_over_to(graph::NodeId standby) { fail_over(mrouter(), standby); }
 
   /// Topology change (e.g. a failed link): the m-routers refresh the global
   /// path database, recompute every group tree and reinstall — the
@@ -115,17 +111,20 @@ class Scmp final : public proto::MulticastProtocol {
   int handle_link_event(graph::NodeId u, graph::NodeId v);
 
   /// Registers a compute pool whose worker threads run the path-database
-  /// refreshes and per-group tree rebuilds triggered by topology changes
-  /// (one Dijkstra source per task, §II-B). Epoch closes never use it: they
-  /// replay a few DCDM joins and leaves per group, serially. The pool must
-  /// outlive the registration; nullptr (the default) reverts to serial.
+  /// refreshes (one Dijkstra source per task, §II-B) and the per-group tree
+  /// rebuilds (one group per task) of topology changes and failovers. Epoch
+  /// closes never use it: they replay a few DCDM joins and leaves per group,
+  /// serially. The pool must outlive the registration; nullptr (the default)
+  /// reverts to serial.
   void set_compute_pool(const TreeComputePool* pool) { pool_ = pool; }
 
   /// The m-routers' global dual-weight path database (P_sl / P_lc).
   const graph::AllPairsPaths& paths() const { return paths_; }
 
   /// Tears down a whole multicast session (paper §II-C): clears the installed
-  /// state of every on-tree router, drops the tree and revokes the address.
+  /// state of every router on the current tree, drops the tree and revokes
+  /// the address. State the tree shed earlier and a lost CLEAR missed is
+  /// orphan state for reconcile_all() to repair.
   void end_group_session(GroupId group);
 
   /// Session lifecycle policy (paper §II-C: "the m-router is responsible ...
@@ -134,11 +133,6 @@ class Scmp final : public proto::MulticastProtocol {
   /// `idle_seconds` is ended automatically. 0 disables the policy (default).
   void set_session_idle_expiry(double idle_seconds);
 
-  /// Reconfigures Config::epoch_interval at runtime (seconds of simulated
-  /// time; 0 reverts to the per-request path). Applies from the next
-  /// membership arrival; an already-scheduled epoch close still fires.
-  void set_epoch_interval(double seconds);
-  double epoch_interval() const { return epoch_interval_; }
   /// Groups touched in the currently open epoch. Zero whenever the event
   /// queue is drained: every deferred arrival schedules an epoch-close
   /// event, so run-to-quiescence always flushes.
@@ -172,19 +166,15 @@ class Scmp final : public proto::MulticastProtocol {
   /// group (drives the switching fabric's input-port assignment).
   std::set<graph::NodeId> senders_of(GroupId group) const;
 
-  /// Re-announces a group's whole tree (full TREE install) and clears every
-  /// router that held state since the last refresh but is off the current
-  /// tree. This is the soft-state/anti-entropy mechanism that re-converges
-  /// installed state after *concurrent* membership operations raced each
-  /// other's install packets (drained sequential operations never need it).
-  void refresh_group(GroupId group);
-
   /// One soft-state reconciliation pass (the control-plane analogue of the
-  /// IGMP query cycle): first re-solicits membership lost to dropped
-  /// JOIN/LEAVE packets by diffing the service database against the IGMP
-  /// ground truth, then diffs every i-router's installed digest (upstream +
-  /// downstream set) against the anchoring m-router's authoritative tree and
-  /// repairs divergence with targeted BRANCH reinstalls and CLEARs. Returns
+  /// IGMP query cycle, and the protocol's one anti-entropy mechanism — it
+  /// also re-converges installed state after *concurrent* membership
+  /// operations raced each other's install packets): first re-solicits
+  /// membership lost to dropped JOIN/LEAVE packets by diffing the service
+  /// database against the IGMP ground truth, then diffs every i-router's
+  /// installed digest (upstream + downstream set) against the anchoring
+  /// m-router's authoritative tree and repairs divergence with targeted
+  /// BRANCH reinstalls and CLEARs. Returns
   /// the number of repair actions initiated (0 = the domain matched the
   /// digests; repairs travel as ordinary — reliable, if enabled — control
   /// packets, so convergence needs the queue drained and possibly further
@@ -244,9 +234,11 @@ class Scmp final : public proto::MulticastProtocol {
                   std::vector<graph::NodeId> detach, std::uint64_t version);
   void ir_handle_clear(graph::NodeId at, const sim::Packet& pkt);
   /// Rebuilds the given groups' trees at their (current) anchors from the
-  /// membership database, clears stale installed state and reinstalls.
-  void rebuild_trees(const std::vector<GroupId>& groups,
-                     const TreeComputePool* pool);
+  /// membership database — joins in ascending member order, one group per
+  /// task on the registered pool, else serially — then, per group under one
+  /// install version, CLEARs the old tree's routers the new tree drops
+  /// (ascending, neither root) and reinstalls the new tree with TREE packets.
+  void rebuild_trees(const std::vector<GroupId>& groups);
   /// active_groups() minus memberless sessions whose tree is already bare
   /// (root-only) — the groups a topology change can actually affect.
   /// Skipped groups are counted in scmp.rebuild.skipped_empty: rebuilding
@@ -254,7 +246,7 @@ class Scmp final : public proto::MulticastProtocol {
   std::vector<GroupId> rebuild_candidates() const;
 
   // Epoch-batched membership pipeline (Config::epoch_interval > 0).
-  bool epoch_enabled() const { return epoch_interval_ > 0.0; }
+  bool epoch_enabled() const { return cfg_.epoch_interval > 0.0; }
   /// Marks `group` touched in the open epoch — recording `left` as a member
   /// whose LEAVE arrived, when given — and schedules the one-shot epoch-close
   /// event when none is outstanding.
@@ -321,9 +313,6 @@ class Scmp final : public proto::MulticastProtocol {
   /// Monotone install-operation counter per group (carried in TREE/BRANCH/
   /// CLEAR packets as Packet::uid).
   std::map<GroupId, std::uint64_t> install_version_;
-  /// Routers that received install state since the last refresh (the
-  /// anti-entropy clear set).
-  std::map<GroupId, std::set<graph::NodeId>> ever_installed_;
   /// Tombstones: the version of the last applied entry-drop CLEAR, per
   /// (router, group); install packets older than the tombstone must not
   /// resurrect the entry.
@@ -339,11 +328,11 @@ class Scmp final : public proto::MulticastProtocol {
   /// Receiver-side dedup of reliably-delivered control packets, per router:
   /// a retransmitted request is re-acknowledged but processed only once.
   std::vector<std::set<std::uint64_t>> seen_req_;
-  /// Optional worker pool for topology-change recomputation (not owned).
+  /// Optional worker pool for topology-change and failover recomputation
+  /// (not owned).
   const TreeComputePool* pool_ = nullptr;
   TransitModel transit_model_;
   double session_idle_expiry_ = 0.0;  ///< 0 = sessions never auto-expire
-  double epoch_interval_ = 0.0;       ///< 0 = per-request (no batching)
   /// Groups with membership changes recorded but tree work still deferred,
   /// each with the members whose LEAVE reached the m-router this epoch (a
   /// leaf's PRUNE erased its installed path, so a rejoin must reinstall it).

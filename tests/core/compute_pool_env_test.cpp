@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
+#include "core/scmp.hpp"
 #include "helpers.hpp"
+#include "igmp/igmp.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 
 namespace scmp::core {
 namespace {
@@ -16,11 +21,7 @@ class ComputePoolEnvTest : public ::testing::Test {
  protected:
   void TearDown() override { unsetenv("SCMP_THREADS"); }
 
-  int auto_count() {
-    const auto topo = test::random_topology(1, 12);
-    const graph::AllPairsPaths paths(topo.graph);
-    return TreeComputePool(topo.graph, paths, 0).thread_count();
-  }
+  int auto_count() { return TreeComputePool(0).thread_count(); }
 };
 
 TEST_F(ComputePoolEnvTest, OverrideSelectsExactCount) {
@@ -32,9 +33,7 @@ TEST_F(ComputePoolEnvTest, OverrideSelectsExactCount) {
 
 TEST_F(ComputePoolEnvTest, ExplicitArgumentBeatsOverride) {
   setenv("SCMP_THREADS", "7", 1);
-  const auto topo = test::random_topology(1, 12);
-  const graph::AllPairsPaths paths(topo.graph);
-  EXPECT_EQ(TreeComputePool(topo.graph, paths, 2).thread_count(), 2);
+  EXPECT_EQ(TreeComputePool(2).thread_count(), 2);
 }
 
 TEST_F(ComputePoolEnvTest, MalformedOverrideFallsBackToHardware) {
@@ -47,37 +46,37 @@ TEST_F(ComputePoolEnvTest, MalformedOverrideFallsBackToHardware) {
   }
 }
 
+/// The edges of every group tree after four groups are rebuilt on an
+/// automatically sized pool.
+std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>>
+auto_pool_rebuild(const graph::Graph& graph) {
+  const TreeComputePool pool(0);
+  sim::EventQueue queue;
+  sim::Network net(graph, queue);
+  igmp::IgmpDomain igmp(queue, graph.num_nodes());
+  Scmp scmp(net, igmp, Scmp::Config{});
+  scmp.set_compute_pool(&pool);
+  for (int group = 1; group <= 4; ++group) {
+    for (int m = 0; m < 5; ++m)
+      scmp.host_join((3 * group + 2 * m - 2) % graph.num_nodes(), group);
+  }
+  queue.run_all();
+  scmp.on_topology_change();
+  queue.run_all();
+  std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>> out;
+  for (GroupId group : scmp.active_groups())
+    out.push_back(scmp.group_tree(group)->tree().edges());
+  return out;
+}
+
 TEST_F(ComputePoolEnvTest, OverrideDoesNotChangeResults) {
   const auto topo = test::random_topology(9, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  std::vector<GroupMembership> groups;
-  for (int i = 0; i < 4; ++i) {
-    GroupMembership gm;
-    gm.group = i + 1;
-    for (int m = 0; m < 5; ++m)
-      gm.join_order.push_back((3 * i + 2 * m + 1) % topo.graph.num_nodes());
-    groups.push_back(std::move(gm));
-  }
-  const DcdmConfig cfg;
-
   setenv("SCMP_THREADS", "1", 1);
-  const auto serial =
-      TreeComputePool(topo.graph, paths, 0).build_trees(0, groups, cfg);
+  const auto serial = auto_pool_rebuild(topo.graph);
   setenv("SCMP_THREADS", "5", 1);
-  const auto parallel =
-      TreeComputePool(topo.graph, paths, 0).build_trees(0, groups, cfg);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (const auto& [group, tree] : serial) {
-    const auto it = parallel.find(group);
-    ASSERT_NE(it, parallel.end());
-    EXPECT_DOUBLE_EQ(tree.tree_cost(), it->second.tree_cost());
-    for (graph::NodeId v = 0; v < topo.graph.num_nodes(); ++v) {
-      ASSERT_EQ(tree.tree().on_tree(v), it->second.tree().on_tree(v));
-      if (tree.tree().on_tree(v))
-        EXPECT_EQ(tree.tree().parent(v), it->second.tree().parent(v));
-    }
-  }
+  const auto parallel = auto_pool_rebuild(topo.graph);
+  ASSERT_EQ(serial.size(), 4u);
+  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

@@ -1,52 +1,64 @@
 // ThreadSanitizer-targeted stress tests for TreeComputePool. The pool's
 // determinism claim (bit-identical trees for any thread count) only holds if
-// workers share nothing mutable; these tests hammer the pool hard enough
-// that an introduced race is near-certain to trip TSan, and assert the
-// determinism contract directly by comparing structural digests.
+// workers share nothing mutable; these tests hammer the pool through Scmp's
+// one rebuild path hard enough that an introduced race is near-certain to
+// trip TSan, and assert the determinism contract directly by comparing
+// structural digests.
 #include "core/compute_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "core/scmp.hpp"
 #include "helpers.hpp"
+#include "igmp/igmp.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 
 namespace scmp::core {
 namespace {
 
-std::vector<GroupMembership> make_groups(const graph::Graph& g, int count,
-                                         std::uint64_t seed) {
-  std::vector<GroupMembership> groups;
+/// FNV-1a over every group tree's full structure after a rebuild of
+/// `count` groups of 2-10 random members on `pool` (serial when null):
+/// parent pointers, membership flags and on-tree sets. Any divergence
+/// between runs changes the digest.
+std::uint64_t rebuild_digest(const graph::Graph& graph, int count,
+                             std::uint64_t seed, const DcdmConfig& dcdm,
+                             const TreeComputePool* pool) {
+  sim::EventQueue queue;
+  sim::Network net(graph, queue);
+  igmp::IgmpDomain igmp(queue, graph.num_nodes());
+  Scmp::Config cfg;
+  cfg.dcdm = dcdm;
+  Scmp scmp(net, igmp, cfg);
+  scmp.set_compute_pool(pool);
   Rng rng(seed);
-  for (int i = 0; i < count; ++i) {
-    GroupMembership gm;
-    gm.group = i + 1;
+  for (int group = 1; group <= count; ++group) {
     const int size = static_cast<int>(rng.uniform_int(2, 10));
-    for (int v : rng.sample_without_replacement(g.num_nodes() - 1, size))
-      gm.join_order.push_back(v + 1);
-    groups.push_back(std::move(gm));
+    for (int v : rng.sample_without_replacement(graph.num_nodes() - 1, size))
+      scmp.host_join(v + 1, group);
   }
-  return groups;
-}
+  queue.run_all();
+  scmp.on_topology_change();
+  queue.run_all();
 
-/// FNV-1a over every tree's full structure: parent pointers, membership
-/// flags and on-tree sets. Any divergence between runs changes the digest.
-std::uint64_t structural_digest(const std::map<GroupId, DcdmTree>& trees,
-                                const graph::Graph& g) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ULL;
   };
-  for (const auto& [group, tree] : trees) {
+  for (GroupId group : scmp.active_groups()) {
+    const graph::MulticastTree& tree = scmp.group_tree(group)->tree();
     mix(static_cast<std::uint64_t>(group));
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!tree.tree().on_tree(v)) continue;
+    for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
+      if (!tree.on_tree(v)) continue;
       mix(static_cast<std::uint64_t>(v) * 3 + 1);
-      mix(static_cast<std::uint64_t>(tree.tree().parent(v)) * 3 + 2);
-      mix(tree.tree().is_member(v) ? 7 : 11);
+      mix(static_cast<std::uint64_t>(tree.parent(v)) * 3 + 2);
+      mix(tree.is_member(v) ? 7 : 11);
     }
   }
   return h;
@@ -54,37 +66,28 @@ std::uint64_t structural_digest(const std::map<GroupId, DcdmTree>& trees,
 
 TEST(ComputePoolRace, BitIdenticalDigestAcrossThreadCounts) {
   const auto topo = test::random_topology(31, 24);
-  const graph::Graph& g = topo.graph;
-  const graph::AllPairsPaths paths(g);
-  const auto groups = make_groups(g, 12, 17);
   const DcdmConfig cfg{1.5};
-
-  const TreeComputePool serial(g, paths, 1);
   const std::uint64_t expected =
-      structural_digest(serial.build_trees(0, groups, cfg), g);
+      rebuild_digest(topo.graph, 12, 17, cfg, nullptr);
 
   for (int round = 0; round < 3; ++round) {
-    for (int threads : {2, 3, 4, 8}) {
-      const TreeComputePool pool(g, paths, threads);
-      const auto trees = pool.build_trees(0, groups, cfg);
-      EXPECT_EQ(structural_digest(trees, g), expected)
+    for (int threads : {1, 2, 3, 4, 8}) {
+      const TreeComputePool pool(threads);
+      EXPECT_EQ(rebuild_digest(topo.graph, 12, 17, cfg, &pool), expected)
           << "threads=" << threads << " round=" << round;
     }
   }
 }
 
 TEST(ComputePoolRace, ConcurrentBuildTreesOnSharedPool) {
-  // build_trees is const; several simulation drivers may share one pool.
-  // Every caller must get the same digest, and TSan must stay silent.
+  // for_each_index is const; several simulation drivers may share one pool
+  // and rebuild through it at once. Every caller must get the same digest,
+  // and TSan must stay silent.
   const auto topo = test::random_topology(32, 24);
-  const graph::Graph& g = topo.graph;
-  const graph::AllPairsPaths paths(g);
-  const auto groups = make_groups(g, 10, 23);
   const DcdmConfig cfg{2.0};
-
-  const TreeComputePool pool(g, paths, 4);
+  const TreeComputePool pool(4);
   const std::uint64_t expected =
-      structural_digest(pool.build_trees(0, groups, cfg), g);
+      rebuild_digest(topo.graph, 10, 23, cfg, &pool);
 
   constexpr int kCallers = 4;
   std::vector<std::uint64_t> digests(kCallers, 0);
@@ -93,7 +96,7 @@ TEST(ComputePoolRace, ConcurrentBuildTreesOnSharedPool) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
       digests[static_cast<std::size_t>(c)] =
-          structural_digest(pool.build_trees(0, groups, cfg), g);
+          rebuild_digest(topo.graph, 10, 23, cfg, &pool);
     });
   }
   for (auto& t : callers) t.join();
@@ -104,9 +107,7 @@ TEST(ComputePoolRace, ForEachIndexHammered) {
   // Repeated wide fan-out with per-index slots: workers write disjoint
   // entries, the driver reads them after the implicit join. A lost write,
   // double dispatch, or missing join shows up as a wrong sum or a TSan race.
-  const auto topo = test::random_topology(33, 16);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 8);
+  const TreeComputePool pool(8);
 
   constexpr std::size_t kIndices = 96;
   for (int round = 0; round < 20; ++round) {

@@ -3,57 +3,68 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <memory>
 
+#include "core/scmp.hpp"
 #include "helpers.hpp"
+#include "igmp/igmp.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 
 namespace scmp::core {
 namespace {
 
-std::vector<GroupMembership> make_groups(const graph::Graph& g, int count,
-                                         std::uint64_t seed) {
-  std::vector<GroupMembership> groups;
-  Rng rng(seed);
-  for (int i = 0; i < count; ++i) {
-    GroupMembership gm;
-    gm.group = i + 1;
-    const int size = static_cast<int>(rng.uniform_int(2, 12));
-    for (int v : rng.sample_without_replacement(g.num_nodes() - 1, size))
-      gm.join_order.push_back(v + 1);
-    groups.push_back(std::move(gm));
+/// A domain anchored at router 0 holding `count` groups of 2-12 random
+/// members each. The constructor drains the joins, then rebuilds every
+/// group tree from the service database on Scmp's one rebuild path, on
+/// `pool`'s workers when one is given.
+struct Domain {
+  Domain(const graph::Graph& graph, int count, std::uint64_t seed,
+         const TreeComputePool* pool, DcdmConfig dcdm = DcdmConfig{1.0})
+      : net(graph, queue), igmp(queue, graph.num_nodes()) {
+    Scmp::Config cfg;
+    cfg.dcdm = dcdm;
+    scmp = std::make_unique<Scmp>(net, igmp, cfg);
+    scmp->set_compute_pool(pool);
+    Rng rng(seed);
+    for (int group = 1; group <= count; ++group) {
+      const int size = static_cast<int>(rng.uniform_int(2, 12));
+      for (int v :
+           rng.sample_without_replacement(graph.num_nodes() - 1, size))
+        scmp->host_join(v + 1, group);
+    }
+    queue.run_all();
+    scmp->on_topology_change();
+    queue.run_all();
   }
-  return groups;
-}
+
+  sim::EventQueue queue;
+  sim::Network net;
+  igmp::IgmpDomain igmp;
+  std::unique_ptr<Scmp> scmp;
+};
 
 TEST(TreeComputePool, ThreadCountDefaults) {
-  const auto topo = test::random_topology(1, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  EXPECT_GE(TreeComputePool(topo.graph, paths, 0).thread_count(), 1);
-  EXPECT_EQ(TreeComputePool(topo.graph, paths, 3).thread_count(), 3);
-  EXPECT_EQ(TreeComputePool(topo.graph, paths, -5).thread_count(),
-            TreeComputePool(topo.graph, paths, 0).thread_count());
+  EXPECT_GE(TreeComputePool(0).thread_count(), 1);
+  EXPECT_EQ(TreeComputePool(3).thread_count(), 3);
+  EXPECT_EQ(TreeComputePool(-5).thread_count(),
+            TreeComputePool(0).thread_count());
 }
 
 TEST(TreeComputePool, ForEachIndexCoversEveryIndexOnce) {
-  const auto topo = test::random_topology(2, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 4);
+  const TreeComputePool pool(4);
   std::vector<std::atomic<int>> touched(101);
   pool.for_each_index(101, [&](std::size_t i) { ++touched[i]; });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
 TEST(TreeComputePool, ForEachIndexEmpty) {
-  const auto topo = test::random_topology(2, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 4);
+  const TreeComputePool pool(4);
   pool.for_each_index(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(TreeComputePool, ForEachIndexFewerItemsThanThreads) {
-  const auto topo = test::random_topology(2, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 16);
+  const TreeComputePool pool(16);
   std::vector<std::atomic<int>> touched(3);
   pool.for_each_index(3, [&](std::size_t i) { ++touched[i]; });
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
@@ -64,19 +75,14 @@ class PoolDeterminism : public ::testing::TestWithParam<int> {};
 TEST_P(PoolDeterminism, ParallelEqualsSerial) {
   const auto topo = test::random_topology(7, 40);
   const graph::Graph& g = topo.graph;
-  const graph::AllPairsPaths paths(g);
-  const auto groups = make_groups(g, 24, 99);
+  const Domain serial(g, 24, 99, nullptr);
+  const TreeComputePool pool(GetParam());
+  const Domain parallel(g, 24, 99, &pool);
 
-  const TreeComputePool serial(g, paths, 1);
-  const TreeComputePool parallel(g, paths, GetParam());
-  const DcdmConfig cfg{1.0};
-  const auto a = serial.build_trees(0, groups, cfg);
-  const auto b = parallel.build_trees(0, groups, cfg);
-
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& gm : groups) {
-    const DcdmTree& ta = a.at(gm.group);
-    const DcdmTree& tb = b.at(gm.group);
+  ASSERT_EQ(serial.scmp->active_groups(), parallel.scmp->active_groups());
+  for (GroupId group : serial.scmp->active_groups()) {
+    const DcdmTree& ta = *serial.scmp->group_tree(group);
+    const DcdmTree& tb = *parallel.scmp->group_tree(group);
     EXPECT_DOUBLE_EQ(ta.tree_cost(), tb.tree_cost());
     EXPECT_DOUBLE_EQ(ta.tree_delay(), tb.tree_delay());
     // Structural equality, node by node.
@@ -87,6 +93,7 @@ TEST_P(PoolDeterminism, ParallelEqualsSerial) {
         EXPECT_EQ(ta.tree().is_member(v), tb.tree().is_member(v));
       }
     }
+    EXPECT_TRUE(parallel.scmp->network_state_consistent(group));
   }
 }
 
@@ -95,22 +102,24 @@ INSTANTIATE_TEST_SUITE_P(Threads, PoolDeterminism,
 
 TEST(TreeComputePool, BuildTreesValidatesEveryTree) {
   const auto topo = test::random_topology(9, 40);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 4);
-  const auto groups = make_groups(topo.graph, 16, 5);
-  const auto trees = pool.build_trees(0, groups, DcdmConfig{2.0});
-  for (const auto& gm : groups) {
-    const DcdmTree& t = trees.at(gm.group);
+  const TreeComputePool pool(4);
+  const Domain d(topo.graph, 16, 5, &pool, DcdmConfig{2.0});
+  ASSERT_EQ(d.scmp->active_groups().size(), 16u);
+  for (GroupId group : d.scmp->active_groups()) {
+    const DcdmTree& t = *d.scmp->group_tree(group);
     EXPECT_TRUE(t.tree().validate(topo.graph));
-    for (graph::NodeId m : gm.join_order) EXPECT_TRUE(t.tree().is_member(m));
+    for (graph::NodeId m : d.scmp->database().members_of(group))
+      EXPECT_TRUE(t.tree().is_member(m));
   }
 }
 
 TEST(TreeComputePool, EmptyGroupList) {
+  // A pooled rebuild with no sessions builds nothing and sends nothing.
   const auto topo = test::random_topology(9, 20);
-  const graph::AllPairsPaths paths(topo.graph);
-  const TreeComputePool pool(topo.graph, paths, 4);
-  EXPECT_TRUE(pool.build_trees(0, {}, DcdmConfig{}).empty());
+  const TreeComputePool pool(4);
+  const Domain d(topo.graph, 0, 5, &pool);
+  EXPECT_TRUE(d.scmp->active_groups().empty());
+  EXPECT_EQ(d.net.stats().protocol_link_crossings, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // that names the violated condition, not crash later or silently misbehave.
 #include <gtest/gtest.h>
 
-#include "core/compute_pool.hpp"
 #include "core/dcdm.hpp"
 #include "sim/event_queue.hpp"
 #include "util/contracts.hpp"
@@ -34,38 +33,6 @@ TEST_F(ContractsDeathTest, DcdmJoinInvalidNodeAborts) {
   const graph::AllPairsPaths paths(g);
   DcdmTree tree(g, paths, 0);
   EXPECT_DEATH(tree.join(99), "Precondition violation");
-}
-
-TEST_F(ContractsDeathTest, BuildTreesEmptyJoinOrderAborts) {
-  const auto g = test::diamond();
-  const graph::AllPairsPaths paths(g);
-  const TreeComputePool pool(g, paths, 2);
-  GroupMembership empty_group;
-  empty_group.group = 1;  // valid id, but no members
-  EXPECT_DEATH(pool.build_trees(0, {empty_group}, DcdmConfig{}),
-               "Precondition violation.*join_order");
-}
-
-TEST_F(ContractsDeathTest, BuildTreesNegativeGroupIdAborts) {
-  const auto g = test::diamond();
-  const graph::AllPairsPaths paths(g);
-  const TreeComputePool pool(g, paths, 2);
-  GroupMembership bad;
-  bad.group = -7;
-  bad.join_order = {1};
-  EXPECT_DEATH(pool.build_trees(0, {bad}, DcdmConfig{}),
-               "Precondition violation.*group");
-}
-
-TEST_F(ContractsDeathTest, BuildTreesInvalidRootAborts) {
-  const auto g = test::diamond();
-  const graph::AllPairsPaths paths(g);
-  const TreeComputePool pool(g, paths, 2);
-  GroupMembership gm;
-  gm.group = 1;
-  gm.join_order = {1};
-  EXPECT_DEATH(pool.build_trees(-1, {gm}, DcdmConfig{}),
-               "Precondition violation.*root");
 }
 
 TEST_F(ContractsDeathTest, EventQueueSchedulingInThePastAborts) {

@@ -132,58 +132,5 @@ TEST(DatabaseDeath, EndingUnknownSessionAborts) {
   EXPECT_DEATH(db.end_session(9, 0.0), "Precondition");
 }
 
-// ---- sharded layout --------------------------------------------------------
-
-TEST(DatabaseSharded, ShardOfIsStableAndInRange) {
-  MRouterDatabase db(8);
-  EXPECT_EQ(db.num_shards(), 8);
-  for (GroupId g = 0; g < 100; ++g) {
-    const std::size_t s = db.shard_of(g);
-    EXPECT_LT(s, 8u);
-    EXPECT_EQ(s, db.shard_of(g));  // deterministic
-  }
-}
-
-TEST(DatabaseSharded, ShardCountIsPureLayout) {
-  // The same operation sequence must produce identical query results for
-  // any shard count — sharding is an internal storage layout, nothing more.
-  auto drive = [](MRouterDatabase& db) {
-    for (GroupId g : {7, 3, 12, 5, 9}) db.start_session(g, 0.1 * g);
-    db.record_join(7, 4, 1.0);
-    db.record_join(3, 4, 1.5);
-    db.record_join(7, 11, 2.0);
-    db.record_join(12, 2, 2.5);
-    db.record_leave(7, 4, 3.0);
-    db.record_data_forwarded(3, 800);
-    db.end_session(5, 4.0);
-  };
-  MRouterDatabase reference(1);
-  drive(reference);
-  for (int shards : {2, 8, 31}) {
-    MRouterDatabase db(shards);
-    drive(db);
-    EXPECT_EQ(db.published_addresses(), reference.published_addresses())
-        << shards << " shards";
-    for (GroupId g : {7, 3, 12, 5, 9}) {
-      EXPECT_EQ(db.members_of(g), reference.members_of(g)) << "group " << g;
-      EXPECT_EQ(db.session_active(g), reference.session_active(g));
-      EXPECT_EQ(db.address_of(g), reference.address_of(g));
-    }
-    const auto all = db.all_sessions();
-    const auto ref_all = reference.all_sessions();
-    ASSERT_EQ(all.size(), ref_all.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      EXPECT_EQ(all[i].group, ref_all[i].group);
-      EXPECT_EQ(all[i].address, ref_all[i].address);
-    }
-    EXPECT_EQ(db.billing_events(4), reference.billing_events(4));
-    EXPECT_EQ(db.membership_log().size(), reference.membership_log().size());
-  }
-}
-
-TEST(DatabaseShardedDeath, ZeroShardsAborts) {
-  EXPECT_DEATH(MRouterDatabase db(0), "Precondition");
-}
-
 }  // namespace
 }  // namespace scmp::core

@@ -1,16 +1,16 @@
-// Epoch-batched membership (Scmp::Config::epoch_interval) and the sharded
-// service database: the batched pipeline must be *equivalent* to per-request
-// processing — identical database membership and tree member sets and
-// consistent installed state at every quiescent point, full invariant
-// catalog clean in both worlds — and its full distributed state must be
-// bit-identical across database shard counts and compute-pool thread counts
-// at any fixed interval. An epoch close installs only the tree diff: no
-// TREE packets, CLEARs exactly where edges went away. Plus the join-leave
-// burst regressions: a JOIN immediately followed by a LEAVE of the same
-// member must converge to the no-member fixpoint with no orphan installed
-// state on either path (per-request, and net-resolved at the epoch close), a
-// leaf that leaves and rejoins inside one epoch is reinstalled, and a lossy
-// join storm must drain the retransmission table back to zero.
+// Epoch-batched membership (Scmp::Config::epoch_interval): the batched
+// pipeline must be *equivalent* to per-request processing — identical
+// database membership and tree member sets and consistent installed state at
+// every quiescent point, full invariant catalog clean in both worlds — and
+// its full distributed state must be bit-identical across compute-pool
+// thread counts at any fixed interval. An epoch close installs only the
+// tree diff: no TREE packets, CLEARs exactly where edges went away. Plus the
+// join-leave burst regressions: a JOIN immediately followed by a LEAVE of
+// the same member must converge to the no-member fixpoint with no orphan
+// installed state on either path (per-request, and net-resolved at the
+// epoch close), a leaf that leaves and rejoins inside one epoch is
+// reinstalled, and a lossy join storm must drain the retransmission table
+// back to zero.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -47,10 +47,9 @@ struct Fixture {
   std::unique_ptr<Scmp> scmp;
 };
 
-Scmp::Config config(double epoch_interval, int db_shards = 8) {
+Scmp::Config config(double epoch_interval) {
   Scmp::Config cfg;
   cfg.epoch_interval = epoch_interval;
-  cfg.db_shards = db_shards;
   return cfg;
 }
 
@@ -138,32 +137,30 @@ TEST(ScmpEpoch, BatchedMatchesSequentialAtEveryQuiescentPoint) {
   }
 }
 
-// ---- strict invariance: shards and pool threads are pure layout -----------
+// ---- strict invariance: pool threads are pure layout -----------------------
 
-TEST(ScmpEpoch, SnapshotBitIdenticalAcrossShardAndThreadCounts) {
+TEST(ScmpEpoch, SnapshotBitIdenticalAcrossThreadCounts) {
   const auto topo = test::random_topology(23, 30);
   const auto all_bursts = bursts(topo.graph.num_nodes(), 120, 9);
   constexpr double kInterval = 0.5;
 
-  auto run = [&](int shards, int threads) {
-    Fixture f(topo.graph, config(kInterval, shards));
+  auto run = [&](int threads) {
+    Fixture f(topo.graph, config(kInterval));
     std::unique_ptr<TreeComputePool> pool;
     if (threads > 0) {
-      pool = std::make_unique<TreeComputePool>(f.net.graph(),
-                                               f.scmp->paths(), threads);
+      pool = std::make_unique<TreeComputePool>(threads);
       f.scmp->set_compute_pool(pool.get());
     }
     for (const auto& burst : all_bursts) apply_burst(f, burst);
     return verify::take_snapshot(*f.scmp);
   };
 
-  const verify::ScmpSnapshot reference = run(1, 0);
+  const verify::ScmpSnapshot reference = run(0);
   EXPECT_FALSE(reference.groups.empty());
-  for (const int shards : {4, 16}) {
-    EXPECT_TRUE(run(shards, 0) == reference) << "shards=" << shards;
+  for (const int threads : {1, 2, 4, 8}) {
+    EXPECT_TRUE(run(threads) == reference)
+        << "pooled rebuilds diverged at " << threads << " threads";
   }
-  EXPECT_TRUE(run(8, 2) == reference) << "pooled rebuilds diverged";
-  EXPECT_TRUE(run(8, 4) == reference) << "pooled rebuilds diverged";
 }
 
 // ---- join-leave burst regressions -----------------------------------------
@@ -290,25 +287,6 @@ TEST(ScmpEpoch, RestructuringCloseDetachesExactlyTheEdgeDiff) {
   EXPECT_EQ(traffic.trees, 0);
   EXPECT_TRUE(f.scmp->network_state_consistent(1));
   expect_no_violations(*f.scmp, "restructuring close");
-}
-
-TEST(ScmpEpoch, RuntimeIntervalChangeTakesEffect) {
-  Fixture f(test::line(6), config(0.0));
-  f.scmp->host_join(3, 1);
-  f.drain();
-  EXPECT_EQ(tree_members(*f.scmp, 1), (std::vector<graph::NodeId>{3}));
-
-  f.scmp->set_epoch_interval(100.0);
-  f.scmp->host_join(4, 1);
-  // Run far enough for the JOIN to reach the m-router but short of the
-  // epoch close: the request must sit deferred, not on the tree yet.
-  f.queue.run_until(f.queue.now() + 50.0);
-  EXPECT_EQ(f.scmp->epoch_pending(), 1u);
-  EXPECT_EQ(tree_members(*f.scmp, 1), (std::vector<graph::NodeId>{3}));
-  f.drain();  // runs the epoch close
-  EXPECT_EQ(f.scmp->epoch_pending(), 0u);
-  EXPECT_EQ(tree_members(*f.scmp, 1), (std::vector<graph::NodeId>{3, 4}));
-  expect_no_violations(*f.scmp, "runtime interval change");
 }
 
 // ---- retransmission-table high-water mark under a lossy join storm --------

@@ -150,40 +150,43 @@ TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
   const auto topo = topo::arpanet(rng);
   const std::vector<graph::NodeId> members{2, 11, 23, 37, 44};
 
-  Fixture pooled(topo.graph);
-  Fixture serial(topo.graph);
-  pooled.join_all(members);
-  serial.join_all(members);
+  for (const int threads : {1, 2, 4, 8}) {
+    Fixture pooled(topo.graph);
+    Fixture serial(topo.graph);
+    pooled.join_all(members);
+    serial.join_all(members);
 
-  const core::TreeComputePool pool(pooled.net.graph(), pooled.scmp->paths(),
-                                   4);
-  pooled.scmp->set_compute_pool(&pool);
+    const core::TreeComputePool pool(threads);
+    pooled.scmp->set_compute_pool(&pool);
 
-  const auto [u, v] = pick_tree_link(serial);
-  ASSERT_NE(u, graph::kInvalidNode);
+    const auto [u, v] = pick_tree_link(serial);
+    ASSERT_NE(u, graph::kInvalidNode);
 
-  pooled.net.fail_link(u, v);
-  pooled.scmp->handle_link_event(u, v);
-  pooled.queue.run_all();
-  serial.net.fail_link(u, v);
-  serial.scmp->handle_link_event(u, v);
-  serial.queue.run_all();
+    pooled.net.fail_link(u, v);
+    pooled.scmp->handle_link_event(u, v);
+    pooled.queue.run_all();
+    serial.net.fail_link(u, v);
+    serial.scmp->handle_link_event(u, v);
+    serial.queue.run_all();
 
-  expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
-  ASSERT_NE(pooled.scmp->group_tree(kGroup), nullptr);
-  ASSERT_NE(serial.scmp->group_tree(kGroup), nullptr);
-  EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
-            serial.scmp->group_tree(kGroup)->tree().edges());
-  EXPECT_TRUE(pooled.scmp->network_state_consistent(kGroup));
+    expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
+    ASSERT_NE(pooled.scmp->group_tree(kGroup), nullptr);
+    ASSERT_NE(serial.scmp->group_tree(kGroup), nullptr);
+    EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
+              serial.scmp->group_tree(kGroup)->tree().edges())
+        << threads << " threads";
+    EXPECT_TRUE(pooled.scmp->network_state_consistent(kGroup));
 
-  // on_topology_change with a pool goes through the same executor.
-  pooled.scmp->on_topology_change();
-  serial.scmp->on_topology_change();
-  pooled.queue.run_all();
-  serial.queue.run_all();
-  expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
-  EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
-            serial.scmp->group_tree(kGroup)->tree().edges());
+    // on_topology_change with a pool goes through the same executor.
+    pooled.scmp->on_topology_change();
+    serial.scmp->on_topology_change();
+    pooled.queue.run_all();
+    serial.queue.run_all();
+    expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
+    EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
+              serial.scmp->group_tree(kGroup)->tree().edges())
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Reliable control-plane delivery (src/core/retx.hpp + Scmp reconciliation):
 // unit tests of the retransmission table, the ISSUE's parameterized
 // single-drop sweep — every SCMP control packet type lost once at every hop
-// of a join/leave/prune/refresh sequence, with the run required to converge
-// to the zero-loss fixpoint — and the graceful-degradation path where the
-// retry budget runs out and the soft-state reconciliation cycle repairs the
-// divergence instead.
+// of a join/leave/prune/rebuild/teardown sequence, with the run required to
+// converge to the zero-loss fixpoint — and the graceful-degradation path
+// where the retry budget runs out and the soft-state reconciliation cycle
+// repairs the divergence instead.
 #include "core/retx.hpp"
 
 #include <gtest/gtest.h>
@@ -123,8 +123,9 @@ constexpr GroupId kGroup = 0;
 
 /// Strictly sequential membership churn (drain after every operation, so a
 /// delayed retransmission can never reorder m-router processing): grows a
-/// four-member tree, prunes it down, refreshes (full TREE install + stale
-/// CLEARs), regrows and empties it. Covers every control packet type.
+/// four-member tree, prunes it down, rebuilds it (full TREE install), tears
+/// the session down (CLEARs), regrows and empties it. Covers every control
+/// packet type.
 void run_sequential_scenario(Scmp& scmp, sim::EventQueue& q) {
   auto step = [&](auto&& fn) {
     fn();
@@ -136,7 +137,8 @@ void run_sequential_scenario(Scmp& scmp, sim::EventQueue& q) {
   step([&] { scmp.host_join(3, kGroup); });
   step([&] { scmp.host_leave(12, kGroup); });
   step([&] { scmp.host_leave(19, kGroup); });
-  step([&] { scmp.refresh_group(kGroup); });
+  step([&] { scmp.on_topology_change(); });
+  step([&] { scmp.end_group_session(kGroup); });
   step([&] { scmp.host_join(27, kGroup); });
   step([&] { scmp.host_leave(3, kGroup); });
   step([&] { scmp.host_leave(27, kGroup); });

@@ -1,6 +1,6 @@
 // Install-version gates at i-routers: stale (overtaken) TREE/BRANCH/CLEAR
 // packets must neither overwrite newer state nor resurrect cleared entries,
-// and refresh_group() must re-converge a diverged network. The tests inject
+// and reconcile_all() must re-converge a diverged network. The tests inject
 // raw control packets to simulate the message races concurrent membership
 // operations can produce.
 #include <gtest/gtest.h>
@@ -21,10 +21,11 @@ constexpr proto::GroupId kGroup = 1;
 
 class VersioningFixture {
  public:
-  VersioningFixture()
+  explicit VersioningFixture(bool reliable = false)
       : g_(test::line(5)), net_(g_, queue_), igmp_(queue_, g_.num_nodes()) {
     Scmp::Config cfg;
     cfg.mrouter = 0;
+    cfg.reliability.enabled = reliable;
     scmp_ = std::make_unique<Scmp>(net_, igmp_, cfg);
     // Baseline tree 0-1-2-3-4 with member 4, installed at some version v>=1.
     scmp_->host_join(4, kGroup);
@@ -152,14 +153,15 @@ std::vector<InstalledEntry> installed(const VersioningFixture& f) {
   return out;
 }
 
-/// Sends `pkt` over link 0 -> 1 and returns how much the scmp.rx.dropped
-/// counter tagged `reason` rose.
+/// Sends `pkt` over link `from` -> `to` and returns how much the
+/// scmp.rx.dropped counter tagged `reason` rose.
 std::uint64_t drops_after(VersioningFixture& f, sim::Packet pkt,
-                          const char* reason) {
+                          const char* reason, graph::NodeId from = 0,
+                          graph::NodeId to = 1) {
   obs::set_metrics_enabled(true);
   obs::Counter& drops = obs::counter("scmp.rx.dropped", reason);
   const std::uint64_t before = drops.value();
-  f.net_.send_link(0, 1, std::move(pkt));
+  f.net_.send_link(from, to, std::move(pkt));
   f.queue_.run_all();
   obs::set_metrics_enabled(false);
   return drops.value() - before;
@@ -191,6 +193,45 @@ TEST(ScmpVersioning, BranchNotNamingReceiverIsCountedAndDropped) {
   EXPECT_EQ(installed(f), before);
 }
 
+/// A JOIN or LEAVE for the m-router whose `src` names no router. A
+/// `reliable` one carries a request uid, which the m-router would
+/// acknowledge end to end, to `src`.
+sim::Packet request_naming(sim::PacketType type, graph::NodeId src,
+                           bool reliable) {
+  sim::Packet pkt;
+  pkt.type = type;
+  pkt.group = kGroup;
+  pkt.src = src;
+  pkt.dst = 0;
+  pkt.req = reliable ? 777 : 0;
+  return pkt;
+}
+
+TEST(ScmpVersioning, JoinNamingNoRouterIsCountedAndDropped) {
+  for (const bool reliable : {false, true}) {
+    VersioningFixture f(reliable);
+    const auto before = installed(f);
+    const sim::Packet join =
+        request_naming(sim::PacketType::kJoin, 9999, reliable);
+    EXPECT_EQ(drops_after(f, join, "bad_src", 1, 0), 1u) << reliable;
+    EXPECT_EQ(installed(f), before);
+    EXPECT_EQ(f.scmp_->database().members_of(kGroup),
+              (std::set<graph::NodeId>{4}));
+  }
+}
+
+TEST(ScmpVersioning, LeaveNamingNoRouterIsCountedAndDropped) {
+  for (const bool reliable : {false, true}) {
+    VersioningFixture f(reliable);
+    const auto before = installed(f);
+    const sim::Packet leave =
+        request_naming(sim::PacketType::kLeave, -7, reliable);
+    EXPECT_EQ(drops_after(f, leave, "bad_src", 1, 0), 1u) << reliable;
+    EXPECT_EQ(installed(f), before);
+    EXPECT_EQ(f.scmp_->database().membership_log().size(), 1u);
+  }
+}
+
 TEST(ScmpVersioning, RefreshReconvergesDivergedState) {
   VersioningFixture f;
   // Simulate a lost install: node 2's entry vanishes (a CLEAR one version
@@ -198,9 +239,10 @@ TEST(ScmpVersioning, RefreshReconvergesDivergedState) {
   f.inject_clear(2, f.entry_version(2) + 1);
   EXPECT_FALSE(f.scmp_->network_state_consistent(kGroup));
 
-  f.scmp_->refresh_group(kGroup);
+  EXPECT_GT(f.scmp_->reconcile_all(), 0);
   f.queue_.run_all();
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
+  EXPECT_EQ(f.scmp_->reconcile_all(), 0);
 }
 
 TEST(ScmpVersioning, RefreshClearsStaleOffTreeState) {
@@ -226,13 +268,15 @@ TEST(ScmpVersioning, RefreshClearsStaleOffTreeState) {
   EXPECT_FALSE(f.scmp_->network_state_consistent(kGroup));
 
   // The forged install used a version far ahead of the m-router's counter,
-  // so several refreshes may be needed before its announcements win — the
-  // counter advances by one per refresh. Anti-entropy still converges.
-  for (int i = 0; i < 101 && !f.scmp_->network_state_consistent(kGroup);
-       ++i) {
-    f.scmp_->refresh_group(kGroup);
+  // so many reconciliation passes may be needed before their CLEARs win —
+  // the counter advances by one per repairing pass. Anti-entropy still
+  // converges.
+  int passes = 0;
+  while (passes < 128 && f.scmp_->reconcile_all() != 0) {
     f.queue_.run_all();
+    ++passes;
   }
+  EXPECT_LT(passes, 128) << "reconciliation found no fixpoint";
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
 }
 

@@ -15,6 +15,18 @@ namespace {
 
 constexpr proto::GroupId kGroup = 1;
 
+/// Drains the queue, then runs reconciliation passes until one repairs
+/// nothing.
+void reconcile_to_fixpoint(Scmp& scmp, sim::EventQueue& queue) {
+  queue.run_all();
+  for (int pass = 0; pass < 16; ++pass) {
+    const int repairs = scmp.reconcile_all();
+    queue.run_all();
+    if (repairs == 0) return;
+  }
+  ADD_FAILURE() << "reconciliation found no fixpoint in 16 passes";
+}
+
 TEST(Stress, Scmp200NodesWithChurn) {
   const auto topo = test::random_topology(2024, 200, 0.25, 0.15);
   const graph::Graph& g = topo.graph;
@@ -45,16 +57,12 @@ TEST(Stress, Scmp200NodesWithChurn) {
     }
     if (step % 25 == 24) {
       // Batched (concurrent) operations can race each other's install
-      // packets; the soft-state refresh re-converges the installed state.
-      queue.run_all();
-      scmp.refresh_group(kGroup);
-      queue.run_all();
+      // packets; soft-state reconciliation re-converges the installed state.
+      reconcile_to_fixpoint(scmp, queue);
       ASSERT_TRUE(scmp.network_state_consistent(kGroup)) << "step " << step;
     }
   }
-  queue.run_all();
-  scmp.refresh_group(kGroup);
-  queue.run_all();
+  reconcile_to_fixpoint(scmp, queue);
   ASSERT_TRUE(scmp.network_state_consistent(kGroup));
 
   delivered.clear();

@@ -119,7 +119,7 @@ TEST(PathsIncremental, ParallelRebuildBitIdenticalToSerial) {
   const auto topo = test::random_topology(9, 60);
   const AllPairsPaths serial(topo.graph);
   for (int threads : {1, 2, 4, 8}) {
-    const core::TreeComputePool pool(topo.graph, serial, threads);
+    const core::TreeComputePool pool(threads);
     const AllPairsPaths parallel(topo.graph, pool.parallel_for());
     expect_identical(parallel, serial);
   }
@@ -130,7 +130,7 @@ TEST(PathsIncremental, ParallelLinkEventBitIdenticalToSerial) {
   Graph& g = topo.graph;
   AllPairsPaths serial_db(g);
   AllPairsPaths pool_db(g);
-  const core::TreeComputePool pool(g, serial_db, 4);
+  const core::TreeComputePool pool(4);
   const ParallelFor pf = pool.parallel_for();
   const NodeId u = 1;
   const NodeId v = g.neighbors(u).front().to;
@@ -148,7 +148,7 @@ TEST(PathsIncremental, ParallelLinkEventBitIdenticalToSerial) {
 TEST(PathsIncremental, RepeatedParallelRebuildsAreRaceFree) {
   const auto topo = test::random_topology(4, 40);
   AllPairsPaths db(topo.graph);
-  const core::TreeComputePool pool(topo.graph, db, 4);
+  const core::TreeComputePool pool(4);
   const ParallelFor pf = pool.parallel_for();
   const AllPairsPaths oracle(topo.graph);
   for (int i = 0; i < 8; ++i) {

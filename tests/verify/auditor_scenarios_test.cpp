@@ -1,9 +1,9 @@
 // Satellite 2 of the verification ISSUE: the auditor pointed at the hard
 // corners of the existing corpus — failover, multi-m-router anchoring, link
-// failure repair, anti-entropy refresh, session teardown and idle expiry.
-// Every scenario must audit clean at quiescence; a regression here is
-// exactly the class of latent state-consistency bug the auditor exists to
-// surface.
+// failure repair, anti-entropy reconciliation, session teardown and idle
+// expiry. Every scenario must audit clean at quiescence; a regression here
+// is exactly the class of latent state-consistency bug the auditor exists
+// to surface.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -99,8 +99,8 @@ TEST(AuditorScenarios, SessionTeardownAndRefresh) {
   d.scmp->host_join(3, 1);
   d.drain_and_expect_clean("after joins");
 
-  d.scmp->refresh_group(1);
-  d.drain_and_expect_clean("after an anti-entropy refresh");
+  EXPECT_EQ(d.scmp->reconcile_all(), 0);  // a healthy domain has no repairs
+  d.drain_and_expect_clean("after an anti-entropy reconciliation pass");
 
   d.scmp->end_group_session(1);
   d.drain_and_expect_clean("after the session was torn down");

@@ -46,8 +46,8 @@ suppression must also appear in tools/determinism_manifest.json with the
 same (file, rule, reason); drift in either direction — an annotation
 missing from the manifest, a manifest entry no live annotation backs, or an
 annotation that no longer suppresses anything — is itself a finding, so
-suppressions cannot rot silently. tools/lint.py's determinism-hygiene rule
-re-checks the annotation<->manifest correspondence tree-wide.
+suppressions cannot rot silently. This linter is the only drift check for
+the manifest; ctest (determinism_lint_tree) and CI run it tree-wide.
 
 Usage: tools/determinism_lint.py [--root ROOT] [--manifest FILE]
                                  [--scan DIR ...]

@@ -44,27 +44,10 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    — they reuse per-instance scratch buffers instead. A
                    deliberate exception carries a same- or previous-line
                    ``// hot-path: allow(<why>)`` annotation.
-  determinism-hygiene
-                   every ``// determinism: allow(<reason>)`` annotation in
-                   the directories tools/determinism_lint.py scans has a
-                   matching (file, reason) entry in
-                   tools/determinism_manifest.json and vice versa, and every
-                   manifest entry names a known determinism rule. The full
-                   rule evaluation (does the annotation actually suppress a
-                   finding?) lives in determinism_lint.py; this cross-check
-                   catches annotation<->manifest drift even when only one of
-                   the two linters runs.
-  protocol-hygiene
-                   same contract for the protocol-flow linter: every
-                   ``// protocol: allow(<reason>)`` and ``// protocol:
-                   fire-and-forget(<reason>)`` annotation in the directories
-                   tools/protocol_lint.py scans has a matching (file, reason)
-                   entry in tools/protocol_manifest.json and vice versa,
-                   every ``suppressions`` entry names a known protocol rule,
-                   and every ``unpaired_types`` entry names a real
-                   sim::PacketType enumerator. Full evaluation lives in
-                   protocol_lint.py; this catches drift when only one linter
-                   runs.
+
+Suppression-manifest drift is not checked here: tools/determinism_lint.py
+and tools/protocol_lint.py each pair their annotations with their manifest
+in both directions, and ctest and CI run all three linters.
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exits non-zero when any finding is reported.
@@ -94,29 +77,8 @@ VERIFY_INVARIANTS_HPP = "src/verify/invariants.hpp"
 # The observability-surface manifest the obs-hygiene rule cross-checks.
 OBS_MANIFEST = "src/obs/metrics_manifest.json"
 
-# The determinism-suppression manifest the determinism-hygiene rule
-# cross-checks. Must stay in sync with tools/determinism_lint.py, which
-# performs the full rule evaluation; this rule only guards the
-# annotation<->manifest correspondence.
-DETERMINISM_MANIFEST = "tools/determinism_manifest.json"
-DETERMINISM_SCAN_DIRS = ("src/core", "src/graph", "src/sim", "src/protocols",
-                         "src/verify")
-DETERMINISM_RULES = ("unordered-iteration", "pointer-key", "wall-clock",
-                     "thread-count", "float-equality")
-DETERMINISM_ALLOW_TOKEN = "determinism: allow("
-
-# The protocol-suppression manifest the protocol-hygiene rule cross-checks.
-# Must stay in sync with tools/protocol_lint.py, which performs the full
-# rule evaluation; this rule only guards annotation<->manifest drift.
-PROTOCOL_MANIFEST = "tools/protocol_manifest.json"
-PROTOCOL_SCAN_DIRS = ("src/core", "src/protocols")
-PROTOCOL_RULES = ("dispatch-exhaustiveness", "handler-coverage",
-                  "reliability-coverage", "layer-dag")
-PROTOCOL_TOKENS = ("protocol: allow(", "protocol: fire-and-forget(")
-
-# Where the PacketType wire grammar lives: the enum and its to_string
-# mapping feed the protocol-hygiene and obs-hygiene (net.tx tags) checks.
-PACKET_HPP = "src/sim/packet.hpp"
+# Where the PacketType wire grammar lives: its to_string mapping feeds the
+# obs-hygiene (net.tx tags) check.
 PACKET_CPP = "src/sim/packet.cpp"
 
 # Allocation-free hot paths: file -> function definitions the hot-path-alloc
@@ -623,126 +585,6 @@ class Linter:
                         f"wire names in {PACKET_CPP}: missing={missing} "
                         f"unknown={unknown}")
 
-    def _determinism_annotations(self, raw: str) -> list[tuple[int, str]]:
-        """(line, whitespace-collapsed reason) for every ``determinism:
-        allow(<reason>)`` in ``raw``; the reason may wrap across comment
-        lines and ends at the balanced closing parenthesis."""
-        out = []
-        pos = 0
-        while True:
-            start = raw.find(DETERMINISM_ALLOW_TOKEN, pos)
-            if start < 0:
-                return out
-            open_paren = start + len(DETERMINISM_ALLOW_TOKEN) - 1
-            depth, i = 0, open_paren
-            while i < len(raw):
-                if raw[i] == "(":
-                    depth += 1
-                elif raw[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            reason = re.sub(r"\n\s*//+", " ", raw[open_paren + 1:i])
-            out.append((raw.count("\n", 0, start) + 1,
-                        " ".join(reason.split())))
-            pos = i + 1
-
-    def check_determinism_hygiene(self):
-        manifest_path = self.root / DETERMINISM_MANIFEST
-        if not manifest_path.is_file():
-            self.report(manifest_path, 1, "determinism-hygiene",
-                        "determinism suppression manifest is missing")
-            return
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            self.report(manifest_path, getattr(err, "lineno", 1),
-                        "determinism-hygiene",
-                        f"manifest is not valid JSON: {err}")
-            return
-
-        declared: set[tuple[str, str]] = set()
-        for entry in manifest.get("suppressions", []):
-            rule = entry.get("rule", "")
-            if rule not in DETERMINISM_RULES:
-                self.report(manifest_path, 1, "determinism-hygiene",
-                            f"unknown determinism rule '{rule}' (expected one "
-                            f"of {', '.join(DETERMINISM_RULES)})")
-                continue
-            rel, reason = entry.get("file", ""), entry.get("reason", "")
-            if not rel or not reason.strip():
-                self.report(manifest_path, 1, "determinism-hygiene",
-                            "suppression entry needs non-empty 'file', "
-                            "'rule' and 'reason'")
-                continue
-            declared.add((rel, " ".join(reason.split())))
-
-        live: set[tuple[str, str]] = set()
-        for d in DETERMINISM_SCAN_DIRS:
-            base = self.root / d
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.suffix not in (".cpp", ".hpp"):
-                    continue
-                raw = path.read_text(encoding="utf-8")
-                rel = str(path.relative_to(self.root))
-                for lineno, reason in self._determinism_annotations(raw):
-                    live.add((rel, reason))
-                    if (rel, reason) not in declared:
-                        self.report(
-                            path, lineno, "determinism-hygiene",
-                            "`determinism: allow` annotation has no matching "
-                            f"(file, reason) entry in {DETERMINISM_MANIFEST}")
-        for rel, reason in sorted(declared - live):
-            self.report(manifest_path, 1, "determinism-hygiene",
-                        f"stale suppression for {rel}: no live `determinism: "
-                        f"allow` annotation with reason \"{reason}\"")
-
-    def _balanced_annotations(self, raw: str,
-                              token: str) -> list[tuple[int, str]]:
-        """(line, whitespace-collapsed reason) for every ``<token><reason>)``
-        in ``raw``; the reason may wrap across comment lines and ends at the
-        balanced closing parenthesis."""
-        out = []
-        pos = 0
-        while True:
-            start = raw.find(token, pos)
-            if start < 0:
-                return out
-            open_paren = start + len(token) - 1
-            depth, i = 0, open_paren
-            while i < len(raw):
-                if raw[i] == "(":
-                    depth += 1
-                elif raw[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            reason = re.sub(r"\n\s*//+", " ", raw[open_paren + 1:i])
-            out.append((raw.count("\n", 0, start) + 1,
-                        " ".join(reason.split())))
-            pos = i + 1
-
-    def _packet_enumerators(self) -> list[str] | None:
-        """The sim::PacketType enumerator names, or None when the header is
-        missing (already reported)."""
-        hpp = self.root / PACKET_HPP
-        if not hpp.is_file():
-            self.report(hpp, 1, "protocol-hygiene",
-                        "PacketType header is missing; update PACKET_HPP in "
-                        "tools/lint.py")
-            return None
-        code = strip_comments_and_strings(hpp.read_text(encoding="utf-8"))
-        m = re.search(r"enum\s+class\s+PacketType\s*\{([^}]*)\}", code)
-        if not m:
-            self.report(hpp, 1, "protocol-hygiene",
-                        "enum class PacketType not found")
-            return None
-        return re.findall(r"\bk\w+\b", m.group(1))
-
     def _packet_wire_names(self) -> list[str] | None:
         """The wire names to_string(PacketType) can produce — the tag values
         of the per-type net.tx.* counters."""
@@ -761,78 +603,6 @@ class Linter:
                         "no PacketType to_string cases found")
             return None
         return names
-
-    def check_protocol_hygiene(self):
-        manifest_path = self.root / PROTOCOL_MANIFEST
-        if not manifest_path.is_file():
-            self.report(manifest_path, 1, "protocol-hygiene",
-                        "protocol suppression manifest is missing")
-            return
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            self.report(manifest_path, getattr(err, "lineno", 1),
-                        "protocol-hygiene",
-                        f"manifest is not valid JSON: {err}")
-            return
-
-        declared: set[tuple[str, str]] = set()
-        for entry in manifest.get("suppressions", []):
-            rule = entry.get("rule", "")
-            if rule not in PROTOCOL_RULES:
-                self.report(manifest_path, 1, "protocol-hygiene",
-                            f"unknown protocol rule '{rule}' (expected one "
-                            f"of {', '.join(PROTOCOL_RULES)})")
-                continue
-            rel, reason = entry.get("file", ""), entry.get("reason", "")
-            if not rel or not reason.strip():
-                self.report(manifest_path, 1, "protocol-hygiene",
-                            "suppression entry needs non-empty 'file', "
-                            "'rule' and 'reason'")
-                continue
-            declared.add((rel, " ".join(reason.split())))
-        for entry in manifest.get("fire_and_forget", []):
-            rel, reason = entry.get("file", ""), entry.get("reason", "")
-            if not rel or not reason.strip():
-                self.report(manifest_path, 1, "protocol-hygiene",
-                            "fire_and_forget entry needs non-empty 'file' "
-                            "and 'reason'")
-                continue
-            declared.add((rel, " ".join(reason.split())))
-
-        live: set[tuple[str, str]] = set()
-        for d in PROTOCOL_SCAN_DIRS:
-            base = self.root / d
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.suffix not in (".cpp", ".hpp"):
-                    continue
-                raw = path.read_text(encoding="utf-8")
-                rel = str(path.relative_to(self.root))
-                for token in PROTOCOL_TOKENS:
-                    for lineno, reason in self._balanced_annotations(raw,
-                                                                     token):
-                        live.add((rel, reason))
-                        if (rel, reason) not in declared:
-                            self.report(
-                                path, lineno, "protocol-hygiene",
-                                f"`{token.rstrip('(')}` annotation has no "
-                                "matching (file, reason) entry in "
-                                f"{PROTOCOL_MANIFEST}")
-        for rel, reason in sorted(declared - live):
-            self.report(manifest_path, 1, "protocol-hygiene",
-                        f"stale suppression for {rel}: no live `protocol:` "
-                        f"annotation with reason \"{reason}\"")
-
-        enums = self._packet_enumerators()
-        if enums is not None:
-            for entry in manifest.get("unpaired_types", []):
-                t = entry.get("type", "")
-                if t not in enums:
-                    self.report(manifest_path, 1, "protocol-hygiene",
-                                f"unpaired_types names '{t}', which is not a "
-                                f"sim::PacketType enumerator in {PACKET_HPP}")
 
     def check_hot_paths(self):
         for rel, funcs in HOT_PATH_FUNCS.items():
@@ -929,8 +699,6 @@ class Linter:
                     self.check_header_using(path, code)
         self.check_verify_hygiene()
         self.check_obs_hygiene()
-        self.check_determinism_hygiene()
-        self.check_protocol_hygiene()
         self.check_hot_paths()
         for f in self.findings:
             print(f)

@@ -52,8 +52,8 @@ wrap; it ends at the balanced closing parenthesis). Every annotation must
 also appear in tools/protocol_manifest.json with the same (file, reason),
 every ``unpaired_types`` / ``layer_exceptions`` entry must still match a
 live unpaired type / include edge, and drift in either direction is itself
-a finding. tools/lint.py's protocol-hygiene rule re-checks the
-annotation<->manifest correspondence tree-wide.
+a finding. This linter is the only drift check for the manifest; ctest
+(protocol_lint_tree) and CI run it tree-wide.
 
 Function boundaries are recovered from the repo's clang-format layout: a
 top-level definition starts at column 0, so the region between consecutive
