@@ -43,9 +43,9 @@ class TreeComputePool {
                       const std::function<void(std::size_t)>& fn) const;
 
   /// Adapter exposing the pool as the graph layer's ParallelFor executor, so
-  /// AllPairsPaths::rebuild / apply_link_event can run one Dijkstra source
-  /// per task on the pool's workers. The returned closure references `this`;
-  /// the pool must outlive it.
+  /// AllPairsPaths::rebuild / apply_link_event can run their full Dijkstra
+  /// runs (one source, or one run, per task) on the pool's workers. The
+  /// returned closure references `this`; the pool must outlive it.
   graph::ParallelFor parallel_for() const {
     return [this](std::size_t count,
                   const std::function<void(std::size_t)>& fn) {

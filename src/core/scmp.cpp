@@ -939,9 +939,10 @@ void Scmp::on_topology_change() {
 
 int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   OBS_SPAN("scmp.link_event");
-  // Single-link change: patch the path database incrementally (only dirty
-  // sources re-run Dijkstra; the result is bit-identical to a from-scratch
-  // rebuild), then recompute and reinstall the group trees as usual.
+  // Single-link change: patch the path database incrementally (a failure
+  // re-settles only the orphaned subtrees, other events re-run only dirty
+  // runs; the result is bit-identical to a from-scratch rebuild), then
+  // recompute and reinstall the group trees as usual.
   const int recomputed = paths_.apply_link_event(
       net().graph(), u, v,
       pool_ != nullptr ? pool_->parallel_for() : graph::ParallelFor{});

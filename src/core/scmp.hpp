@@ -103,11 +103,12 @@ class Scmp final : public proto::MulticastProtocol {
 
   /// Incremental variant of on_topology_change() for a single link event
   /// (failure, addition or re-weighting of edge {u, v}): only the sources
-  /// whose cached shortest-path runs the event can affect are re-run
-  /// (graph::AllPairsPaths::apply_link_event's dirty-source test); the
-  /// resulting path database is bit-identical to a from-scratch rebuild.
-  /// Group trees are then rebuilt as in on_topology_change(). Returns the
-  /// number of sources recomputed.
+  /// whose cached shortest-path runs the event can affect are touched —
+  /// a failure re-settles just the subtrees it orphans, other events re-run
+  /// the dirty runs (graph::AllPairsPaths::apply_link_event); the resulting
+  /// path database is bit-identical to a from-scratch rebuild. Group trees
+  /// are then rebuilt as in on_topology_change(). Returns the number of
+  /// dirty sources.
   int handle_link_event(graph::NodeId u, graph::NodeId v);
 
   /// Registers a compute pool whose worker threads run the path-database

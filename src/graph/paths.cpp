@@ -14,6 +14,16 @@ obs::Counter& sources_recomputed_counter() {
   return c;
 }
 
+obs::Counter& nodes_resettled_counter() {
+  static obs::Counter& c = obs::counter("paths.link_event.nodes_resettled");
+  return c;
+}
+
+obs::Counter& full_runs_counter() {
+  static obs::Counter& c = obs::counter("paths.link_event.full_runs");
+  return c;
+}
+
 }  // namespace
 
 AllPairsPaths::AllPairsPaths(const Graph& g, const ParallelFor& pf) {
@@ -43,37 +53,25 @@ void AllPairsPaths::rebuild(const Graph& g, const ParallelFor& pf) {
 }
 
 bool AllPairsPaths::run_dirty(const ShortestPaths& sp, NodeId u, NodeId v,
-                              const EdgeAttr* attr) {
+                              const EdgeAttr& attr) {
   const auto su = static_cast<std::size_t>(u);
   const auto sv = static_cast<std::size_t>(v);
-  // The cached canonical SPT routed through {u, v}: any removal or weight
-  // change invalidates the paths through it.
+  // The cached canonical SPT routed through {u, v}: a weight change
+  // invalidates the paths through it.
   if (sp.parent[su] == v || sp.parent[sv] == u) return true;
-  // The edge is gone and the cached tree never used it: every cached path
-  // still exists with unchanged weight, and the canonical parent choice
-  // (minimum id among predecessors achieving the distance) cannot gain or
-  // lose a candidate.
-  if (attr == nullptr) return false;
-  const double w = weight_of(*attr, sp.metric);
+  const double w = weight_of(attr, sp.metric);
   const double du = sp.dist[su];
   const double dv = sp.dist[sv];
-  // A present (new or re-weighted) edge affects the run iff relaxing it would
-  // improve an endpoint's distance — any path through the edge crosses it, so
-  // an improvement anywhere implies one at an endpoint first — ...
-  if (du + w < dv || dv + w < du) return true;
-  // ... or ties an endpoint's distance via a smaller parent id, which would
-  // re-canonicalize the SPT without changing any distance.
-  // determinism: allow(canonical-SPT tie test: the sum mirrors the exact
-  // relaxation Dijkstra performs, so a tie here is the same bit-identical
-  // tie the rebuild would break by parent id)
-  if (du + w == dv && sp.parent[sv] != kInvalidNode && u < sp.parent[sv])
-    return true;
-  // determinism: allow(canonical-SPT tie test: the sum mirrors the exact
-  // relaxation Dijkstra performs, so a tie here is the same bit-identical
-  // tie the rebuild would break by parent id)
-  if (dv + w == du && sp.parent[su] != kInvalidNode && v < sp.parent[su])
-    return true;
-  return false;
+  // Otherwise the edge affects the run iff relaxing it improves an
+  // endpoint's distance — any path through the edge crosses it, so an
+  // improvement anywhere implies one at an endpoint first — or ties it. A
+  // tie re-canonicalizes the SPT when it offers a smaller parent id; with
+  // zero-weight links it can also change the order in which equal-distance
+  // nodes settle, and with it parents further down, so every tie counts. An
+  // edge that neither improves nor ties only ever pushes stale heap entries,
+  // so a fresh run would reproduce the cached one.
+  return (du < kUnreachable && du + w <= dv) ||
+         (dv < kUnreachable && dv + w <= du);
 }
 
 int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v,
@@ -82,32 +80,54 @@ int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v,
   SCMP_EXPECTS(g.valid(u) && g.valid(v) && u != v);
   SCMP_EXPECTS(static_cast<std::size_t>(g.num_nodes()) == by_delay_.size());
   const EdgeAttr* attr = g.edge(u, v);
-
-  // Dirty-source scan: O(n) table lookups against the cached runs. A source
-  // is recomputed (both metrics — one source per task) when either of its
-  // runs can be affected; every clean source's cached runs are provably the
-  // canonical answer on the new graph already.
-  std::vector<std::size_t> dirty;
-  for (std::size_t i = 0; i < by_delay_.size(); ++i) {
-    if (run_dirty(by_delay_[i], u, v, attr) ||
-        run_dirty(by_cost_[i], u, v, attr)) {
-      dirty.push_back(i);
-    }
-  }
-  sources_recomputed_counter().inc(dirty.size());
   g.csr();  // single-threaded warm-up, as in rebuild()
-  const auto recompute = [&](std::size_t k) {
-    const std::size_t i = dirty[k];
-    const auto s = static_cast<NodeId>(i);
-    dijkstra_into(g, s, Metric::kDelay, by_delay_[i]);
-    dijkstra_into(g, s, Metric::kCost, by_cost_[i]);
+
+  // One O(1) parent-edge test per run. A failed tree edge is repaired right
+  // here; everything that needs a full run — a present edge that dirties the
+  // run, or a repair that met a zero or absorbed weight — is queued as run
+  // index k (see run()). A source counts as dirty when either of its runs
+  // is touched; its other run is provably the canonical answer already.
+  std::vector<std::size_t> full;
+  std::size_t dirty = 0;
+  std::size_t resettled = 0;
+  for (std::size_t i = 0; i < by_delay_.size(); ++i) {
+    bool touched = false;
+    for (std::size_t k = 2 * i; k < 2 * i + 2; ++k) {
+      ShortestPaths& sp = run(k);
+      if (attr != nullptr) {
+        if (!run_dirty(sp, u, v, *attr)) continue;
+        full.push_back(k);
+      } else {
+        switch (repair_after_removal(g, sp.metric, u, v, sp.dist,
+                                     sp.companion, sp.parent,
+                                     repair_scratch_)) {
+          case SptRepair::kUnaffected:
+            continue;
+          case SptRepair::kRepaired:
+            resettled += repair_scratch_.subtree.size();
+            break;
+          case SptRepair::kNeedsFullRun:
+            full.push_back(k);
+            break;
+        }
+      }
+      touched = true;
+    }
+    if (touched) ++dirty;
+  }
+  sources_recomputed_counter().inc(dirty);
+  nodes_resettled_counter().inc(resettled);
+  full_runs_counter().inc(full.size());
+  const auto recompute = [&](std::size_t j) {
+    ShortestPaths& sp = run(full[j]);
+    dijkstra_into(g, static_cast<NodeId>(full[j] / 2), sp.metric, sp);
   };
   if (pf) {
-    pf(dirty.size(), recompute);
+    pf(full.size(), recompute);
   } else {
-    for (std::size_t k = 0; k < dirty.size(); ++k) recompute(k);
+    for (std::size_t j = 0; j < full.size(); ++j) recompute(j);
   }
-  return static_cast<int>(dirty.size());
+  return static_cast<int>(dirty);
 }
 
 std::vector<NodeId> AllPairsPaths::sl_path(NodeId u, NodeId v) const {

@@ -11,10 +11,12 @@
 // optionally fanning the per-source Dijkstra runs out over a caller-supplied
 // parallel-for executor (one source per task; the m-router's TreeComputePool
 // provides one). apply_link_event() handles a single changed/failed/added
-// link incrementally: a source is re-run only when the edge lies on its
-// cached shortest-path tree (parent-edge membership) or, for a present edge,
-// when relaxing it would improve or re-canonicalize a path — every other
-// source's cached run is provably still the canonical answer.
+// link incrementally. A run whose cached shortest-path tree does not use a
+// failed link is provably still the canonical answer; one that does is
+// repaired by re-settling only the subtree the cut orphans
+// (repair_after_removal, see dijkstra.hpp). A present (new or re-weighted)
+// link dirties a run when it lies on the tree or when relaxing it would
+// improve or re-canonicalize a path, and a dirty run is re-run in full.
 #pragma once
 
 #include <functional>
@@ -41,11 +43,16 @@ class AllPairsPaths {
   void rebuild(const Graph& g, const ParallelFor& pf = {});
 
   /// Incremental update after the single link {u, v} changed: failed, came
-  /// up, or changed weight. `g` is the post-event graph. Re-runs Dijkstra
-  /// only for the (source, metric) runs the event can actually affect and
-  /// returns how many runs were recomputed (the paths.rebuild.sources_
-  /// recomputed counter tracks the same quantity). The result is always
-  /// bit-identical to a from-scratch rebuild on `g`.
+  /// up, or changed weight. `g` is the post-event graph. Touches only the
+  /// (source, metric) runs the event can actually affect and returns how
+  /// many sources had at least one such run (the paths.rebuild.sources_
+  /// recomputed counter tracks the same quantity). A failure repairs each
+  /// affected run in place on the calling thread; the full re-runs that
+  /// remain — link-up, re-weighting and the repair's fallbacks — fan out
+  /// over `pf`. The result is bit-identical to a from-scratch rebuild on
+  /// `g`. (A weight change is judged by the new weight alone: exact when
+  /// every weight is positive; with zero-weight links, apply it as a
+  /// failure followed by a link-up.)
   int apply_link_event(const Graph& g, NodeId u, NodeId v,
                        const ParallelFor& pf = {});
 
@@ -87,13 +94,20 @@ class AllPairsPaths {
   int num_nodes() const { return static_cast<int>(by_delay_.size()); }
 
  private:
-  /// True when the cached run `sp` must be recomputed after link {u, v}
-  /// changed; `attr` is the edge's post-event attributes (nullptr = gone).
+  /// True when the cached run `sp` must be recomputed after the present
+  /// link {u, v} (new or re-weighted, attributes `attr`) changed.
   static bool run_dirty(const ShortestPaths& sp, NodeId u, NodeId v,
-                        const EdgeAttr* attr);
+                        const EdgeAttr& attr);
+
+  /// Run `k` of the database: source k / 2, delay tree for even k, cost
+  /// tree for odd k.
+  ShortestPaths& run(std::size_t k) {
+    return (k % 2 == 0 ? by_delay_ : by_cost_)[k / 2];
+  }
 
   std::vector<ShortestPaths> by_delay_;
   std::vector<ShortestPaths> by_cost_;
+  SptRepairScratch repair_scratch_;  ///< reused by every link failure
 };
 
 }  // namespace scmp::graph

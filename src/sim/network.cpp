@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -108,39 +107,28 @@ int Network::link_backlog(graph::NodeId from, graph::NodeId to) const {
 
 void Network::fail_link(graph::NodeId u, graph::NodeId v) {
   SCMP_EXPECTS(graph_.has_edge(u, v));
-  // Preserve every surviving directed link's state across the index
-  // reshuffle: its byte counter, and its queue — a packet still serialising
-  // there finishes, and leaves the backlog, when it was scheduled to.
-  struct LinkState {
-    SimTime free_at = 0.0;
-    std::uint64_t bytes = 0;
-    int backlog = 0;
-  };
-  std::map<std::pair<graph::NodeId, graph::NodeId>, LinkState> kept;
-  for (graph::NodeId from = 0; from < graph_.num_nodes(); ++from) {
+  // remove_edge erases {u, v} order-preservingly from rows u and v only.
+  // Erasing the same slot from those two rows' link state keeps every
+  // surviving directed link aligned with its byte counter and its queue (a
+  // packet still serialising there finishes, and leaves the backlog, when
+  // it was scheduled to); only the dead link's state goes.
+  const auto erase_slot = [this](graph::NodeId from, graph::NodeId to) {
     const auto f = static_cast<std::size_t>(from);
     const auto& nbs = graph_.neighbors(from);
-    for (std::size_t i = 0; i < nbs.size(); ++i)
-      kept[{from, nbs[i].to}] = {link_free_[f][i], link_bytes_[f][i],
-                                 link_backlog_[f][i]};
-  }
+    for (std::size_t i = 0; i < nbs.size(); ++i) {
+      if (nbs[i].to != to) continue;
+      const auto slot = static_cast<std::ptrdiff_t>(i);
+      link_free_[f].erase(link_free_[f].begin() + slot);
+      link_bytes_[f].erase(link_bytes_[f].begin() + slot);
+      link_backlog_[f].erase(link_backlog_[f].begin() + slot);
+      return;
+    }
+  };
+  erase_slot(u, v);
+  erase_slot(v, u);
   graph_.remove_edge(u, v);
   SCMP_EXPECTS(graph_.is_connected());  // unicast routing needs reachability
-
-  routing_ = UnicastRouting(graph_, graph::Metric::kDelay);
-  for (graph::NodeId from = 0; from < graph_.num_nodes(); ++from) {
-    const auto f = static_cast<std::size_t>(from);
-    const auto& nbs = graph_.neighbors(from);
-    link_free_[f].resize(nbs.size());
-    link_bytes_[f].resize(nbs.size());
-    link_backlog_[f].resize(nbs.size());
-    for (std::size_t i = 0; i < nbs.size(); ++i) {
-      const LinkState& s = kept[{from, nbs[i].to}];
-      link_free_[f][i] = s.free_at;
-      link_bytes_[f][i] = s.bytes;
-      link_backlog_[f][i] = s.backlog;
-    }
-  }
+  routing_.remove_link(graph_, u, v);
 }
 
 void Network::attach(graph::NodeId node, RouterAgent* agent) {
@@ -244,8 +232,8 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   const SimTime start = std::max(ready, free_at);
   free_at = start + tx;
   // The packet leaves the egress queue when its transmission completes. The
-  // slot is re-resolved at fire time: fail_link() reshuffles the adjacency
-  // (and drops the state of the removed link).
+  // slot is re-resolved at fire time: fail_link() shifts the later slots of
+  // the two rows it edits (and drops the state of the removed link).
   queue_->schedule_at(free_at, [this, from, to]() {
     const auto& neighbors = graph_.neighbors(from);
     for (std::size_t i = 0; i < neighbors.size(); ++i) {

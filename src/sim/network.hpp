@@ -58,11 +58,13 @@ class Network {
   const graph::Graph& graph() const { return graph_; }
 
   /// Removes the link {u, v} and reconverges the unicast routing substrate
-  /// (the link-state protocol every router runs). Packets already in flight
-  /// on the link still arrive; every other link keeps its queue and byte
-  /// counter. The residual topology must stay connected
-  /// (unicast routing assumes reachability). Multicast protocols are told
-  /// separately via MulticastProtocol::on_topology_change().
+  /// (the link-state protocol every router runs) incrementally: only the
+  /// shortest-path subtrees the cut orphans are re-settled
+  /// (UnicastRouting::remove_link). Packets already in flight on the link
+  /// still arrive; every other link keeps its queue and byte counter. The
+  /// residual topology must stay connected (unicast routing assumes
+  /// reachability). Multicast protocols are told separately via
+  /// MulticastProtocol::on_topology_change() or Scmp::handle_link_event().
   void fail_link(graph::NodeId u, graph::NodeId v);
   const UnicastRouting& routing() const { return routing_; }
   EventQueue& queue() { return *queue_; }

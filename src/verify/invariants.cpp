@@ -321,27 +321,29 @@ void check_fabric(const FabricView& v, std::vector<Violation>& out) {
   }
 }
 
-void check_path_db(const graph::AllPairsPaths& db, const graph::Graph& g,
+void check_path_db(const graph::AllPairsPaths& db,
+                   const sim::UnicastRouting& routing, const graph::Graph& g,
                    std::vector<Violation>& out) {
-  if (db.num_nodes() != g.num_nodes()) {
+  const int n = g.num_nodes();
+  if (db.num_nodes() != n || routing.num_nodes() != n) {
     out.push_back({kPathDbConsistent,
                    "database covers " + std::to_string(db.num_nodes()) +
-                       " nodes, topology has " +
-                       std::to_string(g.num_nodes())});
+                       " nodes, routing " +
+                       std::to_string(routing.num_nodes()) +
+                       ", topology has " + std::to_string(n)});
     return;
   }
+  // Exact == on doubles is intentional throughout: the audited claim is
+  // bit-identity of the incremental updates, not numerical closeness (inf ==
+  // inf holds for unreachable nodes, and no field is ever NaN).
   const graph::AllPairsPaths oracle(g);
   auto compare_run = [&](const graph::ShortestPaths& got,
                          const graph::ShortestPaths& want, const char* which,
                          graph::NodeId src) {
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (graph::NodeId v = 0; v < n; ++v) {
       const auto idx = static_cast<std::size_t>(v);
-      // Exact == on doubles is intentional: the audited claim is bit-identity
-      // of the incremental update, not numerical closeness (inf == inf holds
-      // for unreachable nodes, and no field is ever NaN).
       if (got.dist[idx] == want.dist[idx] &&
           got.companion[idx] == want.companion[idx] &&
-          got.hops[idx] == want.hops[idx] &&
           got.parent[idx] == want.parent[idx])
         continue;
       out.push_back({kPathDbConsistent,
@@ -351,9 +353,26 @@ void check_path_db(const graph::AllPairsPaths& db, const graph::Graph& g,
       return;  // one violation per run keeps the report readable
     }
   };
-  for (graph::NodeId s = 0; s < g.num_nodes(); ++s) {
+  for (graph::NodeId s = 0; s < n; ++s) {
     compare_run(db.sl_from(s), oracle.sl_from(s), "P_sl", s);
     compare_run(db.lc_from(s), oracle.lc_from(s), "P_lc", s);
+  }
+
+  const sim::UnicastRouting fresh(g);
+  for (graph::NodeId from = 0; from < n; ++from) {
+    for (graph::NodeId to = 0; to < n; ++to) {
+      // next_hop() requires reachability, so it is compared only where both
+      // tables agree the destination is reachable.
+      if (routing.distance(from, to) == fresh.distance(from, to) &&
+          (std::isinf(fresh.distance(from, to)) ||
+           routing.next_hop(from, to) == fresh.next_hop(from, to)))
+        continue;
+      out.push_back({kPathDbConsistent,
+                     "unicast route " + node_str(from) + " -> " +
+                         node_str(to) +
+                         " diverges from a from-scratch routing table"});
+      break;  // one violation per source row
+    }
   }
 }
 

@@ -27,11 +27,14 @@
 //   protocol-self-check  whatever MulticastProtocol::audit_state of the
 //                        audited protocol reports (CBT / PIM-SM hard-state
 //                        symmetry; empty by default).
-//   path-db-consistent   the m-router's incrementally-maintained dual-weight
-//                        path database (AllPairsPaths::apply_link_event)
-//                        matches a from-scratch rebuild on the current
-//                        topology bit-for-bit: dist, companion weight, hop
-//                        count and canonical parent, per source and metric.
+//   path-db-consistent   the two incrementally-maintained shortest-path
+//                        stores match a from-scratch build on the current
+//                        topology bit-for-bit: the m-router's dual-weight
+//                        path database (AllPairsPaths::apply_link_event;
+//                        dist, companion weight and canonical parent, per
+//                        source and metric) and the network's unicast
+//                        routing table (UnicastRouting::remove_link; every
+//                        next hop and distance).
 #pragma once
 
 #include <map>
@@ -40,6 +43,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
+#include "sim/routing.hpp"
 #include "verify/snapshot.hpp"
 
 namespace scmp::fabric {
@@ -109,9 +113,11 @@ void check_fabric(const FabricView& v, std::vector<Violation>& out);
 
 /// Invariant 7: the (possibly incrementally-maintained) path database `db`
 /// is bit-identical to a from-scratch AllPairsPaths built on `g` — every
-/// source's dist/companion/hops/parent under both metrics. O(n * Dijkstra):
-/// an oracle check, meant for audit strides, not hot paths.
-void check_path_db(const graph::AllPairsPaths& db, const graph::Graph& g,
+/// source's dist/companion/parent under both metrics — and `routing` to a
+/// from-scratch UnicastRouting on `g` — every next hop and distance.
+/// O(n * Dijkstra): an oracle check, meant for audit strides, not hot paths.
+void check_path_db(const graph::AllPairsPaths& db,
+                   const sim::UnicastRouting& routing, const graph::Graph& g,
                    std::vector<Violation>& out);
 
 /// One line per violation: "<invariant>: <detail>".

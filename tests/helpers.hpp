@@ -54,4 +54,30 @@ inline topo::Topology random_topology(std::uint64_t seed, int n = 30,
   return topo::waxman(cfg, rng);
 }
 
+/// Deterministic connected random graph whose weights are small integers
+/// ({1, 2, 3} in both metrics), so equal path sums — ties only the canonical
+/// parent-id rule breaks — are everywhere. A random spanning tree plus
+/// `extra_edges` random chords; each edge's delay is 0 instead with
+/// probability `zero_delay_frac`.
+inline graph::Graph tie_heavy_graph(std::uint64_t seed, int n,
+                                    int extra_edges,
+                                    double zero_delay_frac = 0.0) {
+  Rng rng(seed);
+  graph::Graph g(n);
+  const auto add = [&](graph::NodeId u, graph::NodeId v) {
+    const double delay = rng.uniform01() < zero_delay_frac
+                             ? 0.0
+                             : static_cast<double>(rng.uniform_int(1, 3));
+    g.add_edge(u, v, delay, static_cast<double>(rng.uniform_int(1, 3)));
+  };
+  for (graph::NodeId v = 1; v < n; ++v)
+    add(static_cast<graph::NodeId>(rng.uniform_int(0, v - 1)), v);
+  for (int i = 0; i < extra_edges; ++i) {
+    const auto u = static_cast<graph::NodeId>(rng.uniform_int(0, n - 1));
+    const auto v = static_cast<graph::NodeId>(rng.uniform_int(0, n - 1));
+    if (u != v && !g.has_edge(u, v)) add(u, v);
+  }
+  return g;
+}
+
 }  // namespace scmp::test

@@ -1,11 +1,14 @@
 // The path-db-consistent invariant: check_path_db holds an (incrementally
-// maintained) AllPairsPaths to a from-scratch rebuild, and the churn
-// model-checker — whose link-failure events now go through the incremental
-// Scmp::handle_link_event — audits it at every stride.
+// maintained) AllPairsPaths and UnicastRouting to from-scratch builds, and
+// the churn model-checker — whose link-failure events go through the
+// incremental Network::fail_link and Scmp::handle_link_event — audits both
+// at every stride.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "helpers.hpp"
 #include "verify/churn.hpp"
@@ -17,31 +20,65 @@ namespace {
 TEST(PathDbInvariant, FreshDatabasePasses) {
   const auto topo = test::random_topology(5, 25);
   const graph::AllPairsPaths db(topo.graph);
+  const sim::UnicastRouting routing(topo.graph);
   std::vector<Violation> out;
-  check_path_db(db, topo.graph, out);
+  check_path_db(db, routing, topo.graph, out);
   EXPECT_TRUE(out.empty()) << format(out);
+}
+
+/// A link on node 0's shortest-delay tree (so both stores must change when
+/// it fails) whose removal keeps the topology connected.
+std::pair<graph::NodeId, graph::NodeId> tree_link(const graph::Graph& g) {
+  const graph::ShortestPaths sp = graph::dijkstra(g, 0, graph::Metric::kDelay);
+  for (const auto& nb : g.neighbors(0)) {
+    if (sp.parent[static_cast<std::size_t>(nb.to)] != 0) continue;
+    graph::Graph probe = g;
+    probe.remove_edge(0, nb.to);
+    if (probe.is_connected()) return {0, nb.to};
+  }
+  ADD_FAILURE() << "node 0 has no removable tree link";
+  return {0, 0};
 }
 
 TEST(PathDbInvariant, StaleDatabaseIsFlagged) {
   auto topo = test::random_topology(5, 25);
   const graph::AllPairsPaths db(topo.graph);
   // Fail a link without telling the database: the stale runs must be caught.
-  const graph::NodeId u = 0;
-  const graph::NodeId v = topo.graph.neighbors(0).front().to;
+  const auto [u, v] = tree_link(topo.graph);
   topo.graph.remove_edge(u, v);
+  const sim::UnicastRouting routing(topo.graph);
   std::vector<Violation> out;
-  check_path_db(db, topo.graph, out);
+  check_path_db(db, routing, topo.graph, out);
   ASSERT_FALSE(out.empty());
   for (const Violation& viol : out)
     EXPECT_EQ(viol.invariant, kPathDbConsistent);
+}
+
+TEST(PathDbInvariant, StaleRoutingIsFlagged) {
+  auto topo = test::random_topology(5, 25);
+  const sim::UnicastRouting routing(topo.graph);
+  // Fail a link the database hears about but the routing table does not:
+  // the stale routes must be caught under the same invariant.
+  const auto [u, v] = tree_link(topo.graph);
+  topo.graph.remove_edge(u, v);
+  const graph::AllPairsPaths db(topo.graph);
+  std::vector<Violation> out;
+  check_path_db(db, routing, topo.graph, out);
+  ASSERT_FALSE(out.empty());
+  for (const Violation& viol : out) {
+    EXPECT_EQ(viol.invariant, kPathDbConsistent);
+    EXPECT_NE(viol.detail.find("unicast route"), std::string::npos)
+        << viol.detail;
+  }
 }
 
 TEST(PathDbInvariant, SizeMismatchIsFlagged) {
   const graph::Graph small = test::line(4);
   const graph::Graph big = test::line(6);
   const graph::AllPairsPaths db(small);
+  const sim::UnicastRouting routing(big);
   std::vector<Violation> out;
-  check_path_db(db, big, out);
+  check_path_db(db, routing, big, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].invariant, kPathDbConsistent);
 }

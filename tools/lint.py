@@ -37,11 +37,12 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    to_string in src/sim/packet.cpp), so adding a packet type
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
-                   path, the tree operations it runs, the Dijkstra kernel
-                   and the event core) must not construct a
-                   std::vector or call the allocating convenience accessors
-                   (members()/on_tree_nodes()/sl_path()/lc_path()/path_to())
-                   — they reuse per-instance scratch buffers instead. A
+                   path, the tree operations it runs, the Dijkstra kernel,
+                   its link-failure repair and the event core) must not
+                   construct a std::vector or call the allocating
+                   convenience accessors (members()/on_tree_nodes()/
+                   sl_path()/lc_path()/path_to()) — they reuse
+                   per-instance scratch buffers instead. A
                    deliberate exception carries a same- or previous-line
                    ``// hot-path: allow(<why>)`` annotation.
 
@@ -84,8 +85,10 @@ PACKET_CPP = "src/sim/packet.cpp"
 # Allocation-free hot paths: file -> function definitions the hot-path-alloc
 # rule scans. join() runs per membership change — with its delay-cache
 # refresh, the tree mutations it makes and the validate() it ensures —
-# dijkstra_into() n times per path-database rebuild, and the
-# event-queue/transmit trio once per simulated event or link crossing; an
+# dijkstra_into() n times per path-database rebuild, the subtree repair
+# (repair_after_removal, and the routing update built on it) once per source
+# and metric per link failure, and the event-queue/transmit trio once per
+# simulated event or link crossing; an
 # accidental per-call allocation here is a real throughput regression even
 # when every test stays green.
 HOT_PATH_FUNCS = {
@@ -95,10 +98,11 @@ HOT_PATH_FUNCS = {
     "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
                                      "MulticastTree::prune_upward_from",
                                      "MulticastTree::validate"),
-    "src/graph/dijkstra.cpp": ("dijkstra_into",),
+    "src/graph/dijkstra.cpp": ("dijkstra_into", "repair_after_removal"),
     "src/sim/event_queue.cpp": ("EventQueue::schedule_at",
                                 "EventQueue::run_next"),
     "src/sim/network.cpp": ("Network::transmit",),
+    "src/sim/routing.cpp": ("UnicastRouting::remove_link",),
 }
 
 CONTRACT_RE = re.compile(r"\bSCMP_(EXPECTS|ENSURES|ASSERT)\s*\(")
