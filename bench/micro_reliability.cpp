@@ -18,6 +18,8 @@ namespace {
 using namespace scmp;
 
 void BM_RetxArmAck(benchmark::State& state) {
+  // A control round trip on the evaluation topologies is a few ms.
+  constexpr double kFirstTimeout = 0.01;
   const auto n = static_cast<std::size_t>(state.range(0));
   core::RetxConfig cfg;
   cfg.enabled = true;
@@ -26,7 +28,7 @@ void BM_RetxArmAck(benchmark::State& state) {
     core::RetxTable table(q, cfg);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t req = table.next_req();
-      table.arm(static_cast<graph::NodeId>(i % 32), req, [] {});
+      table.arm(static_cast<graph::NodeId>(i % 32), req, kFirstTimeout, [] {});
       table.ack(static_cast<graph::NodeId>(i % 32), req);
     }
     q.run_all();  // retired timers fire as no-ops

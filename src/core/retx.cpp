@@ -11,22 +11,25 @@ namespace scmp::core {
 
 RetxTable::RetxTable(sim::EventQueue& queue, RetxConfig cfg)
     : queue_(&queue), cfg_(cfg) {
-  SCMP_EXPECTS(cfg_.timeout > 0.0);
   SCMP_EXPECTS(cfg_.backoff >= 1.0);
   SCMP_EXPECTS(cfg_.max_retries >= 0);
 }
 
 void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
-                    std::function<void()> resend) {
+                    double first_timeout, std::function<void()> resend,
+                    std::optional<int> install_of) {
   if (!cfg_.enabled) return;
   SCMP_EXPECTS(req != 0);
+  SCMP_EXPECTS(first_timeout > 0.0);
   SCMP_EXPECTS(resend != nullptr);
   Pending p;
-  p.next_timeout = cfg_.timeout * cfg_.backoff;
+  p.next_timeout = first_timeout * cfg_.backoff;
   p.resend = std::move(resend);
+  p.install_of = install_of;
   const bool inserted =
       by_sender_[sender].emplace(req, std::move(p)).second;
   SCMP_EXPECTS(inserted && "request uids are never reused");
+  if (install_of.has_value()) ++installs_in_flight_[*install_of];
   ++live_;
   if (live_ > pending_hwm_) {
     pending_hwm_ = live_;
@@ -35,20 +38,20 @@ void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
   }
   obs::flight_record(obs::FlightEventKind::kArm, queue_->now(), req, "", -1,
                      sender, -1);
-  schedule_timer(sender, req, cfg_.timeout);
+  schedule_timer(sender, req, first_timeout);
 }
 
 void RetxTable::ack(graph::NodeId sender, std::uint64_t req) {
   const auto sit = by_sender_.find(sender);
   if (sit == by_sender_.end()) return;
-  if (sit->second.erase(req) == 0) return;  // duplicate/late ack
-  --live_;
+  const auto it = sit->second.find(req);
+  if (it == sit->second.end()) return;  // duplicate/late ack
+  retire(sit, it);
   ++acked_;
   static obs::Counter& acks = obs::counter("scmp.retx.acked");
   acks.inc();
   obs::flight_record(obs::FlightEventKind::kAck, queue_->now(), req, "", -1,
                      sender, -1);
-  if (sit->second.empty()) by_sender_.erase(sit);
 }
 
 bool RetxTable::pending(graph::NodeId sender, std::uint64_t req) const {
@@ -60,6 +63,17 @@ std::size_t RetxTable::pending_count() const {
   std::size_t total = 0;
   for (const auto& [sender, reqs] : by_sender_) total += reqs.size();
   return total;
+}
+
+void RetxTable::retire(Senders::iterator sit, Requests::iterator it) {
+  if (it->second.install_of.has_value()) {
+    const auto git = installs_in_flight_.find(*it->second.install_of);
+    SCMP_ASSERT(git != installs_in_flight_.end());
+    if (--git->second == 0) installs_in_flight_.erase(git);
+  }
+  sit->second.erase(it);
+  --live_;
+  if (sit->second.empty()) by_sender_.erase(sit);
 }
 
 void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
@@ -85,9 +99,7 @@ void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
                          "", -1, sender, -1);
       log_debug("retx: sender ", sender, " abandoned request ", req, " after ",
                 p.attempts, " retransmission(s)");
-      sit->second.erase(it);
-      --live_;
-      if (sit->second.empty()) by_sender_.erase(sit);
+      retire(sit, it);
       return;
     }
     ++p.attempts;

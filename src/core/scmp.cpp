@@ -43,6 +43,16 @@ bool is_scmp_control(sim::PacketType t) {
   return false;
 }
 
+/// The group whose installed state a control packet writes, if it is an
+/// install (TREE, BRANCH, CLEAR): reconciliation defers that group until
+/// the request is acked or abandoned.
+std::optional<int> install_group(const sim::Packet& pkt) {
+  const bool install = pkt.type == sim::PacketType::kTree ||
+                       pkt.type == sim::PacketType::kBranch ||
+                       pkt.type == sim::PacketType::kClear;
+  return install ? std::optional<int>(pkt.group) : std::nullopt;
+}
+
 /// Flight-record label for a control packet (string literals only: the
 /// recorder stores the pointer, not a copy). Non-SCMP types label as "?" —
 /// SCMP's send sites never pass one.
@@ -109,9 +119,13 @@ void Scmp::send_control_link(graph::NodeId from, graph::NodeId to,
   pkt.req = retx_.next_req();
   obs::flight_record(obs::FlightEventKind::kSend, net().now(), pkt.req,
                      control_name(pkt.type), pkt.group, from, to);
-  retx_.arm(from, pkt.req, [this, from, to, copy = pkt]() {
+  // Hop-by-hop ack: one round trip over the link itself.
+  const double timeout =
+      net().link_round_trip(from, to, pkt.size_bytes) + kRetxMargin;
+  auto resend = [this, from, to, copy = pkt]() {
     net().send_link(from, to, copy);
-  });
+  };
+  retx_.arm(from, pkt.req, timeout, std::move(resend), install_group(pkt));
   net().send_link(from, to, std::move(pkt));
 }
 
@@ -124,11 +138,14 @@ void Scmp::send_control_unicast(graph::NodeId from, sim::Packet pkt) {
   obs::flight_record(obs::FlightEventKind::kSend, net().now(), pkt.req,
                      control_name(pkt.type), pkt.group, from, pkt.dst);
   // The receiver acknowledges unicast control end to end, to pkt.src (see
-  // send_ack), so the request is tracked there. That is `from` itself,
-  // except when a stale m-router re-sends a requester's packet (redirect).
-  retx_.arm(pkt.src, pkt.req, [this, from, copy = pkt]() {
-    net().send_unicast(from, copy);
-  });
+  // send_ack), so the request is tracked there, and its round trip runs
+  // from -> dst -> src. That is `from` itself, except when a stale m-router
+  // re-sends a requester's packet (redirect).
+  const double timeout =
+      net().unicast_round_trip(from, pkt.dst, pkt.src, pkt.size_bytes) +
+      kRetxMargin;
+  auto resend = [this, from, copy = pkt]() { net().send_unicast(from, copy); };
+  retx_.arm(pkt.src, pkt.req, timeout, std::move(resend), install_group(pkt));
   net().send_unicast(from, std::move(pkt));
 }
 
@@ -582,7 +599,10 @@ int Scmp::resolicit_membership() {
 
 int Scmp::repair_installed_state() {
   static obs::Counter& repair_counter = obs::counter("scmp.reconcile.repairs");
+  static obs::Counter& deferred_counter =
+      obs::counter("scmp.reconcile.deferred");
   int repairs = 0;
+  int deferred = 0;
   // Candidates: every live session plus every group some i-router still
   // holds an entry for (orphans of an ended or restructured session).
   std::set<GroupId> groups;
@@ -591,6 +611,14 @@ int Scmp::repair_installed_state() {
   const graph::NodeId n = net().graph().num_nodes();
 
   for (GroupId g : groups) {
+    if (retx_.install_in_flight(g)) {
+      // An install of this group is still unacked: its routers' digests are
+      // mid-change, and a repair now would race it — re-sending BRANCHes to
+      // routers the install has not reached yet. A later pass judges the
+      // settled state.
+      ++deferred;
+      continue;
+    }
     const graph::NodeId root = mrouter_of(g);
     const auto tit = trees_.find(g);
     const graph::MulticastTree* tree =
@@ -663,7 +691,8 @@ int Scmp::repair_installed_state() {
     }
   }
   repair_counter.inc(static_cast<std::uint64_t>(repairs));
-  return repairs;
+  deferred_counter.inc(static_cast<std::uint64_t>(deferred));
+  return repairs + deferred;
 }
 
 int Scmp::reconcile_all() {

@@ -175,11 +175,13 @@ class Scmp final : public proto::MulticastProtocol {
   /// database against the IGMP ground truth, then diffs every i-router's
   /// installed digest (upstream + downstream set) against the anchoring
   /// m-router's authoritative tree and repairs divergence with targeted
-  /// BRANCH reinstalls and CLEARs. Returns
-  /// the number of repair actions initiated (0 = the domain matched the
-  /// digests; repairs travel as ordinary — reliable, if enabled — control
-  /// packets, so convergence needs the queue drained and possibly further
-  /// passes when those packets can be lost too).
+  /// BRANCH reinstalls and CLEARs. A group with an install (TREE, BRANCH
+  /// or CLEAR) still unacked is deferred, not diffed: its digests are
+  /// mid-change (counted in scmp.reconcile.deferred). Returns the number of
+  /// repair actions initiated plus the groups deferred (0 = the domain
+  /// matched the digests; repairs travel as ordinary — reliable, if
+  /// enabled — control packets, so convergence needs the queue drained and
+  /// possibly further passes when those packets can be lost too).
   int reconcile_all();
 
   /// Schedules reconcile_all() every `interval` seconds until `horizon`
@@ -288,7 +290,8 @@ class Scmp final : public proto::MulticastProtocol {
   void drop_malformed(graph::NodeId at, const sim::Packet& pkt,
                       const char* reason);
 
-  // Soft-state reconciliation (reconcile_all phases).
+  // Soft-state reconciliation (reconcile_all phases). Each returns its
+  // actions initiated; repair_installed_state adds the groups it deferred.
   int resolicit_membership();
   int repair_installed_state();
 

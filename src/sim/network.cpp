@@ -147,6 +147,41 @@ double Network::link_delay_seconds(graph::NodeId u, graph::NodeId v) const {
   return e->delay * delay_scale_;
 }
 
+double Network::idle_hop_seconds(graph::NodeId from, graph::NodeId to,
+                                 std::size_t bytes) const {
+  const graph::EdgeAttr* e = graph_.edge(from, to);
+  if (e == nullptr) return 0.0;
+  const double bits = static_cast<double>(bytes) * 8.0;
+  const double switch_bps = switch_bps_[static_cast<std::size_t>(from)];
+  const double fabric = switch_bps > 0.0 ? bits / switch_bps : 0.0;
+  return fabric + bits / node_bandwidth_[static_cast<std::size_t>(from)] +
+         e->delay * delay_scale_;
+}
+
+double Network::idle_route_seconds(graph::NodeId from, graph::NodeId to,
+                                   std::size_t bytes) const {
+  double total = 0.0;
+  for (graph::NodeId at = from; at != to;) {
+    const graph::NodeId hop = routing_.next_hop(at, to);
+    total += idle_hop_seconds(at, hop, bytes);
+    at = hop;
+  }
+  return total;
+}
+
+double Network::link_round_trip(graph::NodeId from, graph::NodeId to,
+                                std::size_t request_bytes) const {
+  return idle_hop_seconds(from, to, request_bytes) +
+         idle_hop_seconds(to, from, kControlPacketBytes);
+}
+
+double Network::unicast_round_trip(graph::NodeId from, graph::NodeId to,
+                                   graph::NodeId ack_to,
+                                   std::size_t request_bytes) const {
+  return idle_route_seconds(from, to, request_bytes) +
+         idle_route_seconds(to, ack_to, kControlPacketBytes);
+}
+
 void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
                        Arrival arrival) {
   const graph::EdgeAttr* e = graph_.edge(from, to);

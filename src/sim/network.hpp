@@ -149,6 +149,23 @@ class Network {
   /// Propagation delay of edge {u, v} in seconds.
   double link_delay_seconds(graph::NodeId u, graph::NodeId v) const;
 
+  /// Idle round trip, in seconds, of a `request_bytes` control request and
+  /// its kControlPacketBytes ACK: every link each packet crosses adds its
+  /// propagation delay plus the packet's serialisation at the sending
+  /// router's fabric and port, with every queue empty. The reliability
+  /// layer derives its first retransmission timeout from it.
+  /// link_round_trip: the request crosses the link {from, to} and is acked
+  /// back over it (send_link); a link that is down adds nothing, since the
+  /// request never leaves `from`.
+  double link_round_trip(graph::NodeId from, graph::NodeId to,
+                         std::size_t request_bytes) const;
+  /// unicast_round_trip: the request follows the unicast route from `from`
+  /// to `to`, and the ACK the route from `to` back to `ack_to`
+  /// (send_unicast, end-to-end acks).
+  double unicast_round_trip(graph::NodeId from, graph::NodeId to,
+                            graph::NodeId ack_to,
+                            std::size_t request_bytes) const;
+
   /// Caps every egress queue at `packets` waiting for transmission; packets
   /// arriving at a full queue are dropped (drop-tail). Default: unlimited.
   void set_queue_limit(std::size_t packets) { queue_limit_ = packets; }
@@ -187,6 +204,12 @@ class Network {
   };
   void transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
                 Arrival arrival);
+  /// Idle time for `bytes` to cross the link from -> to (0 if it is down).
+  double idle_hop_seconds(graph::NodeId from, graph::NodeId to,
+                          std::size_t bytes) const;
+  /// idle_hop_seconds summed along the unicast route from -> to.
+  double idle_route_seconds(graph::NodeId from, graph::NodeId to,
+                            std::size_t bytes) const;
   void forward_unicast(graph::NodeId at, graph::NodeId prev, Packet pkt);
 
   graph::Graph graph_;

@@ -152,8 +152,9 @@ TEST(ScmpGoldenTrace, ReliableDeliveryAddsOnlyAcks) {
   EXPECT_EQ(timeless_sorted(serialize_trace(w.recorder.events())),
             timeless_sorted(read_golden()));
 
-  // Loss-free means no timer may fire before its ACK lands: the default
-  // timeout is chosen above the worst-case control RTT on ARPANET.
+  // Loss-free means no timer may fire before its ACK lands: each request's
+  // first timeout is its own idle round trip plus kRetxMargin, which covers
+  // the queueing this scenario adds.
   EXPECT_EQ(w.scmp.retx().retransmissions(), 0u);
   EXPECT_EQ(w.scmp.retx().exhausted(), 0u);
   EXPECT_GT(w.scmp.retx().acked(), 0u);

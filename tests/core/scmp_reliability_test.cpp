@@ -10,28 +10,34 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "core/scmp.hpp"
 #include "igmp/igmp.hpp"
+#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 #include "topo/arpanet.hpp"
+#include "topo/transit_stub.hpp"
 #include "util/rng.hpp"
 
 namespace scmp::core {
 namespace {
 
-RetxConfig reliable(double timeout = 5.0, int max_retries = 4) {
+RetxConfig reliable(int max_retries = 4) {
   RetxConfig cfg;
   cfg.enabled = true;
-  cfg.timeout = timeout;
   cfg.max_retries = max_retries;
   return cfg;
 }
+
+/// First timeout for the table-level tests, which have no network to derive
+/// one from.
+constexpr double kFirstTimeout = 1.0;
 
 // ---- RetxTable unit tests --------------------------------------------------
 
@@ -39,7 +45,7 @@ TEST(RetxTable, DisabledArmIsANoOp) {
   sim::EventQueue q;
   RetxTable table(q, RetxConfig{});  // enabled = false
   int resends = 0;
-  table.arm(3, table.next_req(), [&] { ++resends; });
+  table.arm(3, table.next_req(), kFirstTimeout, [&] { ++resends; });
   q.run_all();
   EXPECT_EQ(table.pending_count(), 0u);
   EXPECT_EQ(resends, 0);
@@ -50,7 +56,7 @@ TEST(RetxTable, AckBeforeTimeoutRetiresEntryWithoutResend) {
   RetxTable table(q, reliable());
   int resends = 0;
   const std::uint64_t req = table.next_req();
-  table.arm(3, req, [&] { ++resends; });
+  table.arm(3, req, kFirstTimeout, [&] { ++resends; });
   EXPECT_TRUE(table.pending(3, req));
   table.ack(3, req);
   EXPECT_FALSE(table.pending(3, req));
@@ -62,9 +68,10 @@ TEST(RetxTable, AckBeforeTimeoutRetiresEntryWithoutResend) {
 
 TEST(RetxTable, UnackedRequestBacksOffExponentiallyThenExhausts) {
   sim::EventQueue q;
-  RetxTable table(q, reliable(/*timeout=*/1.0, /*max_retries=*/3));
+  RetxTable table(q, reliable(/*max_retries=*/3));
   std::vector<double> resend_times;
-  table.arm(7, table.next_req(), [&] { resend_times.push_back(q.now()); });
+  table.arm(7, table.next_req(), /*first_timeout=*/1.0,
+            [&] { resend_times.push_back(q.now()); });
   q.run_all();
   // Retransmissions at t=1, 1+2, 1+2+4; the budget check fires at 1+2+4+8.
   ASSERT_EQ(resend_times.size(), 3u);
@@ -81,13 +88,30 @@ TEST(RetxTable, LateAndUnknownAcksAreIgnored) {
   sim::EventQueue q;
   RetxTable table(q, reliable());
   const std::uint64_t req = table.next_req();
-  table.arm(2, req, [] {});
+  table.arm(2, req, kFirstTimeout, [] {});
   table.ack(5, req);    // wrong sender
   table.ack(2, 9999);   // unknown request
   EXPECT_TRUE(table.pending(2, req));
   table.ack(2, req);
   table.ack(2, req);    // duplicate ack
   EXPECT_EQ(table.acked(), 1u);
+}
+
+TEST(RetxTable, InstallInFlightUntilAckedOrAbandoned) {
+  sim::EventQueue q;
+  RetxTable table(q, reliable(/*max_retries=*/1));
+  const std::uint64_t acked = table.next_req();
+  const std::uint64_t lost = table.next_req();
+  table.arm(3, acked, kFirstTimeout, [] {}, /*install_of=*/7);
+  table.arm(4, lost, kFirstTimeout, [] {}, /*install_of=*/7);
+  table.arm(4, table.next_req(), kFirstTimeout, [] {});  // not an install
+  EXPECT_TRUE(table.install_in_flight(7));
+  EXPECT_FALSE(table.install_in_flight(8));
+  table.ack(3, acked);
+  EXPECT_TRUE(table.install_in_flight(7));  // `lost` is still out
+  q.run_all();  // `lost` is resent once, then abandoned
+  EXPECT_EQ(table.exhausted(), 2u);
+  EXPECT_FALSE(table.install_in_flight(7));
 }
 
 TEST(RetxTable, RequestUidsAreNeverZero) {
@@ -99,9 +123,11 @@ TEST(RetxTable, RequestUidsAreNeverZero) {
 
 // ---- protocol-level fixture ------------------------------------------------
 
+using MakeTopology = topo::Topology (*)(Rng&);
+
 struct World {
-  explicit World(Scmp::Config cfg = {})
-      : topo(topo::arpanet(rng)),
+  explicit World(Scmp::Config cfg = {}, MakeTopology make = &topo::arpanet)
+      : topo(make(rng)),
         net(topo.graph, queue),
         igmp(queue, topo.graph.num_nodes()),
         scmp(net, igmp, [&] {
@@ -231,7 +257,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ScmpReliability, ExhaustedJoinIsRepairedByReconciliation) {
   Scmp::Config cfg;
-  cfg.reliability = reliable(/*timeout=*/0.5, /*max_retries=*/2);
+  cfg.reliability = reliable(/*max_retries=*/2);
   World w(cfg);
   // Seed the group so the tree and session exist.
   w.scmp.host_join(5, kGroup);
@@ -260,7 +286,7 @@ TEST(ScmpReliability, ExhaustedJoinIsRepairedByReconciliation) {
 
 TEST(ScmpReliability, ExhaustedBranchInstallIsRepairedByReconciliation) {
   Scmp::Config cfg;
-  cfg.reliability = reliable(/*timeout=*/0.5, /*max_retries=*/2);
+  cfg.reliability = reliable(/*max_retries=*/2);
   World w(cfg);
   w.scmp.host_join(5, kGroup);
   w.queue.run_all();
@@ -283,6 +309,142 @@ TEST(ScmpReliability, ExhaustedBranchInstallIsRepairedByReconciliation) {
   w.queue.run_all();
   EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
   EXPECT_EQ(w.scmp.reconcile_all(), 0);
+}
+
+/// A link of `group`'s tree whose failure leaves the topology connected.
+std::optional<std::pair<graph::NodeId, graph::NodeId>> tree_link_to_cut(
+    const World& w, GroupId group) {
+  const graph::MulticastTree& tree = w.scmp.group_tree(group)->tree();
+  for (graph::NodeId v : tree.on_tree_nodes()) {
+    if (v == tree.root()) continue;
+    graph::Graph probe = w.net.graph();
+    probe.remove_edge(tree.parent(v), v);
+    if (probe.is_connected()) return std::pair{tree.parent(v), v};
+  }
+  return std::nullopt;
+}
+
+// ---- retransmission timing ------------------------------------------------
+
+TEST(ScmpReliability, FirstRetransmissionAfterOneRoundTrip) {
+  Scmp::Config cfg;
+  cfg.reliability = reliable();
+  World w(cfg);
+  // Lose the first BRANCH crossing; every other packet gets through.
+  struct Lost {
+    graph::NodeId from, to;
+    double at;
+    std::size_t bytes;
+  };
+  std::optional<Lost> lost;
+  w.net.set_drop_filter(
+      [&](graph::NodeId from, graph::NodeId to, const sim::Packet& pkt) {
+        if (pkt.type != sim::PacketType::kBranch || lost.has_value())
+          return false;
+        lost = Lost{from, to, w.queue.now(), pkt.size_bytes};
+        return true;
+      });
+  w.scmp.host_join(5, kGroup);
+  w.queue.run_all();
+  ASSERT_TRUE(lost.has_value());
+
+  // The dropped copy never reached the recorder: the first BRANCH it saw on
+  // the lost link is the retransmission.
+  std::optional<double> resent_at;
+  const auto branches = w.recorder.of_type(sim::PacketType::kBranch);
+  for (const sim::TraceEvent& ev : branches) {
+    if (ev.from == lost->from && ev.to == lost->to) {
+      resent_at = ev.time;
+      break;
+    }
+  }
+  ASSERT_TRUE(resent_at.has_value());
+  // One idle round trip of the link — the BRANCH out and its ACK back, each
+  // propagated and serialised at the default 1 Gb/s — plus the margin.
+  const double round_trip =
+      2.0 * w.net.link_delay_seconds(lost->from, lost->to) +
+      static_cast<double>(lost->bytes + sim::kControlPacketBytes) * 8.0 / 1e9;
+  EXPECT_NEAR(*resent_at - lost->at, round_trip + kRetxMargin, 1e-9);
+  EXPECT_LT(*resent_at - lost->at, 0.5);
+  EXPECT_EQ(w.scmp.retx().retransmissions(), 1u);
+  EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
+}
+
+TEST(ScmpReliability, LinkFailureRebuildBurstRetransmitsNothingWithoutLoss) {
+  // A 192-router transit-stub with two dozen groups: a link failure rebuilds
+  // every group at once, so the m-router's ports queue a burst of TREE
+  // packets. The margin over the idle round trip must absorb that queueing.
+  Scmp::Config cfg;
+  cfg.reliability = reliable();
+  World w(cfg, [](Rng& r) {
+    topo::TransitStubConfig tcfg;
+    tcfg.transit_domains = 3;
+    tcfg.transit_nodes = 4;
+    tcfg.stub_domains_per_node = 3;
+    tcfg.stub_nodes = 5;
+    return topo::transit_stub(tcfg, r);
+  });
+  const graph::NodeId n = w.topo.graph.num_nodes();
+  constexpr int kGroups = 24;
+  for (GroupId g = 0; g < kGroups; ++g) {
+    for (int k = 0; k < 10; ++k)
+      w.scmp.host_join(1 + (g * 7 + k * 17) % (n - 1), g);
+  }
+  w.queue.run_all();
+  ASSERT_EQ(w.scmp.retx().retransmissions(), 0u);
+
+  // Fail a link of group 0's tree.
+  const auto cut = tree_link_to_cut(w, 0);
+  ASSERT_TRUE(cut.has_value());
+  const std::size_t trees_before = w.recorder.count(sim::PacketType::kTree);
+  w.net.fail_link(cut->first, cut->second);
+  w.scmp.handle_link_event(cut->first, cut->second);
+  w.queue.run_all();
+
+  EXPECT_GE(w.recorder.count(sim::PacketType::kTree) - trees_before,
+            static_cast<std::size_t>(kGroups));
+  EXPECT_EQ(w.scmp.retx().retransmissions(), 0u);
+  EXPECT_EQ(w.scmp.retx().exhausted(), 0u);
+  for (GroupId g = 0; g < kGroups; ++g)
+    EXPECT_TRUE(w.scmp.network_state_consistent(g)) << "g" << g;
+}
+
+// ---- reconciliation vs installs in flight ----------------------------------
+
+TEST(ScmpReliability, ReconcileDefersGroupWithInstallInFlight) {
+  Scmp::Config cfg;
+  cfg.reliability = reliable();
+  World w(cfg);
+  for (graph::NodeId m : {5, 12, 19, 27}) w.scmp.host_join(m, kGroup);
+  w.queue.run_all();
+  ASSERT_TRUE(w.scmp.network_state_consistent(kGroup));
+
+  // Cut a tree link: the rebuild reinstalls the whole tree with TREE
+  // packets, which are still on the wire when reconciliation runs.
+  const auto cut = tree_link_to_cut(w, kGroup);
+  ASSERT_TRUE(cut.has_value());
+  w.net.fail_link(cut->first, cut->second);
+  w.scmp.handle_link_event(cut->first, cut->second);
+  ASSERT_FALSE(w.scmp.network_state_consistent(kGroup));
+
+  obs::set_metrics_enabled(true);
+  obs::Counter& deferred = obs::counter("scmp.reconcile.deferred");
+  obs::Counter& repairs = obs::counter("scmp.reconcile.repairs");
+  const std::uint64_t deferred_before = deferred.value();
+  const std::uint64_t repairs_before = repairs.value();
+  const std::size_t branches_before =
+      w.recorder.count(sim::PacketType::kBranch);
+  // The digests lag the TREE wave, but no repair may race it.
+  EXPECT_GT(w.scmp.reconcile_all(), 0);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(w.recorder.count(sim::PacketType::kBranch), branches_before);
+  EXPECT_EQ(repairs.value(), repairs_before);
+  EXPECT_EQ(deferred.value(), deferred_before + 1);
+
+  w.queue.run_all();
+  EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
+  EXPECT_EQ(w.scmp.reconcile_all(), 0);
+  EXPECT_EQ(w.scmp.retx().retransmissions(), 0u);
 }
 
 TEST(ScmpReliability, PeriodicReconciliationCycleRuns) {
