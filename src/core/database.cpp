@@ -22,6 +22,7 @@ void MRouterDatabase::end_session(GroupId group, double now) {
   ended_.push_back(it->second);
   active_.erase(it);
   members_.erase(group);
+  last_change_.erase(group);
 }
 
 bool MRouterDatabase::session_active(GroupId group) const {
@@ -48,6 +49,7 @@ bool MRouterDatabase::record_join(GroupId group, graph::NodeId router,
     return false;  // retransmitted JOIN: already recorded and billed
   members_[group].insert(router);
   log_.push_back({now, group, router, true});
+  last_change_[group] = now;
   return true;
 }
 
@@ -56,6 +58,7 @@ void MRouterDatabase::record_leave(GroupId group, graph::NodeId router,
   const auto it = members_.find(group);
   if (it != members_.end()) it->second.erase(router);
   log_.push_back({now, group, router, false});
+  last_change_[group] = now;
 }
 
 void MRouterDatabase::record_data_forwarded(GroupId group,
@@ -71,6 +74,13 @@ const std::set<graph::NodeId>& MRouterDatabase::members_of(
   static const std::set<graph::NodeId> kEmpty;
   const auto it = members_.find(group);
   return it == members_.end() ? kEmpty : it->second;
+}
+
+std::optional<double> MRouterDatabase::last_membership_change(
+    GroupId group) const {
+  const auto it = last_change_.find(group);
+  if (it == last_change_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::optional<SessionRecord> MRouterDatabase::session(GroupId group) const {

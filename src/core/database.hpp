@@ -65,6 +65,9 @@ class MRouterDatabase {
 
   const std::set<graph::NodeId>& members_of(GroupId group) const;
   const std::vector<MembershipEvent>& membership_log() const { return log_; }
+  /// Time of the group's latest logged membership event in its current
+  /// session; nullopt when it has none.
+  std::optional<double> last_membership_change(GroupId group) const;
   std::optional<SessionRecord> session(GroupId group) const;
   std::vector<SessionRecord> all_sessions() const;
 
@@ -76,6 +79,8 @@ class MRouterDatabase {
   std::map<GroupId, std::set<graph::NodeId>> members_;
   std::vector<SessionRecord> ended_;
   std::vector<MembershipEvent> log_;
+  /// Per group, the time of its latest log_ entry; dropped at end_session.
+  std::map<GroupId, double> last_change_;
   std::set<std::uint64_t> seen_join_reqs_;  ///< request uids already billed
   McastAddress next_address_ = 0xE0000100;  // 224.0.1.0 onwards
 };

@@ -11,7 +11,6 @@ namespace scmp::core {
 
 RetxTable::RetxTable(sim::EventQueue& queue, RetxConfig cfg)
     : queue_(&queue), cfg_(cfg) {
-  SCMP_EXPECTS(cfg_.backoff >= 1.0);
   SCMP_EXPECTS(cfg_.max_retries >= 0);
 }
 
@@ -23,7 +22,7 @@ void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
   SCMP_EXPECTS(first_timeout > 0.0);
   SCMP_EXPECTS(resend != nullptr);
   Pending p;
-  p.next_timeout = first_timeout * cfg_.backoff;
+  p.next_timeout = first_timeout * kRetxBackoff;
   p.resend = std::move(resend);
   p.install_of = install_of;
   const bool inserted =
@@ -109,7 +108,7 @@ void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
     obs::flight_record(obs::FlightEventKind::kRetx, queue_->now(), req, "",
                        -1, sender, -1);
     const double next = p.next_timeout;
-    p.next_timeout *= cfg_.backoff;
+    p.next_timeout *= kRetxBackoff;
     p.resend();
     schedule_timer(sender, req, next);
   });

@@ -34,12 +34,13 @@ namespace scmp::core {
 /// retransmits, while a lost request is resent after milliseconds.
 inline constexpr double kRetxMargin = 0.005;  // seconds
 
+/// Multiplier applied to a request's timeout after each retransmission.
+inline constexpr double kRetxBackoff = 2.0;
+
 struct RetxConfig {
   /// Off by default: the control plane stays fire-and-forget and the packet
   /// streams stay bit-identical to the unreliable protocol.
   bool enabled = false;
-  /// Multiplier applied to a request's timeout after each retransmission.
-  double backoff = 2.0;
   /// Retransmissions after the original send before giving up.
   int max_retries = 4;
 };
@@ -57,12 +58,13 @@ class RetxTable {
   std::uint64_t next_req() { return ++req_counter_; }
 
   /// Arms retransmission of request `req` sent by `sender`: the first after
-  /// `first_timeout` seconds without an ack, each later one after `backoff`
-  /// times the previous wait. `resend` is invoked for every retransmission;
-  /// it must repeat the original packet (same req) so the receiver can
-  /// dedup. A request that installs state for a group (TREE, BRANCH, CLEAR)
-  /// names the group in `install_of`; the group then has an install in
-  /// flight until the request is acked or abandoned. No-op unless enabled.
+  /// `first_timeout` seconds without an ack, each later one after
+  /// kRetxBackoff times the previous wait. `resend` is invoked for every
+  /// retransmission; it must repeat the original packet (same req) so the
+  /// receiver can dedup. A request that installs state for a group (TREE,
+  /// BRANCH, CLEAR) names the group in `install_of`; the group then has an
+  /// install in flight until the request is acked or abandoned. No-op
+  /// unless enabled.
   void arm(graph::NodeId sender, std::uint64_t req, double first_timeout,
            std::function<void()> resend,
            std::optional<int> install_of = std::nullopt);

@@ -462,12 +462,8 @@ void Scmp::mrouter_handle_leave(GroupId group, graph::NodeId requester) {
       if (!db_.session_active(group)) return;
       if (!db_.members_of(group).empty()) return;  // someone rejoined
       // Still empty: confirm no membership event happened since.
-      for (auto it = db_.membership_log().rbegin();
-           it != db_.membership_log().rend(); ++it) {
-        if (it->group != group) continue;
-        if (it->time > emptied_at) return;  // churned meanwhile
-        break;
-      }
+      const std::optional<double> changed = db_.last_membership_change(group);
+      if (changed.has_value() && *changed > emptied_at) return;
       end_group_session(group);
     });
   }
@@ -873,6 +869,8 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
 
 void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
   OBS_SPAN("scmp.rebuild");
+  static obs::Counter& rebuilt = obs::counter("scmp.rebuild.groups");
+  rebuilt.inc(groups.size());
   if (convergence() != nullptr) {
     for (GroupId group : groups) convergence()->note_event(group);
   }
@@ -933,23 +931,18 @@ void Scmp::fail_over(graph::NodeId failed, graph::NodeId standby) {
   rebuild_trees(affected);
 }
 
-std::vector<GroupId> Scmp::rebuild_candidates() const {
-  static obs::Counter& skipped = obs::counter("scmp.rebuild.skipped_empty");
+std::vector<GroupId> Scmp::broken_trees() const {
+  // A failed link shortens no path, so a tree whose edges all survive keeps
+  // every member's delay and admitted bound: only a tree that lost a parent
+  // edge needs rebuilding. A bare (root-only) tree has none to lose.
+  const graph::Graph& g = net().graph();
   std::vector<GroupId> out;
-  out.reserve(trees_.size());
-  for (const auto& [group, tree] : trees_) {
-    // A memberless session whose tree is already bare (root-only) has
-    // nothing a topology change can invalidate: no tree edges, no installed
-    // state the rebuild's install wave would touch. Rebuilding it anyway
-    // would build a fresh tree and spend an install version on an install
-    // that sends nothing. The tree-size check keeps the guard precise in
-    // batched mode, where a group can be memberless in the database while
-    // its tree still awaits the epoch flush.
-    if (db_.members_of(group).empty() && tree.tree().tree_size() == 1) {
-      skipped.inc();
-      continue;
-    }
-    out.push_back(group);
+  for (const auto& [group, dcdm] : trees_) {
+    const graph::MulticastTree& tree = dcdm.tree();
+    const bool intact = tree.walk_subtree(tree.root(), [&](graph::NodeId v) {
+      return v == tree.root() || g.has_edge(v, tree.parent(v));
+    });
+    if (!intact) out.push_back(group);
   }
   return out;
 }
@@ -958,24 +951,25 @@ void Scmp::on_topology_change() {
   OBS_SPAN("scmp.topology_change");
   // The m-routers' link-state view reconverged: refresh the global path
   // database (P_sl / P_lc) — on the registered compute pool's workers when
-  // one is set (one source per task) — then recompute and reinstall every
-  // group tree with live membership.
+  // one is set (one source per task) — then rebuild and reinstall the trees
+  // that lost an edge.
   paths_.rebuild(net().graph(),
                  pool_ != nullptr ? pool_->parallel_for()
                                   : graph::ParallelFor{});
-  rebuild_trees(rebuild_candidates());
+  rebuild_trees(broken_trees());
 }
 
 int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   OBS_SPAN("scmp.link_event");
-  // Single-link change: patch the path database incrementally (a failure
-  // re-settles only the orphaned subtrees, other events re-run only dirty
-  // runs; the result is bit-identical to a from-scratch rebuild), then
-  // recompute and reinstall the group trees as usual.
+  // Network::fail_link is the only topology change the simulator makes.
+  SCMP_EXPECTS(!net().graph().has_edge(u, v));
+  // Patch the path database incrementally (the failure re-settles only the
+  // orphaned subtrees; the result is bit-identical to a from-scratch
+  // rebuild), then rebuild and reinstall the trees that used the link.
   const int recomputed = paths_.apply_link_event(
       net().graph(), u, v,
       pool_ != nullptr ? pool_->parallel_for() : graph::ParallelFor{});
-  rebuild_trees(rebuild_candidates());
+  rebuild_trees(broken_trees());
   return recomputed;
 }
 

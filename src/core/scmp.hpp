@@ -16,11 +16,12 @@
 //
 // Failure handling (paper §V, advantage 4, extended): fail_over moves every
 // group anchored at a failed m-router to a hot standby, rebuilding trees
-// from the replicated service database; on_topology_change() and
-// handle_link_event() repair all trees after a link failure. All three share
-// one rebuild path, fanned out over the registered compute pool when there
-// is one. Installed state a rebuild or teardown cannot name is left to the
-// one anti-entropy mechanism, digest reconciliation (reconcile_all).
+// from the replicated service database; after a link failure,
+// on_topology_change() and handle_link_event() rebuild just the trees that
+// lost an edge. All three share one rebuild path, fanned out over the
+// registered compute pool when there is one. Installed state a rebuild or
+// teardown cannot name is left to the one anti-entropy mechanism, digest
+// reconciliation (reconcile_all).
 #pragma once
 
 #include <functional>
@@ -96,19 +97,21 @@ class Scmp final : public proto::MulticastProtocol {
   /// Single-m-router convenience: fails the primary over to `standby`.
   void fail_over_to(graph::NodeId standby) { fail_over(mrouter(), standby); }
 
-  /// Topology change (e.g. a failed link): the m-routers refresh the global
-  /// path database, recompute every group tree and reinstall — the
-  /// service-centric repair story: no other router runs any algorithm.
+  /// Topology change (failed links): the m-routers refresh the global path
+  /// database, then rebuild and reinstall every group tree with a parent
+  /// edge the graph no longer has — the service-centric repair story: no
+  /// other router runs any algorithm. A failure shortens no path, so every
+  /// other tree keeps its members' delays and admitted bounds and is left
+  /// as it is.
   void on_topology_change() override;
 
-  /// Incremental variant of on_topology_change() for a single link event
-  /// (failure, addition or re-weighting of edge {u, v}): only the sources
-  /// whose cached shortest-path runs the event can affect are touched —
-  /// a failure re-settles just the subtrees it orphans, other events re-run
-  /// the dirty runs (graph::AllPairsPaths::apply_link_event); the resulting
-  /// path database is bit-identical to a from-scratch rebuild. Group trees
-  /// are then rebuilt as in on_topology_change(). Returns the number of
-  /// dirty sources.
+  /// Incremental variant of on_topology_change() for the failure of link
+  /// {u, v}, which must already be gone from the graph (Network::fail_link
+  /// is the only topology change the simulator makes). The path database
+  /// re-settles just the shortest-path subtrees the cut orphans
+  /// (graph::AllPairsPaths::apply_link_event) and stays bit-identical to a
+  /// from-scratch rebuild; then the trees that used the link are rebuilt as
+  /// in on_topology_change(). Returns the number of dirty sources.
   int handle_link_event(graph::NodeId u, graph::NodeId v);
 
   /// Registers a compute pool whose worker threads run the path-database
@@ -242,11 +245,8 @@ class Scmp final : public proto::MulticastProtocol {
   /// install version, CLEARs the old tree's routers the new tree drops
   /// (ascending, neither root) and reinstalls the new tree with TREE packets.
   void rebuild_trees(const std::vector<GroupId>& groups);
-  /// active_groups() minus memberless sessions whose tree is already bare
-  /// (root-only) — the groups a topology change can actually affect.
-  /// Skipped groups are counted in scmp.rebuild.skipped_empty: rebuilding
-  /// them would waste a DCDM run and emit empty-tree install traffic.
-  std::vector<GroupId> rebuild_candidates() const;
+  /// The groups whose tree has a parent edge the graph no longer has.
+  std::vector<GroupId> broken_trees() const;
 
   // Epoch-batched membership pipeline (Config::epoch_interval > 0).
   bool epoch_enabled() const { return cfg_.epoch_interval > 0.0; }

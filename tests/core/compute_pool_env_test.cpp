@@ -46,8 +46,8 @@ TEST_F(ComputePoolEnvTest, MalformedOverrideFallsBackToHardware) {
   }
 }
 
-/// The edges of every group tree after four groups are rebuilt on an
-/// automatically sized pool.
+/// The edges of every group tree after a failover rebuilds four groups on
+/// an automatically sized pool.
 std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>>
 auto_pool_rebuild(const graph::Graph& graph) {
   const TreeComputePool pool(0);
@@ -61,7 +61,7 @@ auto_pool_rebuild(const graph::Graph& graph) {
       scmp.host_join((3 * group + 2 * m - 2) % graph.num_nodes(), group);
   }
   queue.run_all();
-  scmp.on_topology_change();
+  scmp.fail_over_to(1);
   queue.run_all();
   std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>> out;
   for (GroupId group : scmp.active_groups())

@@ -22,8 +22,8 @@
 namespace scmp::core {
 namespace {
 
-/// FNV-1a over every group tree's full structure after a rebuild of
-/// `count` groups of 2-10 random members on `pool` (serial when null):
+/// FNV-1a over every group tree's full structure after a failover rebuild
+/// of `count` groups of 2-10 random members on `pool` (serial when null):
 /// parent pointers, membership flags and on-tree sets. Any divergence
 /// between runs changes the digest.
 std::uint64_t rebuild_digest(const graph::Graph& graph, int count,
@@ -43,7 +43,7 @@ std::uint64_t rebuild_digest(const graph::Graph& graph, int count,
       scmp.host_join(v + 1, group);
   }
   queue.run_all();
-  scmp.on_topology_change();
+  scmp.fail_over_to(1);
   queue.run_all();
 
   std::uint64_t h = 1469598103934665603ULL;

@@ -15,9 +15,10 @@ namespace scmp::core {
 namespace {
 
 /// A domain anchored at router 0 holding `count` groups of 2-12 random
-/// members each. The constructor drains the joins, then rebuilds every
-/// group tree from the service database on Scmp's one rebuild path, on
-/// `pool`'s workers when one is given.
+/// members each. The constructor drains the joins, then fails the m-router
+/// over to router 1, which rebuilds every group tree from the service
+/// database on Scmp's one rebuild path, on `pool`'s workers when one is
+/// given.
 struct Domain {
   Domain(const graph::Graph& graph, int count, std::uint64_t seed,
          const TreeComputePool* pool, DcdmConfig dcdm = DcdmConfig{1.0})
@@ -34,7 +35,7 @@ struct Domain {
         scmp->host_join(v + 1, group);
     }
     queue.run_all();
-    scmp->on_topology_change();
+    scmp->fail_over_to(1);
     queue.run_all();
   }
 

@@ -94,6 +94,22 @@ TEST(Database, FireAndForgetJoinsAreNeverDeduped) {
   EXPECT_EQ(db.membership_log().size(), 2u);
 }
 
+TEST(Database, LastMembershipChangeFollowsLoggedRecords) {
+  MRouterDatabase db;
+  db.start_session(1, 0.0);
+  EXPECT_EQ(db.last_membership_change(1), std::nullopt);
+  db.record_join(1, 5, 1.0, 42);
+  db.record_join(2, 6, 1.2);  // another group's record
+  EXPECT_EQ(db.last_membership_change(1), 1.0);
+  db.record_join(1, 5, 1.5, 42);  // deduplicated: not logged
+  EXPECT_EQ(db.last_membership_change(1), 1.0);
+  db.record_leave(1, 5, 2.0);
+  EXPECT_EQ(db.last_membership_change(1), 2.0);
+  db.end_session(1, 3.0);
+  EXPECT_EQ(db.last_membership_change(1), std::nullopt);
+  EXPECT_EQ(db.last_membership_change(2), 1.2);
+}
+
 TEST(Database, TrafficAccounting) {
   MRouterDatabase db;
   db.start_session(1, 0.0);

@@ -1,19 +1,27 @@
 // Scmp::handle_link_event — the incremental single-link repair path. It must
 // leave the m-router in exactly the state on_topology_change() produces
 // (same path database bit-for-bit, same trees, same installed network
-// state), while recomputing only the dirty Dijkstra sources; and it must
-// behave identically with a compute pool registered.
+// state), while recomputing only the dirty Dijkstra sources; it must behave
+// identically with a compute pool registered; and the repair must be local:
+// only a tree that lost an edge is rebuilt, every other group sends nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/compute_pool.hpp"
 #include "core/scmp.hpp"
 #include "helpers.hpp"
 #include "igmp/igmp.hpp"
+#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
+#include "sim/trace.hpp"
 #include "topo/arpanet.hpp"
 
 namespace scmp::core {
@@ -29,8 +37,9 @@ struct Fixture {
     scmp = std::make_unique<Scmp>(net, igmp, cfg);
   }
 
-  void join_all(const std::vector<graph::NodeId>& members) {
-    for (graph::NodeId m : members) scmp->host_join(m, kGroup);
+  void join_all(const std::vector<graph::NodeId>& members,
+                proto::GroupId group = kGroup) {
+    for (graph::NodeId m : members) scmp->host_join(m, group);
     queue.run_all();
   }
 
@@ -176,7 +185,8 @@ TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
         << threads << " threads";
     EXPECT_TRUE(pooled.scmp->network_state_consistent(kGroup));
 
-    // on_topology_change with a pool goes through the same executor.
+    // on_topology_change refreshes the path database through the same
+    // executor.
     pooled.scmp->on_topology_change();
     serial.scmp->on_topology_change();
     pooled.queue.run_all();
@@ -186,6 +196,161 @@ TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
               serial.scmp->group_tree(kGroup)->tree().edges())
         << threads << " threads";
   }
+}
+
+// ---- locality: only a tree that lost an edge is rebuilt -------------------
+
+/// kGroup plus three other groups, each with its own members.
+const std::map<proto::GroupId, std::vector<graph::NodeId>> kGroupMembers{
+    {kGroup, {5, 17, 29, 41}},
+    {2, {8, 22, 35}},
+    {3, {13, 26, 44, 46}},
+    {4, {3, 31, 47}},
+};
+
+std::unique_ptr<Fixture> multi_group_fixture() {
+  Rng rng(3);
+  auto f = std::make_unique<Fixture>(topo::arpanet(rng).graph);
+  for (const auto& [group, members] : kGroupMembers)
+    f->join_all(members, group);
+  return f;
+}
+
+using Link = std::pair<graph::NodeId, graph::NodeId>;
+
+/// The links `group`'s tree uses, each as (lower id, higher id).
+std::set<Link> tree_links(const Fixture& f, proto::GroupId group) {
+  std::set<Link> out;
+  for (const auto& [child, parent] : f.scmp->group_tree(group)->tree().edges())
+    out.insert(std::minmax(child, parent));
+  return out;
+}
+
+/// The first link (lower id first) whose removal keeps the topology
+/// connected and that kGroup's tree uses exactly when `in_kgroup_tree`, and
+/// no other group's tree uses.
+std::optional<Link> link_to_cut(const Fixture& f, bool in_kgroup_tree) {
+  std::set<Link> others;
+  for (const auto& [group, members] : kGroupMembers) {
+    if (group != kGroup) others.merge(tree_links(f, group));
+  }
+  const std::set<Link> mine = tree_links(f, kGroup);
+  const graph::Graph& g = f.net.graph();
+  for (graph::NodeId a = 0; a < g.num_nodes(); ++a) {
+    for (const auto& nb : g.neighbors(a)) {
+      const Link link{a, nb.to};
+      if (a > nb.to || others.contains(link) ||
+          mine.contains(link) != in_kgroup_tree)
+        continue;
+      graph::Graph probe = g;
+      probe.remove_edge(a, nb.to);
+      if (probe.is_connected()) return link;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Every router's installed entry for `group`: upstream, downstream routers
+/// and interfaces, install version.
+using EntryDigest =
+    std::map<graph::NodeId, std::tuple<graph::NodeId, std::set<graph::NodeId>,
+                                       std::set<int>, std::uint64_t>>;
+
+EntryDigest entries_of(const Fixture& f, proto::GroupId group) {
+  EntryDigest out;
+  for (graph::NodeId v = 0; v < f.net.graph().num_nodes(); ++v) {
+    const Scmp::Entry* e = f.scmp->entry_at(v, group);
+    if (e == nullptr) continue;
+    out[v] = {e->upstream, e->downstream_routers, e->downstream_ifaces,
+              e->version};
+  }
+  return out;
+}
+
+/// DcdmTree::join plus DcdmTree::leave calls made while `fn` runs.
+template <typename Fn>
+std::uint64_t dcdm_calls_during(Fn&& fn) {
+  obs::set_metrics_enabled(true);
+  const obs::Counter& joins = obs::counter("dcdm.join.calls");
+  const obs::Counter& leaves = obs::counter("dcdm.leave.calls");
+  const std::uint64_t before = joins.value() + leaves.value();
+  fn();
+  const std::uint64_t after = joins.value() + leaves.value();
+  obs::set_metrics_enabled(false);
+  return after - before;
+}
+
+TEST(ScmpLinkEvent, FailureRebuildsOnlyTheTreeThatUsedTheLink) {
+  const auto f = multi_group_fixture();
+  const std::optional<Link> cut = link_to_cut(*f, /*in_kgroup_tree=*/true);
+  ASSERT_TRUE(cut.has_value()) << "no link only kGroup's tree uses";
+
+  std::map<proto::GroupId, std::vector<Link>> trees_before;
+  std::map<proto::GroupId, EntryDigest> entries_before;
+  for (const auto& [group, members] : kGroupMembers) {
+    if (group == kGroup) continue;
+    trees_before[group] = f->scmp->group_tree(group)->tree().edges();
+    entries_before[group] = entries_of(*f, group);
+  }
+  const sim::TraceRecorder trace(f->net);
+  f->net.fail_link(cut->first, cut->second);
+  f->scmp->handle_link_event(cut->first, cut->second);
+  f->queue.run_all();
+
+  EXPECT_GT(trace.count(sim::PacketType::kTree), 0u);
+  EXPECT_EQ(std::count_if(trace.events().begin(), trace.events().end(),
+                          [](const sim::TraceEvent& ev) {
+                            return ev.group != kGroup;
+                          }),
+            0)
+      << "control packets for groups whose trees kept every edge";
+  for (const auto& [group, edges] : trees_before) {
+    EXPECT_EQ(f->scmp->group_tree(group)->tree().edges(), edges)
+        << "g" << group;
+    EXPECT_EQ(entries_of(*f, group), entries_before.at(group)) << "g" << group;
+    EXPECT_TRUE(f->scmp->network_state_consistent(group)) << "g" << group;
+  }
+  EXPECT_TRUE(f->scmp->network_state_consistent(kGroup));
+  EXPECT_FALSE(tree_links(*f, kGroup).contains(*cut));
+}
+
+TEST(ScmpLinkEvent, FailureOfALinkNoTreeUsesSendsNothing) {
+  const auto f = multi_group_fixture();
+  const std::optional<Link> cut = link_to_cut(*f, /*in_kgroup_tree=*/false);
+  ASSERT_TRUE(cut.has_value()) << "no link outside every tree";
+
+  const sim::TraceRecorder trace(f->net);
+  const std::uint64_t calls = dcdm_calls_during([&] {
+    f->net.fail_link(cut->first, cut->second);
+    f->scmp->handle_link_event(cut->first, cut->second);
+    f->queue.run_all();
+  });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_TRUE(trace.events().empty());
+  expect_paths_identical(f->scmp->paths(),
+                         graph::AllPairsPaths(f->net.graph()));
+  for (const auto& [group, members] : kGroupMembers)
+    EXPECT_TRUE(f->scmp->network_state_consistent(group)) << "g" << group;
+}
+
+TEST(ScmpLinkEvent, TopologyChangeWithNothingChangedSendsNothing) {
+  const auto f = multi_group_fixture();
+  const sim::TraceRecorder trace(f->net);
+  const std::uint64_t calls = dcdm_calls_during([&] {
+    f->scmp->on_topology_change();
+    f->queue.run_all();
+  });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_TRUE(trace.events().empty());
+}
+
+TEST(ScmpLinkEventDeath, LinkStillInTheGraphAborts) {
+  // handle_link_event reports a failure: the link must already be gone.
+  Rng rng(3);
+  Fixture f(topo::arpanet(rng).graph);
+  const graph::NodeId peer = f.net.graph().neighbors(0).front().to;
+  EXPECT_DEATH(f.scmp->handle_link_event(0, peer),
+               "Precondition violation.*has_edge");
 }
 
 }  // namespace

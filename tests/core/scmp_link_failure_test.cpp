@@ -1,6 +1,7 @@
 // Link-failure repair (the service-centric story applied to failures): the
 // link-state substrate reconverges, the m-router alone recomputes and
-// reinstalls every affected group tree, and delivery resumes.
+// reinstalls the group trees that lost an edge, every other tree stays as
+// installed, and delivery resumes.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -1,7 +1,7 @@
 // Reliable control-plane delivery (src/core/retx.hpp + Scmp reconciliation):
-// unit tests of the retransmission table, the ISSUE's parameterized
-// single-drop sweep — every SCMP control packet type lost once at every hop
-// of a join/leave/prune/rebuild/teardown sequence, with the run required to
+// unit tests of the retransmission table, the parameterized single-drop
+// sweep — every SCMP control packet type lost once at every hop of a
+// join/leave/prune/failover/teardown sequence, with the run required to
 // converge to the zero-loss fixpoint — and the graceful-degradation path
 // where the retry budget runs out and the soft-state reconciliation cycle
 // repairs the divergence instead.
@@ -149,9 +149,9 @@ constexpr GroupId kGroup = 0;
 
 /// Strictly sequential membership churn (drain after every operation, so a
 /// delayed retransmission can never reorder m-router processing): grows a
-/// four-member tree, prunes it down, rebuilds it (full TREE install), tears
-/// the session down (CLEARs), regrows and empties it. Covers every control
-/// packet type.
+/// four-member tree, prunes it down, fails the m-router over to router 1
+/// (full TREE rebuild), tears the session down (CLEARs), regrows and empties
+/// it. Covers every control packet type.
 void run_sequential_scenario(Scmp& scmp, sim::EventQueue& q) {
   auto step = [&](auto&& fn) {
     fn();
@@ -163,7 +163,7 @@ void run_sequential_scenario(Scmp& scmp, sim::EventQueue& q) {
   step([&] { scmp.host_join(3, kGroup); });
   step([&] { scmp.host_leave(12, kGroup); });
   step([&] { scmp.host_leave(19, kGroup); });
-  step([&] { scmp.on_topology_change(); });
+  step([&] { scmp.fail_over_to(1); });
   step([&] { scmp.end_group_session(kGroup); });
   step([&] { scmp.host_join(27, kGroup); });
   step([&] { scmp.host_leave(3, kGroup); });
@@ -370,9 +370,9 @@ TEST(ScmpReliability, FirstRetransmissionAfterOneRoundTrip) {
   EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
 }
 
-TEST(ScmpReliability, LinkFailureRebuildBurstRetransmitsNothingWithoutLoss) {
-  // A 192-router transit-stub with two dozen groups: a link failure rebuilds
-  // every group at once, so the m-router's ports queue a burst of TREE
+TEST(ScmpReliability, FailoverRebuildBurstRetransmitsNothingWithoutLoss) {
+  // A 192-router transit-stub with two dozen groups: a failover rebuilds
+  // every group at once, so the new m-router's ports queue a burst of TREE
   // packets. The margin over the idle round trip must absorb that queueing.
   Scmp::Config cfg;
   cfg.reliability = reliable();
@@ -393,16 +393,15 @@ TEST(ScmpReliability, LinkFailureRebuildBurstRetransmitsNothingWithoutLoss) {
   w.queue.run_all();
   ASSERT_EQ(w.scmp.retx().retransmissions(), 0u);
 
-  // Fail a link of group 0's tree.
-  const auto cut = tree_link_to_cut(w, 0);
-  ASSERT_TRUE(cut.has_value());
-  const std::size_t trees_before = w.recorder.count(sim::PacketType::kTree);
-  w.net.fail_link(cut->first, cut->second);
-  w.scmp.handle_link_event(cut->first, cut->second);
-  w.queue.run_all();
-
-  EXPECT_GE(w.recorder.count(sim::PacketType::kTree) - trees_before,
-            static_cast<std::size_t>(kGroups));
+  // Four failovers in a row, each to a fresh standby.
+  for (const graph::NodeId standby : {1, 2, 3, 4}) {
+    const std::size_t trees_before = w.recorder.count(sim::PacketType::kTree);
+    w.scmp.fail_over_to(standby);
+    w.queue.run_all();
+    EXPECT_GE(w.recorder.count(sim::PacketType::kTree) - trees_before,
+              static_cast<std::size_t>(kGroups))
+        << "standby " << standby;
+  }
   EXPECT_EQ(w.scmp.retx().retransmissions(), 0u);
   EXPECT_EQ(w.scmp.retx().exhausted(), 0u);
   for (GroupId g = 0; g < kGroups; ++g)
