@@ -291,12 +291,7 @@ void Scmp::interface_joined(graph::NodeId router, GroupId group, int iface,
     // Already on the tree as a relay: the tree does not change, but the
     // m-router needs the JOIN for accounting and billing (paper §III-B).
   }
-  sim::Packet join;
-  join.type = sim::PacketType::kJoin;
-  join.group = group;
-  join.src = router;
-  join.dst = root;
-  send_control_unicast(router, std::move(join));
+  send_join(router, group);
 }
 
 void Scmp::interface_left(graph::NodeId router, GroupId group, int iface,
@@ -313,41 +308,44 @@ void Scmp::interface_left(graph::NodeId router, GroupId group, int iface,
   Entry* e = mutable_entry_at(router, group);
   if (e != nullptr) e->downstream_ifaces.erase(iface);
   if (!last_iface) return;  // other interfaces keep the DR a member
+  send_leave(router, group);
+}
 
-  if (e != nullptr && e->downstream_routers.empty()) {
-    // Became a leaf: prune upstream and tell the m-router (paper §III-C).
-    send_prune_and_leave(router, group);
-    return;
-  }
-  // Still a relay (downstream routers remain) or the entry has not been
-  // installed yet: only the LEAVE goes out.
+void Scmp::send_join(graph::NodeId router, GroupId group) {
+  sim::Packet join;
+  join.type = sim::PacketType::kJoin;
+  join.group = group;
+  join.src = router;
+  join.dst = mrouter_of(group);
+  send_control_unicast(router, std::move(join));
+}
+
+void Scmp::send_leave(graph::NodeId router, GroupId group) {
+  const Entry* e = entry_at(router, group);
+  // A DR that is now a leaf prunes upstream first (paper §III-C); one that
+  // still relays to downstream routers, or whose entry has not been
+  // installed yet, only sends the LEAVE.
+  if (e != nullptr && e->downstream_routers.empty())
+    prune_upstream(router, group);
   sim::Packet leave;
   leave.type = sim::PacketType::kLeave;
   leave.group = group;
   leave.src = router;
-  leave.dst = root;
+  leave.dst = mrouter_of(group);
   send_control_unicast(router, std::move(leave));
 }
 
-void Scmp::send_prune_and_leave(graph::NodeId at, GroupId group) {
-  Entry* e = mutable_entry_at(at, group);
+void Scmp::prune_upstream(graph::NodeId at, GroupId group) {
+  const Entry* e = entry_at(at, group);
   SCMP_EXPECTS(e != nullptr);
   const graph::NodeId up = e->upstream;
   entries_[static_cast<std::size_t>(at)].erase(group);
-
-  if (up != graph::kInvalidNode) {
-    sim::Packet prune;
-    prune.type = sim::PacketType::kPrune;
-    prune.group = group;
-    prune.src = at;
-    send_control_link(at, up, std::move(prune));
-  }
-  sim::Packet leave;
-  leave.type = sim::PacketType::kLeave;
-  leave.group = group;
-  leave.src = at;
-  leave.dst = mrouter_of(group);
-  send_control_unicast(at, std::move(leave));
+  if (up == graph::kInvalidNode) return;
+  sim::Packet prune;
+  prune.type = sim::PacketType::kPrune;
+  prune.group = group;
+  prune.src = at;
+  send_control_link(at, up, std::move(prune));
 }
 
 void Scmp::local_membership_change(GroupId group, bool joined) {
@@ -560,12 +558,7 @@ int Scmp::resolicit_membership() {
         local_membership_change(g, /*joined=*/true);
         continue;
       }
-      sim::Packet join;
-      join.type = sim::PacketType::kJoin;
-      join.group = g;
-      join.src = r;
-      join.dst = root;
-      send_control_unicast(r, std::move(join));
+      send_join(r, g);
     }
     for (graph::NodeId r : recorded) {
       if (actual.contains(r)) continue;
@@ -575,18 +568,7 @@ int Scmp::resolicit_membership() {
         local_membership_change(g, /*joined=*/false);
         continue;
       }
-      Entry* e = mutable_entry_at(r, g);
-      if (e != nullptr && e->downstream_routers.empty()) {
-        // Stale leaf: redo the whole exit (PRUNE upstream + LEAVE).
-        send_prune_and_leave(r, g);
-        continue;
-      }
-      sim::Packet leave;
-      leave.type = sim::PacketType::kLeave;
-      leave.group = g;
-      leave.src = r;
-      leave.dst = root;
-      send_control_unicast(r, std::move(leave));
+      send_leave(r, g);  // a stale leaf redoes the whole exit
     }
   }
   resolicits.inc(static_cast<std::uint64_t>(count));
@@ -1059,7 +1041,7 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
   e->downstream_ifaces.insert(ifaces.begin(), ifaces.end());
   if (e->downstream_ifaces.empty() && e->downstream_routers.empty()) {
     // The hosts already left while the BRANCH was in flight: undo.
-    send_prune_and_leave(at, pkt.group);
+    send_leave(at, pkt.group);
     return;
   }
   obs::flight_record(obs::FlightEventKind::kInstalled, net().now(), pkt.req,
@@ -1080,15 +1062,7 @@ void Scmp::ir_handle_prune(graph::NodeId at, const sim::Packet& pkt,
   if (e->downstream_routers.empty() && e->downstream_ifaces.empty()) {
     // Relay became a useless leaf; prune continues upstream (§III-C). No
     // LEAVE is sent: a pure relay never joined the group.
-    const graph::NodeId up = e->upstream;
-    entries_[static_cast<std::size_t>(at)].erase(pkt.group);
-    if (up != graph::kInvalidNode) {
-      sim::Packet prune;
-      prune.type = sim::PacketType::kPrune;
-      prune.group = pkt.group;
-      prune.src = at;
-      send_control_link(at, up, std::move(prune));
-    }
+    prune_upstream(at, pkt.group);
   }
 }
 

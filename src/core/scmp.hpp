@@ -302,7 +302,17 @@ class Scmp final : public proto::MulticastProtocol {
                         graph::NodeId from);
   void ir_handle_prune(graph::NodeId at, const sim::Packet& pkt,
                        graph::NodeId from);
-  void send_prune_and_leave(graph::NodeId at, GroupId group);
+
+  // A DR's membership reports, shared by host membership changes, the
+  // soft-state re-reports and the undo of a BRANCH that arrived after its
+  // hosts left.
+  /// Sends `router`'s JOIN for `group` to the m-router.
+  void send_join(graph::NodeId router, GroupId group);
+  /// Sends `router`'s LEAVE to the m-router; a leaf DR first drops its
+  /// entry and PRUNEs upstream (prune_upstream).
+  void send_leave(graph::NodeId router, GroupId group);
+  /// Erases `at`'s entry for `group` and PRUNEs its upstream, if any.
+  void prune_upstream(graph::NodeId at, GroupId group);
 
   // Data plane.
   void forward_data(graph::NodeId at, const sim::Packet& pkt,

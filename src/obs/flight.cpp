@@ -32,66 +32,6 @@ const char* to_string(FlightEventKind kind) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
-  SCMP_EXPECTS(capacity > 0);
-}
-
-void FlightRecorder::record(const FlightRecord& r) {
-  const util::LockGuard lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(r);
-  } else {
-    ring_[next_] = r;
-    ++dropped_;
-    static Counter& drops = obs::counter("obs.flight.dropped");
-    drops.inc();
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
-}
-
-std::vector<FlightRecord> FlightRecorder::snapshot() const {
-  const util::LockGuard lock(mu_);
-  std::vector<FlightRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // Full ring: next_ is the oldest record.
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
-  return out;
-}
-
-std::uint64_t FlightRecorder::total_recorded() const {
-  const util::LockGuard lock(mu_);
-  return total_;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  const util::LockGuard lock(mu_);
-  return dropped_;
-}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  SCMP_EXPECTS(capacity > 0);
-  const util::LockGuard lock(mu_);
-  capacity_ = capacity;
-  ring_.clear();
-  next_ = 0;
-}
-
-void FlightRecorder::clear() {
-  const util::LockGuard lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-  dropped_ = 0;
-}
-
 FlightRecorder& flight() {
   static FlightRecorder recorder;
   return recorder;
@@ -110,7 +50,10 @@ void flight_record(FlightEventKind kind, double t, std::uint64_t req,
   r.group = group;
   r.from = from;
   r.to = to;
-  flight().record(r);
+  if (flight().record(r)) {
+    static Counter& drops = obs::counter("obs.flight.dropped");
+    drops.inc();
+  }
 }
 
 std::vector<FlightRecord> story_of(const std::vector<FlightRecord>& records,

@@ -24,7 +24,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "util/thread_annotations.hpp"
+#include "obs/ring.hpp"
 
 namespace scmp::obs {
 
@@ -66,38 +66,10 @@ struct FlightRecord {
   std::int32_t to = -1;
 };
 
-/// Fixed-capacity ring of flight records, oldest-overwritten like SpanSink;
-/// `dropped()` counts overwritten records so truncated stories are
-/// detectable (also surfaced as the obs.flight.dropped counter).
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-
-  void record(const FlightRecord& r) EXCLUDES(mu_);
-
-  /// Retained records, oldest first.
-  std::vector<FlightRecord> snapshot() const EXCLUDES(mu_);
-
-  /// Records ever recorded (>= snapshot().size() once wrapped).
-  std::uint64_t total_recorded() const EXCLUDES(mu_);
-
-  /// Records overwritten because the ring was full.
-  std::uint64_t dropped() const EXCLUDES(mu_);
-
-  /// Resizes the ring; drops currently retained records.
-  void set_capacity(std::size_t capacity) EXCLUDES(mu_);
-  void clear() EXCLUDES(mu_);
-
- private:
-  mutable util::Mutex mu_;
-  std::vector<FlightRecord> ring_ GUARDED_BY(mu_);
-  std::size_t capacity_ GUARDED_BY(mu_);
-  std::size_t next_ GUARDED_BY(mu_) = 0;  ///< next write slot
-  std::uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
-};
+/// Ring of flight records, oldest-overwritten like SpanSink; an
+/// overwritten record also counts on the obs.flight.dropped counter, so
+/// truncated stories are detectable.
+using FlightRecorder = Ring<FlightRecord>;
 
 /// The process-wide recorder every flight_record() call appends to.
 FlightRecorder& flight();

@@ -10,66 +10,6 @@ void set_tracing_enabled(bool on) {
   detail::g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
 
-SpanSink::SpanSink(std::size_t capacity) : capacity_(capacity) {
-  SCMP_EXPECTS(capacity > 0);
-}
-
-void SpanSink::record(const SpanRecord& r) {
-  const util::LockGuard lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(r);
-  } else {
-    ring_[next_] = r;
-    ++dropped_;
-    static Counter& drops = obs::counter("obs.spans.dropped");
-    drops.inc();
-  }
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
-}
-
-std::vector<SpanRecord> SpanSink::snapshot() const {
-  const util::LockGuard lock(mu_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // Full ring: next_ is the oldest record.
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(next_));
-  }
-  return out;
-}
-
-std::uint64_t SpanSink::total_recorded() const {
-  const util::LockGuard lock(mu_);
-  return total_;
-}
-
-std::uint64_t SpanSink::dropped() const {
-  const util::LockGuard lock(mu_);
-  return dropped_;
-}
-
-void SpanSink::set_capacity(std::size_t capacity) {
-  SCMP_EXPECTS(capacity > 0);
-  const util::LockGuard lock(mu_);
-  capacity_ = capacity;
-  ring_.clear();
-  next_ = 0;
-}
-
-void SpanSink::clear() {
-  const util::LockGuard lock(mu_);
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-  dropped_ = 0;
-}
-
 SpanSink& span_sink() {
   static SpanSink sink;
   return sink;
@@ -108,9 +48,12 @@ void Span::begin(const char* name) {
 void Span::end() {
   const std::uint64_t dur = now_ns() - start_;
   --detail::tls_span_depth;
-  if (tracing_enabled())
-    span_sink().record(
-        SpanRecord{name_, start_, dur, this_thread_tid(), depth_});
+  if (tracing_enabled() &&
+      span_sink().record(
+          SpanRecord{name_, start_, dur, this_thread_tid(), depth_})) {
+    static Counter& drops = obs::counter("obs.spans.dropped");
+    drops.inc();
+  }
   if (metrics_enabled())
     span_stats(name_).observe(static_cast<double>(dur) * 1e-9);
 }

@@ -14,10 +14,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/thread_annotations.hpp"
+#include "obs/ring.hpp"
 
 namespace scmp::obs {
 
@@ -41,41 +40,9 @@ struct SpanRecord {
   std::uint32_t depth = 0;  ///< nesting depth on its thread (1 = top level)
 };
 
-/// Fixed-capacity ring buffer of completed spans: recording never blocks on
-/// I/O or grows memory; when full, the oldest records are overwritten.
-/// Thread-safe: compute-pool workers record concurrently with exporter
-/// snapshots; every member is guarded by `mu_` and clang's thread-safety
-/// analysis (the `tsa` preset) enforces the discipline.
-class SpanSink {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
-  explicit SpanSink(std::size_t capacity = kDefaultCapacity);
-
-  void record(const SpanRecord& r) EXCLUDES(mu_);
-
-  /// Retained records, oldest first.
-  std::vector<SpanRecord> snapshot() const EXCLUDES(mu_);
-
-  /// Records ever recorded (>= snapshot().size() once wrapped).
-  std::uint64_t total_recorded() const EXCLUDES(mu_);
-
-  /// Records overwritten because the ring was full (also surfaced as the
-  /// obs.spans.dropped counter), so truncated traces are detectable.
-  std::uint64_t dropped() const EXCLUDES(mu_);
-
-  /// Resizes the ring; drops currently retained records.
-  void set_capacity(std::size_t capacity) EXCLUDES(mu_);
-  void clear() EXCLUDES(mu_);
-
- private:
-  mutable util::Mutex mu_;
-  std::vector<SpanRecord> ring_ GUARDED_BY(mu_);
-  std::size_t capacity_ GUARDED_BY(mu_);
-  std::size_t next_ GUARDED_BY(mu_) = 0;  ///< next write slot
-  std::uint64_t total_ GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ GUARDED_BY(mu_) = 0;
-};
+/// Ring of completed spans; an overwritten record also counts on the
+/// obs.spans.dropped counter.
+using SpanSink = Ring<SpanRecord>;
 
 /// The process-wide sink every Span records into.
 SpanSink& span_sink();

@@ -130,6 +130,59 @@ TEST(Churn, ReplayIsDeterministic) {
   }
 }
 
+// A PRUNE carries no install version, so it can race a tree install: here
+// the link failure at event 26 rebuilds g2 and reinstalls it with TREE
+// packets, while DR 45 leaves in the same burst, drops its own entry and
+// PRUNEs router 44's. The rebuild's TREE then re-creates both entries (it
+// reaches 44 at t = 0.5768 s and 45 at t = 0.5782 s), and only the epoch
+// close's versioned CLEARs remove them again. The test pins the end state,
+// not the CLEARs, so it holds for any fix of the race. Shrunk from seed 3
+// of the epoch-batched ARPANET churn run with link failures.
+TEST(Churn, EpochCloseClearsWhatARacingPruneMissed) {
+  const TraceArtifact trace = deserialize(
+      "scmp-churn-trace v1\n"
+      "topo arpanet\n"
+      "topo-seed 1\n"
+      "groups 4\n"
+      "event-seed 3\n"
+      "max-link-failures 4\n"
+      "audit-stride 25\n"
+      "epoch 0.5\n"
+      "events 27\n"
+      "join g3 n43\n"
+      "join g2 n14\n"
+      "join g2 n45\n"
+      "leave g3 n46\n"
+      "join g2 n32\n"
+      "join g3 n38\n"
+      "leave g2 n14\n"
+      "join g0 n31\n"
+      "join g1 n32\n"
+      "leave g0 n10\n"
+      "join g0 n24\n"
+      "linkfail n32 n31\n"
+      "leave g1 n22\n"
+      "leave g3 n24\n"
+      "leave g3 n45\n"
+      "join g2 n34\n"
+      "join g1 n7\n"
+      "join g0 n41\n"
+      "join g1 n35\n"
+      "join g0 n34\n"
+      "join g1 n46\n"
+      "join g3 n29\n"
+      "leave g1 n23\n"
+      "leave g1 n14\n"
+      "join g0 n6\n"
+      "linkfail n21 n22\n"
+      "leave g2 n45\n");
+  ASSERT_EQ(trace.events.size(), 27u);
+  const CheckOutcome outcome =
+      ChurnModelChecker(trace.config).replay(trace.events);
+  EXPECT_TRUE(outcome.ok) << format(outcome.violations);
+  EXPECT_EQ(outcome.executed, 27);
+}
+
 // ---- trace artifact round-trip ---------------------------------------------
 
 TEST(Trace, SerializeDeserializeRoundTrip) {

@@ -47,7 +47,9 @@ same (file, rule, reason); drift in either direction — an annotation
 missing from the manifest, a manifest entry no live annotation backs, or an
 annotation that no longer suppresses anything — is itself a finding, so
 suppressions cannot rot silently. This linter is the only drift check for
-the manifest; ctest (determinism_lint_tree) and CI run it tree-wide.
+the manifest; ctest (determinism_lint_tree) and CI run it tree-wide. The
+annotation and drift engine is tools/lintcore.py, shared by all three
+linters.
 
 Usage: tools/determinism_lint.py [--root ROOT] [--manifest FILE]
                                  [--scan DIR ...]
@@ -57,13 +59,12 @@ Exits non-zero when any finding is reported.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from lint import strip_comments_and_strings  # noqa: E402
+from lintcore import Linter, SourceFile, closing, walk_sources  # noqa: E402
 
 DEFAULT_SCAN_DIRS = ("src/core", "src/graph", "src/sim", "src/topo",
                      "src/protocols", "src/verify")
@@ -72,7 +73,7 @@ DEFAULT_MANIFEST = "tools/determinism_manifest.json"
 RULES = ("unordered-iteration", "pointer-key", "wall-clock", "thread-count",
          "float-equality")
 
-ALLOW_TOKEN = "determinism: allow("
+ALLOW = "determinism: allow"
 
 UNORDERED_DECL_RE = re.compile(r"\bstd\s*::\s*unordered_(?:map|set)\s*<")
 FLOAT_ALIAS_RE = re.compile(
@@ -92,79 +93,6 @@ CMP_RE = re.compile(
     r"\s*(==|!=)\s*"
     r"([A-Za-z_]\w*|\d+\.\d*(?:[eE][-+]?\d+)?[fF]?|\.\d+)")
 FLOAT_LITERAL_RE = re.compile(r"^(?:\d+\.\d*(?:[eE][-+]?\d+)?[fF]?|\.\d+)$")
-
-
-def collapse_ws(text: str) -> str:
-    return " ".join(text.split())
-
-
-def template_argument_end(code: str, start: int) -> int:
-    """Index just past the ``>`` matching the ``<`` at ``start``."""
-    depth = 0
-    for i in range(start, len(code)):
-        c = code[i]
-        if c == "<":
-            depth += 1
-        elif c == ">":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(code)
-
-
-class Annotation:
-    """One ``determinism: allow(<reason>)`` occurrence in a raw source."""
-
-    def __init__(self, line: int, end_line: int, reason: str):
-        self.line = line          # line the token starts on (1-based)
-        self.end_line = end_line  # line the balanced ')' closes on
-        self.reason = collapse_ws(reason)
-        self.used_by: list[str] = []  # rules it suppressed
-
-
-def collect_annotations(raw: str) -> list[Annotation]:
-    out = []
-    pos = 0
-    while True:
-        start = raw.find(ALLOW_TOKEN, pos)
-        if start < 0:
-            return out
-        open_paren = start + len(ALLOW_TOKEN) - 1
-        depth, i = 0, open_paren
-        while i < len(raw):
-            if raw[i] == "(":
-                depth += 1
-            elif raw[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        reason_raw = raw[open_paren + 1:i]
-        # Strip comment-continuation markers from wrapped reasons.
-        reason = re.sub(r"\n\s*//+", " ", reason_raw)
-        out.append(Annotation(raw.count("\n", 0, start) + 1,
-                              raw.count("\n", 0, i) + 1, reason))
-        pos = i + 1
-
-
-class SourceFile:
-    def __init__(self, root: pathlib.Path, path: pathlib.Path):
-        self.path = path
-        self.rel = str(path.relative_to(root))
-        self.raw = path.read_text(encoding="utf-8")
-        self.raw_lines = self.raw.splitlines()
-        self.code = strip_comments_and_strings(self.raw)
-        self.code_lines = self.code.splitlines()
-        self.annotations = collect_annotations(self.raw)
-
-    def annotation_for(self, lineno: int) -> Annotation | None:
-        """The annotation covering ``lineno``: trailing on the line itself,
-        or closing on the immediately preceding line (a comment block just
-        above the flagged statement)."""
-        for a in self.annotations:
-            if a.line <= lineno <= a.end_line or a.end_line == lineno - 1:
-                return a
-        return None
 
 
 # Keywords and qualifiers that look like a type token in `Type name`
@@ -194,35 +122,25 @@ QUALIFIER_RE = re.compile(
     r"\b(?:const|constexpr|static|inline|mutable|volatile|extern|thread_local)\b")
 
 
-class DeterminismLinter:
+class DeterminismLinter(Linter):
     def __init__(self, root: pathlib.Path, manifest_path: pathlib.Path,
                  scan_dirs: list[str]):
+        super().__init__("tools/determinism_lint.py")
         self.root = root
         self.manifest_path = manifest_path
         self.scan_dirs = scan_dirs
-        self.findings: list[str] = []
         self.files: list[SourceFile] = []
         self.float_aliases: set[str] = set()
         self.unordered_names: set[str] = set()
         # rel -> identifiers that are unambiguously floating-point in that
         # file's scope (its own declarations plus its paired header/source).
         self.float_names: dict[str, set[str]] = {}
-        # (rel, rule, reason) triples actually used to suppress a finding.
-        self.used_suppressions: set[tuple[str, str, str]] = set()
-
-    def report(self, rel: str, line: int, rule: str, msg: str):
-        self.findings.append(f"{rel}:{line}: {rule}: {msg}")
 
     # ---- collection ------------------------------------------------------
 
     def load(self):
-        for d in self.scan_dirs:
-            base = self.root / d
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.suffix in (".cpp", ".hpp"):
-                    self.files.append(SourceFile(self.root, path))
+        self.files = [SourceFile(self.root, path, (ALLOW,))
+                      for path in walk_sources(self.root, self.scan_dirs)]
         self._collect_float_names()
         self._collect_unordered_names()
 
@@ -275,7 +193,7 @@ class DeterminismLinter:
         type anywhere in the scan set."""
         for f in self.files:
             for m in UNORDERED_DECL_RE.finditer(f.code):
-                end = template_argument_end(f.code, m.end() - 1)
+                end = closing(f.code, m.end() - 1) + 1
                 after = f.code[end:end + 120]
                 dm = re.match(r"\s*&?\s*(\w+)", after)
                 if dm and dm.group(1) not in ("const",):
@@ -284,12 +202,8 @@ class DeterminismLinter:
     # ---- rules -----------------------------------------------------------
 
     def flag(self, f: SourceFile, lineno: int, rule: str, msg: str):
-        ann = f.annotation_for(lineno)
-        if ann is not None:
-            ann.used_by.append(rule)
-            self.used_suppressions.add((f.rel, rule, ann.reason))
-            return
-        self.report(f.rel, lineno, rule, msg)
+        if not self.suppressed(f, lineno, ALLOW, rule):
+            self.report(f.rel, lineno, rule, msg)
 
     def check_file(self, f: SourceFile):
         for lineno, line in enumerate(f.code_lines, 1):
@@ -347,78 +261,23 @@ class DeterminismLinter:
                       "with a suppression or restructure the tie-break")
             return  # one report per line is enough
 
-    # ---- suppression manifest cross-check --------------------------------
-
-    def check_manifest(self):
-        rel_manifest = self.manifest_path
-        try:
-            manifest = json.loads(
-                self.manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self.findings.append(
-                f"{rel_manifest}:1: suppression-manifest: manifest is "
-                "missing; every determinism suppression must be declared")
-            return
-        except json.JSONDecodeError as err:
-            self.findings.append(
-                f"{rel_manifest}:{getattr(err, 'lineno', 1)}: "
-                f"suppression-manifest: not valid JSON: {err}")
-            return
-
-        declared: set[tuple[str, str, str]] = set()
-        for entry in manifest.get("suppressions", []):
-            rule = entry.get("rule", "")
-            if rule not in RULES:
-                self.findings.append(
-                    f"{rel_manifest}:1: suppression-manifest: unknown rule "
-                    f"'{rule}' (expected one of {', '.join(RULES)})")
-                continue
-            key = (entry.get("file", ""), rule,
-                   collapse_ws(entry.get("reason", "")))
-            if not key[0] or not key[2]:
-                self.findings.append(
-                    f"{rel_manifest}:1: suppression-manifest: entry needs "
-                    "non-empty 'file', 'rule' and 'reason'")
-                continue
-            declared.add(key)
-
-        for key in sorted(self.used_suppressions - declared):
-            rel, rule, reason = key
-            self.findings.append(
-                f"{rel}:1: suppression-manifest: live suppression not in "
-                f"{rel_manifest.name}: rule={rule} reason=\"{reason}\"")
-        for key in sorted(declared - self.used_suppressions):
-            rel, rule, reason = key
-            self.findings.append(
-                f"{rel_manifest}:1: suppression-manifest: stale entry — no "
-                f"live `determinism: allow` in {rel} suppresses a {rule} "
-                f"finding with reason \"{reason}\"")
-
-        # An annotation that no longer silences anything is dead weight and
-        # hides the next real finding placed near it.
-        for f in self.files:
-            for a in f.annotations:
-                if not a.used_by:
-                    self.findings.append(
-                        f"{f.rel}:{a.line}: suppression-manifest: "
-                        "`determinism: allow` annotation suppresses no "
-                        "finding; delete it (and its manifest entry)")
-
     # ---- driver ----------------------------------------------------------
 
     def run(self) -> int:
         self.load()
         for f in self.files:
             self.check_file(f)
-        self.check_manifest()
-        for finding in self.findings:
-            print(finding)
-        if self.findings:
-            print(f"\ntools/determinism_lint.py: {len(self.findings)} "
-                  "finding(s)", file=sys.stderr)
-            return 1
-        print("tools/determinism_lint.py: clean")
-        return 0
+        # Every determinism suppression must be declared, so a missing
+        # manifest is a finding and leaves nothing to pair.
+        manifest = self.load_json(self.manifest_path, "suppression-manifest",
+                                  "manifest")
+        if manifest is not None:
+            self.check_drift(manifest, self.manifest_path,
+                             "suppression-manifest", {"suppressions": None},
+                             RULES)
+            self.check_unused(self.files, "suppression-manifest",
+                              "delete it (and its manifest entry)")
+        return self.finish()
 
 
 def main() -> int:

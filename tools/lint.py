@@ -44,11 +44,16 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    sl_path()/lc_path()/path_to()) — they reuse
                    per-instance scratch buffers instead. A
                    deliberate exception carries a same- or previous-line
-                   ``// hot-path: allow(<why>)`` annotation.
+                   ``// hot-path: allow(<why>)`` annotation; one that
+                   suppresses nothing is itself a finding.
 
-Suppression-manifest drift is not checked here: tools/determinism_lint.py
-and tools/protocol_lint.py each pair their annotations with their manifest
-in both directions, and ctest and CI run all three linters.
+The scanning machinery (comment and literal stripping, bracket matching,
+annotations, the source walker, findings) lives in tools/lintcore.py,
+shared with tools/determinism_lint.py and tools/protocol_lint.py.
+Hot-path annotations follow the same rule as those linters' annotations,
+but have no manifest, so no suppression-manifest drift is checked here;
+the other two linters pair their annotations with their manifests in both
+directions, and ctest and CI run all three.
 
 Usage: tools/lint.py [--root REPO_ROOT]
 Exits non-zero when any finding is reported.
@@ -57,10 +62,13 @@ Exits non-zero when any finding is reported.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import re
 import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from lintcore import (INCLUDE_RE, Linter, SourceFile, closing,  # noqa: E402
+                      line_of, strip_source, walk_sources)
 
 # Translation units whose public API has no checkable preconditions.
 NO_CONTRACT_OK = {
@@ -106,7 +114,6 @@ HOT_PATH_FUNCS = {
 }
 
 CONTRACT_RE = re.compile(r"\bSCMP_(EXPECTS|ENSURES|ASSERT)\s*\(")
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 NEW_RE = re.compile(r"\bnew\b\s*(?:\(|\[|[A-Za-z_:<])")
 DELETE_RE = re.compile(r"(?<![=\w])\s*\bdelete\b\s*(?:\[\s*\])?\s*[A-Za-z_(*]")
 ABORT_RE = re.compile(r"\b(?:std\s*::\s*)?(abort|_Exit|quick_exit|exit)\s*\(")
@@ -115,127 +122,9 @@ OBS_SPAN_RE = re.compile(r'\bOBS_SPAN\s*\(\s*"([^"]+)"')
 HOT_VECTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
 HOT_ALLOC_CALL_RE = re.compile(
     r"[.>]\s*(members|on_tree_nodes|sl_path|lc_path|path_to)\s*\(")
-HOT_ALLOW_RE = re.compile(r"hot-path:\s*allow\(")
+HOT_ALLOW = "hot-path: allow"
 OBS_METRIC_RE = re.compile(
     r'\bobs\s*::\s*(counter|gauge|histogram)\s*\(\s*"([^"]+)"')
-
-
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments, string literals and char literals, preserving
-    line structure so reported line numbers stay accurate."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line | block | str | chr | raw
-    raw_delim = ""
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line"
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "R" and nxt == '"':
-                m = re.match(r'R"([^()\s]*)\(', text[i:])
-                if m:
-                    raw_delim = ")" + m.group(1) + '"'
-                    state = "raw"
-                    i += m.end()
-                    continue
-            if c == '"':
-                state = "str"
-                out.append(c)
-                i += 1
-                continue
-            if c == "'":
-                state = "chr"
-                out.append(c)
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                state = "code"
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        elif state in ("str", "chr"):
-            quote = '"' if state == "str" else "'"
-            if c == "\\":
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(c)
-            elif c == "\n":  # unterminated; bail to keep line numbers sane
-                state = "code"
-                out.append(c)
-        elif state == "raw":
-            end = text.find(raw_delim, i)
-            if end == -1:
-                break
-            out.append("\n" * text.count("\n", i, end + len(raw_delim)))
-            i = end + len(raw_delim)
-            continue
-        i += 1
-    return "".join(out)
-
-
-def strip_comments(text: str) -> str:
-    """Blanks out comments only, preserving string literals and line
-    structure — for rules that inspect the literals themselves (obs-hygiene
-    reads metric/span names out of call arguments)."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line | block | str | chr
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line"
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "str"
-            elif c == "'":
-                state = "chr"
-            out.append(c)
-        elif state == "line":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-        elif state == "block":
-            if c == "*" and nxt == "/":
-                state = "code"
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        else:  # str | chr
-            quote = '"' if state == "str" else "'"
-            if c == "\\" and i + 1 < n:
-                out.append(text[i:i + 2])
-                i += 2
-                continue
-            if c == quote or c == "\n":
-                state = "code"
-            out.append(c)
-        i += 1
-    return "".join(out)
 
 
 def function_bodies(code: str, name: str):
@@ -244,32 +133,15 @@ def function_bodies(code: str, name: str):
     sites are skipped: a definition's parameter list is followed by an
     optional const/noexcept and an opening brace, a call's by ``;`` or an
     operator."""
-    n = len(code)
     for m in re.finditer(re.escape(name) + r"\s*\(", code):
-        i = m.end() - 1
-        depth = 0
-        while i < n:
-            if code[i] == "(":
-                depth += 1
-            elif code[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
+        params_end = closing(code, m.end() - 1) + 1
         after = re.match(r"\s*(?:const\b\s*)?(?:noexcept\b\s*)?\{",
-                         code[i + 1:])
+                         code[params_end:])
         if not after:
             continue
-        body_start = i + 1 + after.end()
-        depth = 1
-        j = body_start
-        while j < n and depth > 0:
-            if code[j] == "{":
-                depth += 1
-            elif code[j] == "}":
-                depth -= 1
-            j += 1
-        yield code.count("\n", 0, body_start) + 1, code[body_start:j - 1]
+        body_open = params_end + after.end() - 1
+        yield (line_of(code, body_open + 1),
+               code[body_open + 1:closing(code, body_open)])
 
 
 def class_body_declarations(code: str, class_name: str) -> str | None:
@@ -334,118 +206,95 @@ def public_mutating_methods(code: str, class_name: str) -> set[str]:
             names = re.findall(r"[A-Za-z_]\w*", head)
             if not names or names[-1] == class_name:
                 continue  # malformed or a constructor
-            nested = 0
-            close = paren
-            for close in range(paren, len(decl)):
-                nested += {"(": 1, ")": -1}.get(decl[close], 0)
-                if nested == 0:
-                    break
-            if re.search(r"\bconst\b", decl[close + 1:]):
+            if re.search(r"\bconst\b", decl[closing(decl, paren) + 1:]):
                 continue  # const-qualified: cannot mutate state
             methods.add(names[-1])
     return methods
 
 
-class Linter:
+class RepoLinter(Linter):
     def __init__(self, root: pathlib.Path):
+        super().__init__("tools/lint.py")
         self.root = root
-        self.findings: list[str] = []
-
-    def report(self, path: pathlib.Path, line: int, rule: str, msg: str):
-        rel = path.relative_to(self.root)
-        self.findings.append(f"{rel}:{line}: {rule}: {msg}")
+        self.files: dict[str, SourceFile] = {}
 
     # ---- rules -----------------------------------------------------------
 
-    def check_contracts(self, path: pathlib.Path, code: str):
-        rel = str(path.relative_to(self.root))
-        if rel in NO_CONTRACT_OK:
-            if CONTRACT_RE.search(code):
-                self.report(path, 1, "contracts",
+    def check_contracts(self, f: SourceFile):
+        if f.rel in NO_CONTRACT_OK:
+            if CONTRACT_RE.search(f.code):
+                self.report(f.rel, 1, "contracts",
                             "file uses contracts; drop it from NO_CONTRACT_OK")
             return
-        if not CONTRACT_RE.search(code):
+        if not CONTRACT_RE.search(f.code):
             self.report(
-                path, 1, "contracts",
+                f.rel, 1, "contracts",
                 "no SCMP_EXPECTS/SCMP_ENSURES/SCMP_ASSERT in this translation "
                 "unit; guard its public entry points (or allowlist it in "
                 "tools/lint.py with a justification)")
 
-    def check_includes(self, path: pathlib.Path, raw: str):
-        in_tests = "tests/" in str(path.relative_to(self.root)) or \
-                   "bench/" in str(path.relative_to(self.root))
-        for lineno, line in enumerate(raw.splitlines(), 1):
+    def check_includes(self, f: SourceFile):
+        in_tests = "tests/" in f.rel or "bench/" in f.rel
+        for lineno, line in enumerate(f.raw_lines, 1):
             m = INCLUDE_RE.match(line)
             if not m:
                 continue
             inc = m.group(1)
             if ".." in inc.split("/"):
-                self.report(path, lineno, "include-paths",
+                self.report(f.rel, lineno, "include-paths",
                             f'relative include "{inc}"; use a src/-rooted '
                             'module path')
                 continue
             if inc in LOCAL_INCLUDE_OK and in_tests:
                 continue
             if "/" not in inc:
-                self.report(path, lineno, "include-paths",
+                self.report(f.rel, lineno, "include-paths",
                             f'bare include "{inc}"; use a src/-rooted module '
                             'path like "core/dcdm.hpp"')
                 continue
             if not (self.root / "src" / inc).is_file():
-                self.report(path, lineno, "include-paths",
+                self.report(f.rel, lineno, "include-paths",
                             f'include "{inc}" does not resolve under src/')
 
-    def check_naked_new(self, path: pathlib.Path, code: str):
-        for lineno, line in enumerate(code.splitlines(), 1):
+    def check_naked_new(self, f: SourceFile):
+        for lineno, line in enumerate(f.code_lines, 1):
             if NEW_RE.search(line):
-                self.report(path, lineno, "no-naked-new",
+                self.report(f.rel, lineno, "no-naked-new",
                             "`new` expression; use std::make_unique or a "
                             "container")
             if DELETE_RE.search(line):
-                self.report(path, lineno, "no-naked-new",
+                self.report(f.rel, lineno, "no-naked-new",
                             "`delete` expression; ownership must be RAII")
 
-    def check_raw_abort(self, path: pathlib.Path, code: str):
-        if path.name == "contracts.hpp":
+    def check_raw_abort(self, f: SourceFile):
+        if f.path.name == "contracts.hpp":
             return
-        for lineno, line in enumerate(code.splitlines(), 1):
+        for lineno, line in enumerate(f.code_lines, 1):
             m = ABORT_RE.search(line)
             if m:
-                self.report(path, lineno, "no-raw-abort",
+                self.report(f.rel, lineno, "no-raw-abort",
                             f"direct {m.group(1)}() call; fail through "
                             "SCMP_EXPECTS/SCMP_ASSERT so the diagnostic names "
                             "the condition")
 
-    def check_pragma_once(self, path: pathlib.Path, code: str):
-        for line in code.splitlines():
-            s = line.strip()
-            if not s:
-                continue
-            if s == "#pragma once":
-                return
-            self.report(path, 1, "pragma-once",
+    def check_pragma_once(self, f: SourceFile):
+        first = next((s for s in map(str.strip, f.code_lines) if s), None)
+        if first is not None and first != "#pragma once":  # empty is fine
+            self.report(f.rel, 1, "pragma-once",
                         "header must start with #pragma once")
-            return
-        # empty header: fine
 
-    def check_header_using(self, path: pathlib.Path, code: str):
-        for lineno, line in enumerate(code.splitlines(), 1):
+    def check_header_using(self, f: SourceFile):
+        for lineno, line in enumerate(f.code_lines, 1):
             if USING_NS_RE.match(line):
-                self.report(path, lineno, "header-using",
+                self.report(f.rel, lineno, "header-using",
                             "`using namespace` in a header leaks into every "
                             "includer")
 
     def check_verify_hygiene(self):
-        manifest_path = self.root / VERIFY_MANIFEST
-        if not manifest_path.is_file():
-            self.report(manifest_path, 1, "verify-hygiene",
-                        "coverage manifest is missing")
-            return
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            self.report(manifest_path, getattr(err, "lineno", 1),
-                        "verify-hygiene", f"manifest is not valid JSON: {err}")
+        manifest = self.load_json(self.root / VERIFY_MANIFEST,
+                                  "verify-hygiene", "coverage manifest",
+                                  shown=VERIFY_MANIFEST)
+        if manifest is None:
             return
 
         # The manifest's invariant list must be exactly the registered ids
@@ -454,7 +303,7 @@ class Linter:
         declared = manifest.get("invariants", [])
         if registered is not None and sorted(declared) != sorted(registered):
             self.report(
-                manifest_path, 1, "verify-hygiene",
+                VERIFY_MANIFEST, 1, "verify-hygiene",
                 "manifest 'invariants' disagrees with kInvariantIds in "
                 f"{VERIFY_INVARIANTS_HPP}: manifest={sorted(declared)} "
                 f"registered={sorted(registered)}")
@@ -463,31 +312,28 @@ class Linter:
         for rel, spec in manifest.get("entry_points", {}).items():
             header = self.root / rel
             if not header.is_file():
-                self.report(manifest_path, 1, "verify-hygiene",
+                self.report(VERIFY_MANIFEST, 1, "verify-hygiene",
                             f"entry_points names missing file {rel}")
                 continue
-            raw = header.read_text(encoding="utf-8")
-            code = strip_comments_and_strings(raw)
+            code = strip_source(header.read_text(encoding="utf-8"))
             cls = spec.get("class", "")
             found = public_mutating_methods(code, cls)
             if not found and class_body_declarations(code, cls) is None:
-                self.report(manifest_path, 1, "verify-hygiene",
+                self.report(VERIFY_MANIFEST, 1, "verify-hygiene",
                             f"class {cls} not found in {rel}")
                 continue
             mapped = spec.get("methods", {})
             for name in sorted(found - set(mapped)):
-                line = 1
                 m = re.search(rf"\b{re.escape(name)}\s*\(", code)
-                if m:
-                    line = code.count("\n", 0, m.start()) + 1
                 self.report(
-                    header, line, "verify-hygiene",
+                    rel, line_of(code, m.start()) if m else 1,
+                    "verify-hygiene",
                     f"public mutating method {cls}::{name} has no invariant "
                     f"coverage; map it in {VERIFY_MANIFEST} (or exempt it "
                     "with a justification)")
             for name, cover in sorted(mapped.items()):
                 if name not in found:
-                    self.report(manifest_path, 1, "verify-hygiene",
+                    self.report(VERIFY_MANIFEST, 1, "verify-hygiene",
                                 f"stale manifest entry {cls}::{name}: no such "
                                 f"public mutating method in {rel}")
                     continue
@@ -495,78 +341,69 @@ class Linter:
                     if not cover.startswith("exempt:") or \
                             not cover[len("exempt:"):].strip():
                         self.report(
-                            manifest_path, 1, "verify-hygiene",
+                            VERIFY_MANIFEST, 1, "verify-hygiene",
                             f"{cls}::{name}: string coverage must be "
                             "'exempt: <justification>'")
                     continue
                 if not isinstance(cover, list) or not cover:
                     self.report(
-                        manifest_path, 1, "verify-hygiene",
+                        VERIFY_MANIFEST, 1, "verify-hygiene",
                         f"{cls}::{name}: coverage must be a non-empty list "
                         "of invariant ids or an 'exempt:' string")
                     continue
                 for inv in cover:
                     if inv not in valid_ids:
                         self.report(
-                            manifest_path, 1, "verify-hygiene",
+                            VERIFY_MANIFEST, 1, "verify-hygiene",
                             f"{cls}::{name}: unknown invariant id '{inv}'")
 
     def check_obs_hygiene(self):
-        manifest_path = self.root / OBS_MANIFEST
-        if not manifest_path.is_file():
-            self.report(manifest_path, 1, "obs-hygiene",
-                        "metrics manifest is missing")
-            return
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            self.report(manifest_path, getattr(err, "lineno", 1),
-                        "obs-hygiene", f"manifest is not valid JSON: {err}")
+        manifest = self.load_json(self.root / OBS_MANIFEST, "obs-hygiene",
+                                  "metrics manifest", shown=OBS_MANIFEST)
+        if manifest is None:
             return
         declared_metrics = {m["name"]: m.get("kind", "")
                             for m in manifest.get("metrics", [])}
         declared_spans = {s["name"] for s in manifest.get("spans", [])}
 
-        used_metrics: dict[tuple[str, str], tuple[pathlib.Path, int]] = {}
-        used_spans: dict[str, tuple[pathlib.Path, int]] = {}
+        used_metrics: dict[tuple[str, str], tuple[str, int]] = {}
+        used_spans: dict[str, tuple[str, int]] = {}
         # src/obs is scanned like every other layer: its self-metrics
         # (obs.spans.dropped, obs.flight.dropped) must be declared too. The
         # dynamic span.<name>.seconds registration never matches the literal
         # obs::histogram("...") pattern, so it cannot leak in.
-        for d in (self.root / "src", self.root / "bench",
-                  self.root / "examples"):
-            for path in sorted(d.rglob("*")):
-                if path.suffix not in (".cpp", ".hpp"):
-                    continue
-                code = strip_comments(path.read_text(encoding="utf-8"))
-                for lineno, line in enumerate(code.splitlines(), 1):
-                    for kind, name in OBS_METRIC_RE.findall(line):
-                        used_metrics.setdefault((name, kind), (path, lineno))
-                    for name in OBS_SPAN_RE.findall(line):
-                        used_spans.setdefault(name, (path, lineno))
+        for f in self.files.values():
+            if not f.rel.startswith(("src/", "bench/", "examples/")):
+                continue
+            code = strip_source(f.raw, keep_strings=True)
+            for lineno, line in enumerate(code.splitlines(), 1):
+                for kind, name in OBS_METRIC_RE.findall(line):
+                    used_metrics.setdefault((name, kind), (f.rel, lineno))
+                for name in OBS_SPAN_RE.findall(line):
+                    used_spans.setdefault(name, (f.rel, lineno))
 
-        for (name, kind), (path, lineno) in sorted(used_metrics.items()):
+        for (name, kind), (rel, lineno) in sorted(used_metrics.items()):
             if name not in declared_metrics:
-                self.report(path, lineno, "obs-hygiene",
+                self.report(rel, lineno, "obs-hygiene",
                             f'metric "{name}" is not declared in '
                             f"{OBS_MANIFEST}")
             elif declared_metrics[name] != kind:
                 self.report(
-                    path, lineno, "obs-hygiene",
+                    rel, lineno, "obs-hygiene",
                     f'metric "{name}" used as a {kind} but declared as a '
                     f"{declared_metrics[name]} in {OBS_MANIFEST}")
-        for name, (path, lineno) in sorted(used_spans.items()):
+        for name, (rel, lineno) in sorted(used_spans.items()):
             if name not in declared_spans:
-                self.report(path, lineno, "obs-hygiene",
+                self.report(rel, lineno, "obs-hygiene",
                             f'span "{name}" is not declared in '
                             f"{OBS_MANIFEST}")
         used_metric_names = {name for name, _ in used_metrics}
         for name in sorted(set(declared_metrics) - used_metric_names):
-            self.report(manifest_path, 1, "obs-hygiene",
+            self.report(OBS_MANIFEST, 1, "obs-hygiene",
                         f'stale manifest metric "{name}": no obs::counter/'
                         "gauge/histogram call uses it")
         for name in sorted(declared_spans - set(used_spans)):
-            self.report(manifest_path, 1, "obs-hygiene",
+            self.report(OBS_MANIFEST, 1, "obs-hygiene",
                         f'stale manifest span "{name}": no OBS_SPAN uses it')
 
         # The per-type net.tx.* counters are tagged with to_string(t); their
@@ -584,7 +421,7 @@ class Linter:
                 unknown = sorted(set(tags) - set(wire))
                 if missing or unknown:
                     self.report(
-                        manifest_path, 1, "obs-hygiene",
+                        OBS_MANIFEST, 1, "obs-hygiene",
                         f'metric "{name}" tags disagree with the PacketType '
                         f"wire names in {PACKET_CPP}: missing={missing} "
                         f"unknown={unknown}")
@@ -594,35 +431,34 @@ class Linter:
         of the per-type net.tx.* counters."""
         cpp = self.root / PACKET_CPP
         if not cpp.is_file():
-            self.report(cpp, 1, "obs-hygiene",
+            self.report(PACKET_CPP, 1, "obs-hygiene",
                         "PacketType to_string source is missing; update "
                         "PACKET_CPP in tools/lint.py")
             return None
-        text = strip_comments(cpp.read_text(encoding="utf-8"))
+        text = strip_source(cpp.read_text(encoding="utf-8"),
+                            keep_strings=True)
         names = re.findall(
             r'case\s+(?:sim\s*::\s*)?PacketType\s*::\s*k\w+\s*:\s*'
             r'return\s+"([^"]+)"', text)
         if not names:
-            self.report(cpp, 1, "obs-hygiene",
+            self.report(PACKET_CPP, 1, "obs-hygiene",
                         "no PacketType to_string cases found")
             return None
         return names
 
     def check_hot_paths(self):
         for rel, funcs in HOT_PATH_FUNCS.items():
-            path = self.root / rel
-            if not path.is_file():
-                self.report(path, 1, "hot-path-alloc",
+            f = self.files.get(rel)
+            if f is None:
+                self.report(rel, 1, "hot-path-alloc",
                             "file listed in HOT_PATH_FUNCS is missing")
                 continue
-            raw_lines = path.read_text(encoding="utf-8").splitlines()
-            code = strip_comments_and_strings("\n".join(raw_lines))
             for name in funcs:
                 found = False
-                for start_line, body in function_bodies(code, name):
+                for start_line, body in function_bodies(f.code, name):
                     found = True
-                    for off, line in enumerate(body.splitlines()):
-                        lineno = start_line + off
+                    for lineno, line in enumerate(body.splitlines(),
+                                                  start_line):
                         hit = None
                         if HOT_VECTOR_RE.search(line):
                             hit = "std::vector constructed"
@@ -630,31 +466,28 @@ class Linter:
                             m = HOT_ALLOC_CALL_RE.search(line)
                             if m:
                                 hit = f"allocating call {m.group(1)}()"
-                        if hit is None:
-                            continue
-                        # A deliberate exception is annotated on the same or
-                        # the immediately preceding source line.
-                        annotated = any(
-                            0 < ln <= len(raw_lines) and
-                            HOT_ALLOW_RE.search(raw_lines[ln - 1])
-                            for ln in (lineno, lineno - 1))
-                        if annotated:
+                        if hit is None or self.suppressed(
+                                f, lineno, HOT_ALLOW, "hot-path-alloc"):
                             continue
                         self.report(
-                            path, lineno, "hot-path-alloc",
+                            rel, lineno, "hot-path-alloc",
                             f"{hit} in hot path {name}(); reuse a scratch "
                             "buffer, or annotate the line with "
                             "`// hot-path: allow(<why>)`")
                 if not found:
-                    self.report(path, 1, "hot-path-alloc",
+                    self.report(rel, 1, "hot-path-alloc",
                                 f"no definition of {name}() found; update "
                                 "HOT_PATH_FUNCS in tools/lint.py")
+        # Hot-path annotations have no manifest, but one that silences
+        # nothing is a finding like any other unused suppression.
+        self.check_unused(self.files.values(), "hot-path-alloc",
+                          "delete it")
 
     def _registered_invariants(self) -> list[str] | None:
         """The string values of the constants listed in kInvariantIds."""
         hpp = self.root / VERIFY_INVARIANTS_HPP
         if not hpp.is_file():
-            self.report(hpp, 1, "verify-hygiene",
+            self.report(VERIFY_INVARIANTS_HPP, 1, "verify-hygiene",
                         "invariants header is missing")
             return None
         text = hpp.read_text(encoding="utf-8")
@@ -662,13 +495,13 @@ class Linter:
             r'constexpr\s+const\s+char\*\s+(k\w+)\s*=\s*"([^"]+)"', text))
         block = re.search(r"kInvariantIds\[\]\s*=\s*\{([^}]*)\}", text)
         if not block:
-            self.report(hpp, 1, "verify-hygiene",
+            self.report(VERIFY_INVARIANTS_HPP, 1, "verify-hygiene",
                         "kInvariantIds[] not found")
             return None
         names = re.findall(r"k\w+", block.group(1))
         missing = [n for n in names if n not in values]
         if missing:
-            self.report(hpp, 1, "verify-hygiene",
+            self.report(VERIFY_INVARIANTS_HPP, 1, "verify-hygiene",
                         f"kInvariantIds entries without a string value: "
                         f"{missing}")
         return [values[n] for n in names if n in values]
@@ -676,42 +509,28 @@ class Linter:
     # ---- driver ----------------------------------------------------------
 
     def run(self) -> int:
-        src = self.root / "src"
-        all_dirs = [src, self.root / "tests", self.root / "bench",
-                    self.root / "examples"]
         # The linter-fixture miniature repositories are deliberately not real
         # code (unresolvable includes, injected violations); their linting is
         # done by the fixture tests themselves.
         fixtures = self.root / "tests" / "tools" / "fixtures"
-        for d in all_dirs:
-            for path in sorted(d.rglob("*")):
-                if path.suffix not in (".cpp", ".hpp"):
-                    continue
-                if fixtures in path.parents:
-                    continue
-                raw = path.read_text(encoding="utf-8")
-                code = strip_comments_and_strings(raw)
-                self.check_includes(path, raw)
-                under_src = src in path.parents
-                if under_src:
-                    self.check_naked_new(path, code)
-                    self.check_raw_abort(path, code)
-                    if path.suffix == ".cpp":
-                        self.check_contracts(path, code)
-                if path.suffix == ".hpp":
-                    self.check_pragma_once(path, code)
-                    self.check_header_using(path, code)
+        for path in walk_sources(self.root,
+                                 ("src", "tests", "bench", "examples"),
+                                 skip=fixtures):
+            f = SourceFile(self.root, path, (HOT_ALLOW,))
+            self.files[f.rel] = f
+            self.check_includes(f)
+            if f.rel.startswith("src/"):
+                self.check_naked_new(f)
+                self.check_raw_abort(f)
+                if path.suffix == ".cpp":
+                    self.check_contracts(f)
+            if path.suffix == ".hpp":
+                self.check_pragma_once(f)
+                self.check_header_using(f)
         self.check_verify_hygiene()
         self.check_obs_hygiene()
         self.check_hot_paths()
-        for f in self.findings:
-            print(f)
-        if self.findings:
-            print(f"\ntools/lint.py: {len(self.findings)} finding(s)",
-                  file=sys.stderr)
-            return 1
-        print("tools/lint.py: clean")
-        return 0
+        return self.finish()
 
 
 def main() -> int:
@@ -719,7 +538,7 @@ def main() -> int:
     ap.add_argument("--root", default=pathlib.Path(__file__).resolve().parent.parent,
                     type=pathlib.Path, help="repository root")
     args = ap.parse_args()
-    return Linter(args.root.resolve()).run()
+    return RepoLinter(args.root.resolve()).run()
 
 
 if __name__ == "__main__":

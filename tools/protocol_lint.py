@@ -53,7 +53,8 @@ also appear in tools/protocol_manifest.json with the same (file, reason),
 every ``unpaired_types`` / ``layer_exceptions`` entry must still match a
 live unpaired type / include edge, and drift in either direction is itself
 a finding. This linter is the only drift check for the manifest; ctest
-(protocol_lint_tree) and CI run it tree-wide.
+(protocol_lint_tree) and CI run it tree-wide. The annotation and drift
+engine is tools/lintcore.py, shared by all three linters.
 
 Function boundaries are recovered from the repo's clang-format layout: a
 top-level definition starts at column 0, so the region between consecutive
@@ -69,13 +70,13 @@ Exits non-zero when any finding is reported.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from lint import strip_comments_and_strings  # noqa: E402
+from lintcore import (INCLUDE_RE, Linter, SourceFile, closing,  # noqa: E402
+                      line_of, strip_source, walk_sources)
 
 DEFAULT_SCAN_DIRS = ("src/core", "src/protocols")
 DEFAULT_MANIFEST = "tools/protocol_manifest.json"
@@ -85,8 +86,8 @@ PACKET_ENUM_HPP = "src/sim/packet.hpp"
 RULES = ("dispatch-exhaustiveness", "handler-coverage",
          "reliability-coverage", "layer-dag")
 
-ALLOW_TOKEN = "protocol: allow("
-FNF_TOKEN = "protocol: fire-and-forget("
+ALLOW = "protocol: allow"
+FNF = "protocol: fire-and-forget"
 
 CASE_RE = re.compile(r"\bcase\s+(?:sim\s*::\s*)?PacketType\s*::\s*(k\w+)")
 TYPE_ASSIGN_RE = re.compile(
@@ -103,83 +104,15 @@ ASSERT_RE = re.compile(r"\bSCMP_(?:ASSERT|EXPECTS|ENSURES)\s*\(|"
 DROP_COUNT_RE = re.compile(r"\b\w*drops?\w*\s*\.\s*inc\s*\(|"
                            r"\bdrop_unexpected\s*\(")
 DROP_NAME_RE = re.compile(r"net\.drops\.")
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 
-def collapse_ws(text: str) -> str:
-    return " ".join(text.split())
+class ProtocolSource(SourceFile):
+    """A scanned protocol source, plus the top-level definition regions
+    that stand in for function bodies."""
 
-
-class Annotation:
-    """One ``protocol: allow(...)`` / ``protocol: fire-and-forget(...)``."""
-
-    def __init__(self, kind: str, line: int, end_line: int, reason: str):
-        self.kind = kind          # "allow" | "fire-and-forget"
-        self.line = line          # line the token starts on (1-based)
-        self.end_line = end_line  # line the balanced ')' closes on
-        self.reason = collapse_ws(reason)
-        self.used = False
-
-
-def collect_annotations(raw: str) -> list[Annotation]:
-    out = []
-    for kind, token in (("allow", ALLOW_TOKEN),
-                        ("fire-and-forget", FNF_TOKEN)):
-        pos = 0
-        while True:
-            start = raw.find(token, pos)
-            if start < 0:
-                break
-            open_paren = start + len(token) - 1
-            depth, i = 0, open_paren
-            while i < len(raw):
-                if raw[i] == "(":
-                    depth += 1
-                elif raw[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            reason = re.sub(r"\n\s*//+", " ", raw[open_paren + 1:i])
-            out.append(Annotation(kind, raw.count("\n", 0, start) + 1,
-                                  raw.count("\n", 0, i) + 1, reason))
-            pos = i + 1
-    return out
-
-
-def balanced_region(code: str, start: int, open_c: str, close_c: str) -> int:
-    """Index just past the ``close_c`` matching the ``open_c`` at ``start``."""
-    depth = 0
-    for i in range(start, len(code)):
-        if code[i] == open_c:
-            depth += 1
-        elif code[i] == close_c:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return len(code)
-
-
-class SourceFile:
     def __init__(self, root: pathlib.Path, path: pathlib.Path):
-        self.path = path
-        self.rel = str(path.relative_to(root))
-        self.raw = path.read_text(encoding="utf-8")
-        self.raw_lines = self.raw.splitlines()
-        self.code = strip_comments_and_strings(self.raw)
-        self.code_lines = self.code.splitlines()
-        self.annotations = collect_annotations(self.raw)
+        super().__init__(root, path, (ALLOW, FNF))
         self._regions: list[tuple[int, str]] | None = None
-
-    def annotation_for(self, lineno: int, kind: str) -> Annotation | None:
-        """The annotation of ``kind`` covering ``lineno``: trailing on the
-        line itself, or closing on the immediately preceding line."""
-        for a in self.annotations:
-            if a.kind != kind:
-                continue
-            if a.line <= lineno <= a.end_line or a.end_line == lineno - 1:
-                return a
-        return None
 
     def regions(self) -> list[tuple[int, str]]:
         """(start_line, header) of every top-level definition region: a
@@ -195,17 +128,12 @@ class SourceFile:
 
     def region_of(self, lineno: int) -> tuple[int, int, str]:
         """(start_line, end_line, header) of the region containing lineno."""
-        regions = self.regions()
         start, header = 1, ""
-        end = len(self.code_lines)
-        for i, (rl, h) in enumerate(regions):
+        for rl, h in self.regions():
             if rl > lineno:
-                end = rl - 1
-                break
+                return start, rl - 1, header
             start, header = rl, h
-        else:
-            end = len(self.code_lines)
-        return start, end, header
+        return start, len(self.code_lines), header
 
     def region_text(self, lineno: int) -> str:
         start, end, _ = self.region_of(lineno)
@@ -229,102 +157,76 @@ def parse_packet_enum(root: pathlib.Path) -> list[str] | None:
     hpp = root / PACKET_ENUM_HPP
     if not hpp.is_file():
         return None
-    code = strip_comments_and_strings(hpp.read_text(encoding="utf-8"))
+    code = strip_source(hpp.read_text(encoding="utf-8"))
     m = re.search(r"enum\s+class\s+PacketType\s*\{", code)
     if not m:
         return None
-    body = code[m.end():balanced_region(code, m.end() - 1, "{", "}") - 1]
+    body = code[m.end():closing(code, m.end() - 1)]
     return re.findall(r"\b(k\w+)\b", body)
 
 
-class ProtocolLinter:
+class ProtocolLinter(Linter):
     def __init__(self, root: pathlib.Path, manifest_path: pathlib.Path,
                  layers_path: pathlib.Path, scan_dirs: list[str],
                  only: set[str]):
+        super().__init__("tools/protocol_lint.py")
         self.root = root
         self.manifest_path = manifest_path
         self.layers_path = layers_path
         self.scan_dirs = scan_dirs
         self.only = only
-        self.findings: list[str] = []
-        self.files: list[SourceFile] = []
+        self.files: list[ProtocolSource] = []
         self.enum = parse_packet_enum(root)
         # type -> (rel, line) of one witness occurrence.
         self.sent: dict[str, tuple[str, int]] = {}
         self.received: dict[str, tuple[str, int]] = {}
         # manifest usage tracking
-        self.used_suppressions: set[tuple[str, str, str]] = set()
         self.used_unpaired: set[str] = set()
         self.used_exceptions: set[tuple[str, str]] = set()
-        self.declared_unpaired: dict[str, str] = {}
+        self.declared_unpaired: set[str] = set()
         self.declared_exceptions: set[tuple[str, str]] = set()
 
     def enabled(self, rule: str) -> bool:
         return not self.only or rule in self.only
 
-    def report(self, rel: str, line: int, rule: str, msg: str):
-        self.findings.append(f"{rel}:{line}: {rule}: {msg}")
-
     # ---- collection ------------------------------------------------------
 
     def load(self):
-        for d in self.scan_dirs:
-            base = self.root / d
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.suffix in (".cpp", ".hpp"):
-                    self.files.append(SourceFile(self.root, path))
-        self.load_manifest()
-
-    def load_manifest(self):
-        self.manifest_ok = False
-        self.manifest = {}
-        try:
-            self.manifest = json.loads(
-                self.manifest_path.read_text(encoding="utf-8"))
-            self.manifest_ok = True
-        except FileNotFoundError:
-            self.findings.append(
-                f"{self.manifest_path}:1: manifest: protocol manifest is "
-                "missing; every suppression must be declared")
-        except json.JSONDecodeError as err:
-            self.findings.append(
-                f"{self.manifest_path}:{getattr(err, 'lineno', 1)}: "
-                f"manifest: not valid JSON: {err}")
-        for entry in self.manifest.get("unpaired_types", []):
+        self.files = [ProtocolSource(self.root, path)
+                      for path in walk_sources(self.root, self.scan_dirs)]
+        self.manifest = self.load_json(self.manifest_path, "manifest",
+                                       "protocol manifest")
+        for entry in (self.manifest or {}).get("unpaired_types", []):
             t, reason = entry.get("type", ""), entry.get("reason", "")
             if not t or not reason.strip():
-                self.findings.append(
-                    f"{self.manifest_path}:1: manifest: unpaired_types entry "
-                    "needs non-empty 'type' and 'reason'")
+                self.report(self.manifest_path, 1, "manifest",
+                            "unpaired_types entry needs non-empty 'type' and "
+                            "'reason'")
                 continue
-            self.declared_unpaired[t] = collapse_ws(reason)
-        for entry in self.manifest.get("layer_exceptions", []):
+            self.declared_unpaired.add(t)
+        for entry in (self.manifest or {}).get("layer_exceptions", []):
             f, inc = entry.get("file", ""), entry.get("include", "")
             if not f or not inc or not entry.get("reason", "").strip():
-                self.findings.append(
-                    f"{self.manifest_path}:1: manifest: layer_exceptions "
-                    "entry needs non-empty 'file', 'include' and 'reason'")
+                self.report(self.manifest_path, 1, "manifest",
+                            "layer_exceptions entry needs non-empty 'file', "
+                            "'include' and 'reason'")
                 continue
             self.declared_exceptions.add((f, inc))
 
     # ---- rule 1: dispatch-exhaustiveness ---------------------------------
 
-    def packet_switches(self, f: SourceFile):
+    def packet_switches(self, f: ProtocolSource):
         """Yields (line, cases, default_line, default_body) for every switch
         whose cases name PacketType enumerators."""
         for m in re.finditer(r"\bswitch\s*\(", f.code):
-            cond_end = balanced_region(f.code, m.end() - 1, "(", ")")
-            body_open = f.code.find("{", cond_end)
+            body_open = f.code.find("{", closing(f.code, m.end() - 1))
             if body_open < 0:
                 continue
-            body_end = balanced_region(f.code, body_open, "{", "}")
-            body = f.code[body_open:body_end]
+            body = f.code[body_open:closing(f.code, body_open) + 1]
             cases = CASE_RE.findall(body)
             if not cases:
                 continue
-            line = f.code.count("\n", 0, m.start()) + 1
+            line = line_of(f.code, m.start())
             dm = re.search(r"\bdefault\s*:", body)
             if dm is None:
                 yield line, cases, None, ""
@@ -332,7 +234,7 @@ class ProtocolLinter:
                 default_line = line + body.count("\n", 0, dm.start())
                 yield line, cases, default_line, body[dm.end():]
 
-    def check_dispatch(self, f: SourceFile):
+    def check_dispatch(self, f: ProtocolSource):
         for line, cases, default_line, default_body in self.packet_switches(f):
             if default_line is None:
                 if self.enum is None:
@@ -357,13 +259,8 @@ class ProtocolLinter:
             handled = (ASSERT_RE.search(default_body) or
                        DROP_COUNT_RE.search(default_body) or
                        DROP_NAME_RE.search(raw_default))
-            if handled:
-                continue
-            ann = f.annotation_for(default_line, "allow")
-            if ann is not None:
-                ann.used = True
-                self.used_suppressions.add(
-                    (f.rel, "dispatch-exhaustiveness", ann.reason))
+            if handled or self.suppressed(f, default_line, ALLOW,
+                                          "dispatch-exhaustiveness"):
                 continue
             self.report(
                 f.rel, default_line, "dispatch-exhaustiveness",
@@ -373,7 +270,7 @@ class ProtocolLinter:
 
     # ---- rule 2: handler-coverage ----------------------------------------
 
-    def collect_flow(self, f: SourceFile):
+    def collect_flow(self, f: ProtocolSource):
         for lineno, line in enumerate(f.code_lines, 1):
             for t in TYPE_ASSIGN_RE.findall(line):
                 self.sent.setdefault(t, (f.rel, lineno))
@@ -429,8 +326,8 @@ class ProtocolLinter:
 
     # ---- rule 3: reliability-coverage ------------------------------------
 
-    def check_reliability(self, f: SourceFile):
-        if "core/" not in f.rel.replace("\\", "/"):
+    def check_reliability(self, f: ProtocolSource):
+        if "core/" not in f.rel:
             return
         for lineno, line in enumerate(f.code_lines, 1):
             m = RAW_SEND_RE.search(line)
@@ -438,11 +335,7 @@ class ProtocolLinter:
                 continue
             if ARM_RE.search(f.region_text(lineno)):
                 continue  # reliable-send wrapper: the function arms RetxTable
-            ann = f.annotation_for(lineno, "fire-and-forget")
-            if ann is not None:
-                ann.used = True
-                self.used_suppressions.add(
-                    (f.rel, "reliability-coverage", ann.reason))
+            if self.suppressed(f, lineno, FNF, "reliability-coverage"):
                 continue
             self.report(
                 f.rel, lineno, "reliability-coverage",
@@ -454,33 +347,22 @@ class ProtocolLinter:
     # ---- rule 4: layer-dag -----------------------------------------------
 
     def check_layers(self):
-        try:
-            spec = json.loads(self.layers_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self.findings.append(
-                f"{self.layers_path}:1: layer-dag: layers file is missing")
-            return
-        except json.JSONDecodeError as err:
-            self.findings.append(
-                f"{self.layers_path}:{getattr(err, 'lineno', 1)}: "
-                f"layer-dag: not valid JSON: {err}")
+        spec = self.load_json(self.layers_path, "layer-dag", "layers file")
+        if spec is None:
             return
         level: dict[str, int] = {}
         for i, layer in enumerate(spec.get("layers", [])):
             for module in layer:
                 if module in level:
-                    self.findings.append(
-                        f"{self.layers_path}:1: layer-dag: module "
-                        f"'{module}' declared in two layers")
+                    self.report(self.layers_path, 1, "layer-dag",
+                                f"module '{module}' declared in two layers")
                 level[module] = i
 
         src = self.root / "src"
         if not src.is_dir():
             return
         includes: dict[str, list[tuple[int, str]]] = {}
-        for path in sorted(src.rglob("*")):
-            if path.suffix not in (".cpp", ".hpp"):
-                continue
+        for path in walk_sources(self.root, ("src",)):
             rel = path.relative_to(self.root).as_posix()
             edges = []
             for lineno, line in enumerate(
@@ -496,9 +378,9 @@ class ProtocolLinter:
                             f"{self.layers_path.name}")
         for module in sorted(level):
             if not (src / module).is_dir():
-                self.findings.append(
-                    f"{self.layers_path}:1: layer-dag: declared module "
-                    f"'{module}' has no src/{module}/ directory")
+                self.report(self.layers_path, 1, "layer-dag",
+                            f"declared module '{module}' has no "
+                            f"src/{module}/ directory")
 
         for rel in sorted(includes):
             module = rel.split("/")[1]
@@ -556,56 +438,23 @@ class ProtocolLinter:
     # ---- suppression manifest cross-check --------------------------------
 
     def check_manifest(self):
-        if not self.manifest_ok:
+        if self.manifest is None:
             return
-        name = self.manifest_path.name
-        declared: set[tuple[str, str, str]] = set()
-        for section, rule in (("suppressions", None),
-                              ("fire_and_forget", "reliability-coverage")):
-            for entry in self.manifest.get(section, []):
-                r = rule or entry.get("rule", "")
-                if r not in RULES:
-                    self.findings.append(
-                        f"{self.manifest_path}:1: manifest: unknown rule "
-                        f"'{r}' (expected one of {', '.join(RULES)})")
-                    continue
-                key = (entry.get("file", ""), r,
-                       collapse_ws(entry.get("reason", "")))
-                if not key[0] or not key[2]:
-                    self.findings.append(
-                        f"{self.manifest_path}:1: manifest: entry needs "
-                        "non-empty 'file' and 'reason'")
-                    continue
-                declared.add(key)
-
-        for key in sorted(self.used_suppressions - declared):
-            rel, rule, reason = key
-            self.findings.append(
-                f"{rel}:1: manifest: live suppression not in {name}: "
-                f"rule={rule} reason=\"{reason}\"")
-        for key in sorted(declared - self.used_suppressions):
-            rel, rule, reason = key
-            self.findings.append(
-                f"{self.manifest_path}:1: manifest: stale entry — no live "
-                f"annotation in {rel} suppresses a {rule} finding with "
-                f"reason \"{reason}\"")
-        for t in sorted(set(self.declared_unpaired) - self.used_unpaired):
-            self.findings.append(
-                f"{self.manifest_path}:1: manifest: stale unpaired_types "
-                f"entry '{t}': the type is paired (or gone); delete the "
-                "entry")
+        self.check_drift(
+            self.manifest, self.manifest_path, "manifest",
+            {"suppressions": None, "fire_and_forget": "reliability-coverage"},
+            RULES)
+        for t in sorted(self.declared_unpaired - self.used_unpaired):
+            self.report(self.manifest_path, 1, "manifest",
+                        f"stale unpaired_types entry '{t}': the type is "
+                        "paired (or gone); delete the entry")
         for rel, inc in sorted(self.declared_exceptions -
                                self.used_exceptions):
-            self.findings.append(
-                f"{self.manifest_path}:1: manifest: stale layer_exceptions "
-                f"entry: {rel} no longer includes \"{inc}\" across layers")
-        for f in self.files:
-            for a in f.annotations:
-                if not a.used:
-                    self.findings.append(
-                        f"{f.rel}:{a.line}: manifest: `protocol: {a.kind}` "
-                        "annotation suppresses no finding; delete it (and "
-                        "its manifest entry)")
+            self.report(self.manifest_path, 1, "manifest",
+                        f"stale layer_exceptions entry: {rel} no longer "
+                        f"includes \"{inc}\" across layers")
+        self.check_unused(self.files, "manifest",
+                          "delete it (and its manifest entry)")
 
     # ---- driver ----------------------------------------------------------
 
@@ -625,15 +474,8 @@ class ProtocolLinter:
             self.check_layers()
         if not self.only:
             self.check_manifest()
-        for finding in self.findings:
-            print(finding)
-        if self.findings:
-            print(f"\ntools/protocol_lint.py: {len(self.findings)} "
-                  "finding(s)", file=sys.stderr)
-            return 1
         scope = ",".join(sorted(self.only)) if self.only else "all rules"
-        print(f"tools/protocol_lint.py: clean ({scope})")
-        return 0
+        return self.finish(f" ({scope})")
 
 
 def main() -> int:
