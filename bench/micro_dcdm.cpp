@@ -1,8 +1,10 @@
 // Micro-benchmarks of the DCDM dynamic tree algorithm: join-storm throughput
-// (the m-router's hot path) and single join/leave latency.
+// (the m-router's hot path) and single join/leave latency, on a 100-node
+// Waxman graph and on membench's 624-router transit-stub internetwork.
 #include <benchmark/benchmark.h>
 
 #include "core/dcdm.hpp"
+#include "topo/transit_stub.hpp"
 #include "topo/waxman.hpp"
 
 namespace {
@@ -66,5 +68,47 @@ void BM_DcdmLoosestVsTightest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DcdmLoosestVsTightest)->Arg(0)->Arg(1);
+
+/// membench's internetwork (4 transit domains x 6 routers, 5 stub domains of
+/// 5 routers per transit node: 624 routers, topology seed 7, m-router 0) and
+/// `group` distinct members.
+struct TransitStubEnv {
+  topo::Topology topo;
+  graph::AllPairsPaths paths;
+  std::vector<graph::NodeId> members;
+
+  explicit TransitStubEnv(int group)
+      : topo([] {
+          Rng rng(7);
+          topo::TransitStubConfig cfg;
+          cfg.transit_domains = 4;
+          cfg.transit_nodes = 6;
+          cfg.stub_domains_per_node = 5;
+          cfg.stub_nodes = 5;
+          return topo::transit_stub(cfg, rng);
+        }()),
+        paths(topo.graph) {
+    const int n = topo.graph.num_nodes();
+    Rng rng(13);
+    for (int v : rng.sample_without_replacement(n - 1, group))
+      members.push_back(v + 1);
+  }
+};
+
+// At this n a join or leave touches a few dozen routers out of 624: the
+// series weighs per-operation costs that scale with n against those that
+// scale with the change.
+void BM_DcdmTransitStubChurn(benchmark::State& state) {
+  static const TransitStubEnv env(200);
+  for (auto _ : state) {
+    core::DcdmTree tree(env.topo.graph, env.paths, 0, core::DcdmConfig{1.0});
+    for (graph::NodeId m : env.members) tree.join(m);
+    for (graph::NodeId m : env.members) tree.leave(m);
+    benchmark::DoNotOptimize(tree.tree().tree_size());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(env.members.size()));
+}
+BENCHMARK(BM_DcdmTransitStubChurn);
 
 }  // namespace

@@ -159,7 +159,10 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     }
   }
   if (!reenters) {
+    const int size_before = tree_.tree_size();
     tree_.graft_path(path);
+    // Checked before any delay is read: a cycle would trap the root walks.
+    SCMP_ENSURES(tree_.validate_graft(*g_, path, first_new, size_before));
     refresh_delays(path[first_new]);  // its subtree is exactly the new nodes
   } else {
     // Loop elimination (rare: 12 of the 3,400 joins of the flash-crowd
@@ -182,6 +185,9 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     }
 
     tree_.graft_path(path);
+    // hot-path: allow(re-parenting can touch the whole tree, whose edges
+    // this branch has just snapshotted anyway)
+    SCMP_ENSURES(tree_.validate(*g_));
     // Every node whose parent changed is a path node now hanging under its
     // predecessor; its subtree's root paths are the ones that moved.
     for (std::size_t i = 1; i < path.size(); ++i) {
@@ -208,7 +214,7 @@ JoinResult DcdmTree::join(graph::NodeId s) {
     static obs::Counter& restructures = obs::counter("dcdm.restructures");
     restructures.inc();
   }
-  SCMP_ENSURES(tree_.validate(*g_));
+  SCMP_ENSURES(tree_.is_member(s));
   return result;
 }
 
@@ -220,13 +226,16 @@ LeaveResult DcdmTree::leave(graph::NodeId s) {
   LeaveResult result;
   if (!tree_.is_member(s)) return result;
   result.was_member = true;
+  const int size_before = tree_.tree_size();
   tree_.set_member(s, false);
   admitted_bound_[static_cast<std::size_t>(s)] =
       std::numeric_limits<double>::quiet_NaN();
+  const graph::NodeId survivor =
+      tree_.prune_upward_from(s, &result.removed_nodes);
+  SCMP_ENSURES(
+      tree_.validate_prune(result.removed_nodes, survivor, size_before));
   // The pruned chain comes back leaf first; callers get it ascending.
-  tree_.prune_upward_from(s, &result.removed_nodes);
   std::sort(result.removed_nodes.begin(), result.removed_nodes.end());
-  SCMP_ENSURES(tree_.validate(*g_));
   return result;
 }
 

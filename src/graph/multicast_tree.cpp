@@ -101,7 +101,8 @@ void MulticastTree::graft_path(const std::vector<NodeId>& path) {
   }
 }
 
-void MulticastTree::prune_upward_from(NodeId v, std::vector<NodeId>* removed) {
+NodeId MulticastTree::prune_upward_from(NodeId v,
+                                        std::vector<NodeId>* removed) {
   NodeId cur = v;
   while (cur != root_ && on_tree(cur) && children(cur).empty() &&
          !is_member(cur)) {
@@ -110,6 +111,7 @@ void MulticastTree::prune_upward_from(NodeId v, std::vector<NodeId>* removed) {
     if (removed != nullptr) removed->push_back(cur);
     cur = p;
   }
+  return cur;
 }
 
 std::vector<NodeId> MulticastTree::path_from_root(NodeId v) const {
@@ -147,8 +149,8 @@ double MulticastTree::node_delay(const Graph& g, NodeId v) const {
 }
 
 double MulticastTree::tree_delay(const Graph& g) const {
-  // Flag scan instead of members(): this sits on DCDM's per-join bound
-  // computation and must not allocate.
+  // Flag scan instead of members(): no allocation. Each member pays its own
+  // walk to the root; DCDM's per-join bound reads its delay cache instead.
   double worst = 0.0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
     if (member_[static_cast<std::size_t>(v)])
@@ -197,6 +199,56 @@ bool MulticastTree::validate(const Graph& g) const {
   return walk_subtree(root_,
                       [&](NodeId) { return ++visited <= tree_size_; }) &&
          visited == tree_size_;
+}
+
+bool MulticastTree::validate_graft(const Graph& g,
+                                   const std::vector<NodeId>& path,
+                                   std::size_t first_new,
+                                   int size_before) const {
+  if (first_new == 0 || first_new >= path.size() || !on_tree(path.front()))
+    return false;
+  if (tree_size_ != size_before + static_cast<int>(path.size() - first_new))
+    return false;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const NodeId v = path[i];
+    const NodeId p = path[i - 1];
+    if (!on_tree(v) || parent_[static_cast<std::size_t>(v)] != p ||
+        !g.has_edge(v, p))
+      return false;
+    const auto& kids = children_[static_cast<std::size_t>(p)];
+    if (std::count(kids.begin(), kids.end(), v) != 1) return false;
+    if (i < first_new) continue;
+    const auto& own = children_[static_cast<std::size_t>(v)];
+    const bool leaf_end = i + 1 == path.size();
+    if (leaf_end ? !own.empty()
+                 : own.size() != 1 || own.front() != path[i + 1])
+      return false;
+  }
+  // A cycle through the graft never reaches the root.
+  int hops = 0;
+  for (NodeId cur = path.back(); cur != root_;
+       cur = parent_[static_cast<std::size_t>(cur)]) {
+    if (cur == kInvalidNode || ++hops > tree_size_) return false;
+  }
+  return true;
+}
+
+bool MulticastTree::validate_prune(const std::vector<NodeId>& chain,
+                                   NodeId survivor, int size_before) const {
+  if (tree_size_ != size_before - static_cast<int>(chain.size())) return false;
+  for (NodeId v : chain) {
+    const auto idx = static_cast<std::size_t>(v);
+    if (on_tree_[idx] || member_[idx] || parent_[idx] != kInvalidNode ||
+        !children_[idx].empty())
+      return false;
+  }
+  if (!on_tree(survivor)) return false;
+  for (NodeId c : children_[static_cast<std::size_t>(survivor)]) {
+    if (!on_tree_[static_cast<std::size_t>(c)] ||
+        parent_[static_cast<std::size_t>(c)] != survivor)
+      return false;
+  }
+  return true;
 }
 
 }  // namespace scmp::graph

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -63,7 +64,9 @@ class MulticastTree {
   /// Removes `v` and then its ancestors while they remain non-member leaves
   /// (never removes the root). Models the hop-by-hop PRUNE of §III-C. When
   /// `removed` is given, the removed chain is appended to it, `v` first.
-  void prune_upward_from(NodeId v, std::vector<NodeId>* removed = nullptr);
+  /// Returns the first node it kept: the surviving ancestor, or `v` itself
+  /// when nothing was removed.
+  NodeId prune_upward_from(NodeId v, std::vector<NodeId>* removed = nullptr);
 
   /// Path root..v along tree edges. Requires v on tree.
   std::vector<NodeId> path_from_root(NodeId v) const;
@@ -81,9 +84,32 @@ class MulticastTree {
 
   /// Structural invariants: root on tree, parents on tree, parent edges exist
   /// in g, children lists mirror parents (each child listed exactly once),
-  /// no cycles, members on tree. One flat pass over the n nodes plus one
-  /// walk_subtree() from the root; allocation-free.
+  /// no cycles, members on tree, tree_size() counts the on-tree nodes. One
+  /// flat pass over the n nodes plus one walk_subtree() from the root;
+  /// allocation-free. The invariant auditor runs it on every snapshot;
+  /// DCDM runs it only after a graft that re-entered the tree, and checks
+  /// every other join and leave with the two local predicates below.
   bool validate(const Graph& g) const;
+
+  /// What validate() checks, restricted to a graft that attached
+  /// path[first_new..] as new nodes and re-parented nothing (path[0] on the
+  /// tree, path[1..first_new) already hanging under their predecessors):
+  /// every path node after the first hangs under its predecessor over an
+  /// edge of g and is listed exactly once in its children, each new node's
+  /// only child is the next path node, the leaf end reaches the root within
+  /// tree_size() hops, and tree_size() grew from `size_before` by the
+  /// new-node count. O(path length + depth); allocation-free.
+  bool validate_graft(const Graph& g, const std::vector<NodeId>& path,
+                      std::size_t first_new, int size_before) const;
+
+  /// What validate() checks, restricted to a prune_upward_from() that
+  /// removed `chain` and returned `survivor`: every pruned node is off the
+  /// tree with no parent, children or member flag, the survivor is on the
+  /// tree and lists only children that hang under it (so none of the chain),
+  /// and tree_size() shrank from `size_before` by the chain length.
+  /// O(chain length + the survivor's children); allocation-free.
+  bool validate_prune(const std::vector<NodeId>& chain, NodeId survivor,
+                      int size_before) const;
 
   /// Preorder visit of the subtree rooted at `top` along the children lists,
   /// without a stack: step down to a first child, or climb to the nearest
@@ -116,6 +142,9 @@ class MulticastTree {
   }
 
  private:
+  /// Defined only in the tests, which plant corruptions through it.
+  friend struct MulticastTreeTestAccess;
+
   void attach(NodeId child, NodeId parent);
   void detach(NodeId child);
   void remove_node(NodeId v);

@@ -50,6 +50,9 @@ void check_tree_well_formed(const GroupSnapshot& s, const graph::Graph& g,
   if (s.parent.at(s.root) != graph::kInvalidNode)
     bad("root " + node_str(s.root) + " has a parent " +
         node_str(s.parent.at(s.root)));
+  if (!s.tree_valid)
+    bad("MulticastTree::validate rejects the tree (its children lists, "
+        "tree size or parent links)");
 
   // Parent closure + real edges + acyclicity: every node's parent chain must
   // reach the root within |tree| hops over existing links.

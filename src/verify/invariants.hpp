@@ -8,7 +8,9 @@
 //                        connected, rooted at the anchoring m-router and
 //                        spans exactly the current members (every member on
 //                        the tree, every leaf a member, the three membership
-//                        views — tree, database, IGMP — agree).
+//                        views — tree, database, IGMP — agree), and passes
+//                        the full MulticastTree::validate (children lists,
+//                        tree size).
 //   forwarding-symmetry  the installed i-router state forms a bidirectional
 //                        tree: every downstream edge has its reverse
 //                        upstream edge and vice versa (the shared tree

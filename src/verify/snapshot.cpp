@@ -15,6 +15,7 @@ GroupSnapshot take_group_snapshot(const core::Scmp& scmp, GroupId group) {
 
   const graph::Graph& g = scmp.net().graph();
   if (const core::DcdmTree* tree = scmp.group_tree(group)) {
+    snap.tree_valid = tree->tree().validate(g);
     for (graph::NodeId v : tree->tree().on_tree_nodes())
       snap.parent[v] = tree->tree().parent(v);
     for (graph::NodeId m : tree->tree().members()) {

@@ -38,6 +38,10 @@ struct GroupSnapshot {
   /// Authoritative tree as a parent map: on-tree node -> parent
   /// (root -> kInvalidNode). Empty when the m-router holds no tree.
   std::map<graph::NodeId, graph::NodeId> parent;
+  /// MulticastTree::validate of that tree: it also sees the children lists
+  /// TREE packets are encoded from and the tree size, which `parent` cannot
+  /// show. True when the m-router holds no tree.
+  bool tree_valid = true;
   std::set<graph::NodeId> tree_members;  ///< members per the tree
   std::set<graph::NodeId> db_members;    ///< members per the service database
   std::set<graph::NodeId> igmp_members;  ///< routers with member hosts

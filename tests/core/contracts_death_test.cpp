@@ -35,6 +35,17 @@ TEST_F(ContractsDeathTest, DcdmJoinInvalidNodeAborts) {
   EXPECT_DEATH(tree.join(99), "Precondition violation");
 }
 
+TEST_F(ContractsDeathTest, DcdmJoinOverEdgeMissingFromGraphAborts) {
+  // The path database routes 0-1-2-3 over an edge the tree's graph lacks:
+  // the graft's local check rejects the tree edge before any delay is read.
+  const auto full = test::line(4);
+  const graph::AllPairsPaths paths(full);
+  graph::Graph cut = full;
+  ASSERT_TRUE(cut.remove_edge(2, 3));
+  DcdmTree tree(cut, paths, 0);
+  EXPECT_DEATH(tree.join(3), "Postcondition violation.*validate_graft");
+}
+
 TEST_F(ContractsDeathTest, EventQueueSchedulingInThePastAborts) {
   sim::EventQueue q;
   q.schedule_at(10.0, [] {});

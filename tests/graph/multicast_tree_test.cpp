@@ -221,6 +221,146 @@ TEST(MulticastTree, ValidateDetectsMissingGraphEdge) {
   EXPECT_FALSE(t.validate(g2));
 }
 
+// ---- The local checks DcdmTree::join and leave ensure ----------------------
+//
+// Each death test plants one corruption that validate() catches in the part
+// of the tree a graft or a prune touched, shows that the local check, run
+// the way DcdmTree runs it (SCMP_ENSURES), aborts on it, and that validate()
+// rejects the same state.
+
+using Access = MulticastTreeTestAccess;
+
+/// Line 0-1-...-5 with 0-1-2 on the tree, then the graft [1, 2, 3, 4, 5]:
+/// 2 already hangs under 1, and 3, 4 and 5 are new (first_new = 2).
+struct Grafted {
+  static constexpr std::size_t kFirstNew = 2;
+  Graph g = test::line(6);
+  MulticastTree t{0, 6};
+  std::vector<NodeId> path{1, 2, 3, 4, 5};
+  int size_before = 0;
+
+  Grafted() {
+    t.graft_path({0, 1, 2});
+    size_before = t.tree_size();
+    t.graft_path(path);
+    t.set_member(5, true);
+  }
+  bool holds(const Graph& graph) const {
+    return t.validate_graft(graph, path, kFirstNew, size_before);
+  }
+  void ensure(const Graph& graph) const {
+    SCMP_ENSURES(t.validate_graft(graph, path, kFirstNew, size_before));
+  }
+};
+
+/// Line 0-1-...-5 grafted whole with members 2 and 5; 5 then leaves, and the
+/// prune removes 5, 4 and 3 and stops at member 2.
+struct Pruned {
+  Graph g = test::line(6);
+  MulticastTree t{0, 6};
+  std::vector<NodeId> chain;
+  NodeId survivor = kInvalidNode;
+  int size_before = 0;
+
+  Pruned() {
+    t.graft_path({0, 1, 2, 3, 4, 5});
+    t.set_member(2, true);
+    t.set_member(5, true);
+    size_before = t.tree_size();
+    t.set_member(5, false);
+    survivor = t.prune_upward_from(5, &chain);
+  }
+  bool holds() const { return t.validate_prune(chain, survivor, size_before); }
+  void ensure() const {
+    SCMP_ENSURES(t.validate_prune(chain, survivor, size_before));
+  }
+};
+
+constexpr const char* kGraftAbort = "Postcondition violation.*validate_graft";
+constexpr const char* kPruneAbort = "Postcondition violation.*validate_prune";
+
+TEST(MulticastTree, LocalChecksAcceptHealthyGraftAndPrune) {
+  const Grafted graft;
+  EXPECT_TRUE(graft.t.validate(graft.g));
+  EXPECT_TRUE(graft.holds(graft.g));
+
+  const Pruned prune;
+  EXPECT_EQ(prune.chain, (std::vector<NodeId>{5, 4, 3}));
+  EXPECT_EQ(prune.survivor, 2);
+  EXPECT_TRUE(prune.t.validate(prune.g));
+  EXPECT_TRUE(prune.holds());
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesChildListedTwice) {
+  Grafted f;
+  Access::children(f.t, 1).push_back(2);  // 1 -> 2 is the path's tree edge
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(f.g), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesPhantomChildOfNewNode) {
+  Grafted f;
+  Access::children(f.t, 4).push_back(1);  // 1 hangs under 0, not 4
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(f.g), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesPathNodeUnderWrongParent) {
+  Grafted f;
+  Access::parent(f.t, 4) = 2;  // 3 still lists 4
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(f.g), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesParentEdgeMissingFromGraph) {
+  const Grafted f;
+  Graph cut = f.g;
+  ASSERT_TRUE(cut.remove_edge(3, 4));
+  EXPECT_FALSE(f.t.validate(cut));
+  EXPECT_DEATH(f.ensure(cut), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesCycleThroughGraft) {
+  // Graft node 1 re-hung under its own child 2: every path node still hangs
+  // under its predecessor, but the leaf end circles 2-1-2 and never reaches
+  // the root.
+  Grafted f;
+  auto& root_kids = Access::children(f.t, 0);
+  root_kids.erase(std::find(root_kids.begin(), root_kids.end(), 1));
+  Access::parent(f.t, 1) = 2;
+  Access::children(f.t, 2).push_back(1);
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(f.g), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, GraftCheckCatchesTreeSizeOffByOne) {
+  Grafted f;
+  ++Access::tree_size(f.t);
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(f.g), kGraftAbort);
+}
+
+TEST(MulticastTreeDeath, PruneCheckCatchesMemberFlagOnPrunedNode) {
+  Pruned f;
+  Access::member(f.t, 4) = 1;
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(), kPruneAbort);
+}
+
+TEST(MulticastTreeDeath, PruneCheckCatchesSurvivorListingPrunedNode) {
+  Pruned f;
+  Access::children(f.t, f.survivor).push_back(3);
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(), kPruneAbort);
+}
+
+TEST(MulticastTreeDeath, PruneCheckCatchesTreeSizeOffByOne) {
+  Pruned f;
+  ++Access::tree_size(f.t);
+  EXPECT_FALSE(f.t.validate(f.g));
+  EXPECT_DEATH(f.ensure(), kPruneAbort);
+}
+
 class TreeRandomOps : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TreeRandomOps, InvariantsUnderChurn) {
@@ -233,13 +373,26 @@ TEST_P(TreeRandomOps, InvariantsUnderChurn) {
   for (int step = 0; step < 200; ++step) {
     const NodeId v =
         static_cast<NodeId>(rng.uniform_int(1, g.num_nodes() - 1));
+    const int size_before = t.tree_size();
     if (!joined.contains(v)) {
-      if (!t.on_tree(v)) t.graft_path(sp.path_to(v));
+      if (!t.on_tree(v)) {
+        // A root path of the SPT follows tree edges until it leaves the
+        // tree for good: exactly the grafts the local check covers.
+        const std::vector<NodeId> path = sp.path_to(v);
+        std::size_t first_new = 1;
+        while (t.on_tree(path[first_new])) ++first_new;
+        t.graft_path(path);
+        ASSERT_TRUE(t.validate_graft(g, path, first_new, size_before))
+            << "step " << step;
+      }
       t.set_member(v, true);
       joined.insert(v);
     } else {
       t.set_member(v, false);
-      t.prune_upward_from(v);
+      std::vector<NodeId> chain;
+      const NodeId survivor = t.prune_upward_from(v, &chain);
+      ASSERT_TRUE(t.validate_prune(chain, survivor, size_before))
+          << "step " << step;
       joined.erase(v);
     }
     ASSERT_TRUE(t.validate(g)) << "step " << step;

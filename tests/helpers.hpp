@@ -3,8 +3,28 @@
 #pragma once
 
 #include "graph/graph.hpp"
+#include "graph/multicast_tree.hpp"
 #include "topo/waxman.hpp"
 #include "util/rng.hpp"
+
+namespace scmp::graph {
+
+/// The tests' only way into MulticastTree's private state: it plants the
+/// corruptions that validate() and the local graft/prune checks must reject.
+struct MulticastTreeTestAccess {
+  static std::vector<NodeId>& children(MulticastTree& t, NodeId v) {
+    return t.children_[static_cast<std::size_t>(v)];
+  }
+  static NodeId& parent(MulticastTree& t, NodeId v) {
+    return t.parent_[static_cast<std::size_t>(v)];
+  }
+  static char& member(MulticastTree& t, NodeId v) {
+    return t.member_[static_cast<std::size_t>(v)];
+  }
+  static int& tree_size(MulticastTree& t) { return t.tree_size_; }
+};
+
+}  // namespace scmp::graph
 
 namespace scmp::test {
 

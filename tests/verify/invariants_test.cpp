@@ -146,6 +146,26 @@ TEST(Invariants, TreeMutant_NonMemberLeafDetected) {
   EXPECT_TRUE(has_invariant(f.check(s), kTreeWellFormed));
 }
 
+// Mutant: a child listed twice in the m-router's live tree. Every node still
+// names one parent, so the parent map looks healthy, but TREE packets are
+// encoded from the children lists: the snapshot records validate() for this.
+TEST(Invariants, TreeMutant_ChildListedTwiceDetected) {
+  VerifyFixture f;
+  f.join(4);
+  f.join(3);
+  const core::DcdmTree* dcdm = f.scmp_->group_tree(kGroup);
+  ASSERT_NE(dcdm, nullptr);
+  // The DcdmTree itself is not const; only the accessor is.
+  auto& tree = const_cast<graph::MulticastTree&>(dcdm->tree());
+  graph::MulticastTreeTestAccess::children(tree, tree.parent(3)).push_back(3);
+
+  GroupSnapshot s = f.snapshot();
+  EXPECT_FALSE(s.tree_valid);
+  EXPECT_TRUE(has_invariant(f.check(s), kTreeWellFormed));
+  s.tree_valid = true;  // what the parent map alone shows
+  EXPECT_FALSE(has_invariant(f.check(s), kTreeWellFormed));
+}
+
 // ---- invariant class 2: bidirectional forwarding symmetry ------------------
 
 // Mutant: the ISSUE's example bug — an install that skips the reverse edge:

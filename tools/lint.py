@@ -42,7 +42,9 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    construct a std::vector or call the allocating
                    convenience accessors (members()/on_tree_nodes()/
                    sl_path()/lc_path()/path_to()) — they reuse
-                   per-instance scratch buffers instead. A
+                   per-instance scratch buffers instead — nor call the
+                   O(n) MulticastTree::validate(), whose per-operation
+                   stand-ins are validate_graft()/validate_prune(). A
                    deliberate exception carries a same- or previous-line
                    ``// hot-path: allow(<why>)`` annotation; one that
                    suppresses nothing is itself a finding.
@@ -91,8 +93,9 @@ OBS_MANIFEST = "src/obs/metrics_manifest.json"
 PACKET_CPP = "src/sim/packet.cpp"
 
 # Allocation-free hot paths: file -> function definitions the hot-path-alloc
-# rule scans. join() runs per membership change — with its delay-cache
-# refresh, the tree mutations it makes and the validate() it ensures —
+# rule scans. join() and leave() run per membership change — with the
+# delay-cache refresh, the tree mutations they make and the local
+# postconditions (validate_graft/validate_prune) they ensure —
 # dijkstra_into() n times per path-database rebuild, the subtree repair
 # (repair_after_removal, and the routing update built on it) once per source
 # and metric per link failure, and the event-queue/transmit trio once per
@@ -105,7 +108,9 @@ HOT_PATH_FUNCS = {
                           "DcdmTree::refresh_delays"),
     "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
                                      "MulticastTree::prune_upward_from",
-                                     "MulticastTree::validate"),
+                                     "MulticastTree::validate",
+                                     "MulticastTree::validate_graft",
+                                     "MulticastTree::validate_prune"),
     "src/graph/dijkstra.cpp": ("dijkstra_into", "repair_after_removal"),
     "src/sim/event_queue.cpp": ("EventQueue::schedule_at",
                                 "EventQueue::run_next"),
@@ -122,6 +127,7 @@ OBS_SPAN_RE = re.compile(r'\bOBS_SPAN\s*\(\s*"([^"]+)"')
 HOT_VECTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
 HOT_ALLOC_CALL_RE = re.compile(
     r"[.>]\s*(members|on_tree_nodes|sl_path|lc_path|path_to)\s*\(")
+HOT_VALIDATE_RE = re.compile(r"\bvalidate\s*\(")
 HOT_ALLOW = "hot-path: allow"
 OBS_METRIC_RE = re.compile(
     r'\bobs\s*::\s*(counter|gauge|histogram)\s*\(\s*"([^"]+)"')
@@ -461,18 +467,23 @@ class RepoLinter(Linter):
                                                   start_line):
                         hit = None
                         if HOT_VECTOR_RE.search(line):
-                            hit = "std::vector constructed"
+                            hit = ("std::vector constructed",
+                                   "reuse a scratch buffer")
+                        elif HOT_VALIDATE_RE.search(line):
+                            hit = ("O(n) validate() call",
+                                   "check what the operation touched")
                         else:
                             m = HOT_ALLOC_CALL_RE.search(line)
                             if m:
-                                hit = f"allocating call {m.group(1)}()"
+                                hit = (f"allocating call {m.group(1)}()",
+                                       "reuse a scratch buffer")
                         if hit is None or self.suppressed(
                                 f, lineno, HOT_ALLOW, "hot-path-alloc"):
                             continue
                         self.report(
                             rel, lineno, "hot-path-alloc",
-                            f"{hit} in hot path {name}(); reuse a scratch "
-                            "buffer, or annotate the line with "
+                            f"{hit[0]} in hot path {name}(); {hit[1]}, or "
+                            "annotate the line with "
                             "`// hot-path: allow(<why>)`")
                 if not found:
                     self.report(rel, 1, "hot-path-alloc",
