@@ -16,6 +16,7 @@
 #include "core/experiment.hpp"
 #include "core/placement.hpp"
 #include "topo/arpanet.hpp"
+#include "topo/transit_stub.hpp"
 #include "topo/waxman.hpp"
 #include "util/rng.hpp"
 
@@ -36,6 +37,18 @@ inline std::vector<topo::Topology> evaluation_topologies(std::uint64_t seed) {
     topos.push_back(topo::waxman_with_degree(50, 5.0, rng));
   }
   return topos;
+}
+
+/// membench's internetwork: 4 transit domains x 6 routers, 5 stub domains
+/// of 5 routers per transit node (624 routers), topology seed 7.
+inline topo::Topology membench_internetwork() {
+  Rng rng(7);
+  topo::TransitStubConfig cfg;
+  cfg.transit_domains = 4;
+  cfg.transit_nodes = 6;
+  cfg.stub_domains_per_node = 5;
+  cfg.stub_nodes = 5;
+  return topo::transit_stub(cfg, rng);
 }
 
 constexpr core::ProtocolKind kProtocols[] = {

@@ -3,8 +3,8 @@
 // Waxman graph and on membench's 624-router transit-stub internetwork.
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "core/dcdm.hpp"
-#include "topo/transit_stub.hpp"
 #include "topo/waxman.hpp"
 
 namespace {
@@ -69,25 +69,14 @@ void BM_DcdmLoosestVsTightest(benchmark::State& state) {
 }
 BENCHMARK(BM_DcdmLoosestVsTightest)->Arg(0)->Arg(1);
 
-/// membench's internetwork (4 transit domains x 6 routers, 5 stub domains of
-/// 5 routers per transit node: 624 routers, topology seed 7, m-router 0) and
-/// `group` distinct members.
+/// membench's internetwork (m-router 0) and `group` distinct members.
 struct TransitStubEnv {
   topo::Topology topo;
   graph::AllPairsPaths paths;
   std::vector<graph::NodeId> members;
 
   explicit TransitStubEnv(int group)
-      : topo([] {
-          Rng rng(7);
-          topo::TransitStubConfig cfg;
-          cfg.transit_domains = 4;
-          cfg.transit_nodes = 6;
-          cfg.stub_domains_per_node = 5;
-          cfg.stub_nodes = 5;
-          return topo::transit_stub(cfg, rng);
-        }()),
-        paths(topo.graph) {
+      : topo(bench::membench_internetwork()), paths(topo.graph) {
     const int n = topo.graph.num_nodes();
     Rng rng(13);
     for (int v : rng.sample_without_replacement(n - 1, group))

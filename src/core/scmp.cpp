@@ -246,8 +246,8 @@ std::vector<GroupId> Scmp::active_groups() const {
 
 std::vector<GroupId> Scmp::groups_with_installed_state() const {
   std::set<GroupId> seen;
-  for (const auto& groups : entries_)
-    for (const auto& [group, entry] : groups) seen.insert(group);
+  for (const EntryTable& table : entries_)
+    seen.insert(table.groups().begin(), table.groups().end());
   return {seen.begin(), seen.end()};
 }
 
@@ -257,15 +257,46 @@ std::set<graph::NodeId> Scmp::senders_of(GroupId group) const {
 }
 
 Scmp::Entry* Scmp::mutable_entry_at(graph::NodeId router, GroupId group) {
-  auto& groups = entries_[static_cast<std::size_t>(router)];
-  const auto it = groups.find(group);
-  return it == groups.end() ? nullptr : &it->second;
+  return entries_[static_cast<std::size_t>(router)].find(group);
 }
 
 const Scmp::Entry* Scmp::entry_at(graph::NodeId router, GroupId group) const {
-  const auto& groups = entries_[static_cast<std::size_t>(router)];
-  const auto it = groups.find(group);
-  return it == groups.end() ? nullptr : &it->second;
+  return entries_[static_cast<std::size_t>(router)].find(group);
+}
+
+std::size_t Scmp::EntryTable::index_of(GroupId group) const {
+  const auto it = std::lower_bound(groups_.begin(), groups_.end(), group);
+  return it != groups_.end() && *it == group
+             ? static_cast<std::size_t>(it - groups_.begin())
+             : groups_.size();
+}
+
+const Scmp::Entry* Scmp::EntryTable::find(GroupId group) const {
+  const std::size_t i = index_of(group);
+  return i == groups_.size() ? nullptr : nodes_[i].get();
+}
+
+Scmp::Entry* Scmp::EntryTable::find(GroupId group) {
+  const std::size_t i = index_of(group);
+  return i == groups_.size() ? nullptr : nodes_[i].get();
+}
+
+Scmp::Entry& Scmp::EntryTable::get(GroupId group) {
+  const auto it = std::lower_bound(groups_.begin(), groups_.end(), group);
+  const auto i = it - groups_.begin();
+  if (it == groups_.end() || *it != group) {
+    groups_.insert(it, group);
+    nodes_.insert(nodes_.begin() + i, std::make_unique<Entry>());
+  }
+  return *nodes_[static_cast<std::size_t>(i)];
+}
+
+void Scmp::EntryTable::erase(GroupId group) {
+  const std::size_t i = index_of(group);
+  if (i == groups_.size()) return;
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  groups_.erase(groups_.begin() + at);
+  nodes_.erase(nodes_.begin() + at);
 }
 
 // ---------------------------------------------------------------------------
@@ -997,7 +1028,7 @@ void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
     sub.size_bytes = sim::kControlPacketBytes + sub.payload.size();
     send_control_link(at, child.id, std::move(sub));
   }
-  entries_[static_cast<std::size_t>(at)][pkt.group] = std::move(fresh);
+  entries_[static_cast<std::size_t>(at)].get(pkt.group) = std::move(fresh);
   obs::flight_record(obs::FlightEventKind::kInstalled, net().now(), pkt.req,
                      "TREE", pkt.group, from, at);
 }
@@ -1018,10 +1049,8 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
   if (e == nullptr && tombs.count(pkt.group) &&
       tombs[pkt.group] > pkt.uid)
     return;  // would resurrect a cleared entry
-  if (e == nullptr) {
-    Entry fresh;
-    e = &(entries_[static_cast<std::size_t>(at)][pkt.group] = std::move(fresh));
-  }
+  if (e == nullptr)
+    e = &entries_[static_cast<std::size_t>(at)].get(pkt.group);
   e->version = std::max(e->version, pkt.uid);
   // The BRANCH always arrives over this node's (possibly new, after a loop
   // elimination) tree edge toward the root, so the upstream is authoritative.
@@ -1106,40 +1135,52 @@ void Scmp::send_data(graph::NodeId source, GroupId group) {
 void Scmp::forward_data(graph::NodeId at, const sim::Packet& pkt,
                         graph::NodeId from) {
   const graph::NodeId root = mrouter_of(pkt.group);
-  std::vector<graph::NodeId> fset;
+  const graph::MulticastTree* tree = nullptr;  // set at the anchor
+  const Entry* e = nullptr;                    // set at an i-router
   if (at == root) {
     const auto it = trees_.find(pkt.group);
     if (it != trees_.end()) {
-      const auto& kids = it->second.tree().children(root);
-      fset.assign(kids.begin(), kids.end());
+      tree = &it->second.tree();
+      // Only a live session records senders: end_group_session is what
+      // forgets them.
+      if (pkt.src != graph::kInvalidNode) senders_[pkt.group].insert(pkt.src);
     }
     db_.record_data_forwarded(pkt.group, pkt.size_bytes);
-    if (pkt.src != graph::kInvalidNode) senders_[pkt.group].insert(pkt.src);
   } else {
-    const Entry* e = entry_at(at, pkt.group);
+    e = entry_at(at, pkt.group);
     if (e == nullptr) {
       if (router_is_member(at, pkt.group)) deliver_locally(at, pkt);
       return;
     }
-    fset.assign(e->downstream_routers.begin(), e->downstream_routers.end());
-    if (e->upstream != graph::kInvalidNode) fset.push_back(e->upstream);
   }
 
   // The paper's forwarding rule: accept only from F = {upstream} ∪
-  // downstream, forward to the rest of F.
-  if (from != graph::kInvalidNode &&
-      std::find(fset.begin(), fset.end(), from) == fset.end()) {
-    return;
+  // downstream, forward to the rest of F. F is read in place: the anchor's
+  // tree children, or the entry's downstream routers and then its upstream.
+  if (from != graph::kInvalidNode) {
+    bool in_f = false;
+    if (e != nullptr) {
+      in_f = from == e->upstream || e->downstream_routers.contains(from);
+    } else if (tree != nullptr) {
+      const auto& kids = tree->children(root);
+      in_f = std::find(kids.begin(), kids.end(), from) != kids.end();
+    }
+    if (!in_f) return;
   }
   if (router_is_member(at, pkt.group)) deliver_locally(at, pkt);
+  if (e == nullptr && tree == nullptr) return;  // an anchor with no session
 
   // At the anchoring m-router, the configured transit model (fabric stage
   // depth + scheduling) holds the packet before it leaves on the tree.
   const double transit =
-      (at == root && transit_model_) ? transit_model_(pkt) : 0.0;
+      (tree != nullptr && transit_model_) ? transit_model_(pkt) : 0.0;
   if (transit > 0.0) {
+    const auto& kids = tree->children(root);
     net().queue().schedule_in(
-        transit, [this, at, from, fset, p = pkt]() {
+        transit,
+        // hot-path: allow(the fabric holds the packet, so the fan-out is
+        // copied as the tree stands now; the tree may change meanwhile)
+        [this, at, from, fset = std::vector<graph::NodeId>(kids), p = pkt]() {
           for (graph::NodeId next : fset) {
             // protocol: fire-and-forget(data traffic is best-effort by
             // design — the paper's reliability machinery covers control
@@ -1150,14 +1191,20 @@ void Scmp::forward_data(graph::NodeId at, const sim::Packet& pkt,
         });
     return;
   }
-  for (graph::NodeId next : fset) {
-    // Each branch gets a pooled clone instead of a fresh copy, recycling
-    // path/payload capacity released by past deliveries.
+  // Each branch gets a pooled clone instead of a fresh copy, recycling
+  // path/payload capacity released by past deliveries.
+  const auto send = [this, at, from, &pkt](graph::NodeId next) {
     // protocol: fire-and-forget(data traffic is best-effort by design — the
     // paper's reliability machinery covers control packets only (on-tree
     // DATA fan-out).)
     if (next != from) net().send_link(at, next, net().clone_packet(pkt));
+  };
+  if (tree != nullptr) {
+    for (graph::NodeId next : tree->children(root)) send(next);
+    return;
   }
+  for (graph::NodeId next : e->downstream_routers) send(next);
+  if (e->upstream != graph::kInvalidNode) send(e->upstream);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -224,6 +225,28 @@ class Scmp final : public proto::MulticastProtocol {
   Entry* mutable_entry_at(graph::NodeId router, GroupId group);
   DcdmTree& tree_for(GroupId group);
 
+  /// One router's installed entries behind a sorted contiguous group index:
+  /// a lookup (forward_data makes one per DATA hop) is a binary search over
+  /// adjacent keys, and every Entry keeps its own heap node, so an Entry*
+  /// stays valid while other groups come and go.
+  class EntryTable {
+   public:
+    const Entry* find(GroupId group) const;
+    Entry* find(GroupId group);
+    /// The group's entry, created empty when there is none.
+    Entry& get(GroupId group);
+    void erase(GroupId group);
+    /// The groups with an entry, ascending.
+    const std::vector<GroupId>& groups() const { return groups_; }
+
+   private:
+    /// Index of `group` in groups_, or groups_.size() when it has none.
+    std::size_t index_of(GroupId group) const;
+
+    std::vector<GroupId> groups_;
+    std::vector<std::unique_ptr<Entry>> nodes_;  ///< parallel to groups_
+  };
+
   // m-router side. `req` is the JOIN's reliable-delivery request uid (0 when
   // fire-and-forget); the database dedupes billing records by it.
   void mrouter_handle_join(GroupId group, graph::NodeId requester,
@@ -336,7 +359,7 @@ class Scmp final : public proto::MulticastProtocol {
   /// for groups anchored elsewhere). When an entry is created (BRANCH
   /// terminal or TREE install) its downstream interfaces are taken from the
   /// IGMP state, which subsumes the paper's "marked interface" bookkeeping.
-  std::vector<std::map<GroupId, Entry>> entries_;
+  std::vector<EntryTable> entries_;
   /// Control-plane retransmission tables (one logical table per endpoint).
   RetxTable retx_;
   /// Receiver-side dedup of reliably-delivered control packets, per router:

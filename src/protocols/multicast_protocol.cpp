@@ -61,7 +61,9 @@ void MulticastProtocol::drop_unexpected(graph::NodeId at,
 
 sim::Packet MulticastProtocol::make_data_packet(graph::NodeId source,
                                                 GroupId group) {
-  sim::Packet pkt;
+  // From the pool, like every fan-out clone: the network releases each
+  // packet it retires there, so a steady stream of sends allocates nothing.
+  sim::Packet pkt = net_->make_packet();
   pkt.type = sim::PacketType::kData;
   pkt.group = group;
   pkt.src = source;

@@ -209,6 +209,7 @@ bool EventQueue::run_next() {
   }
   SCMP_ASSERT(ev->time >= now_);
   now_ = ev->time;
+  passed_seq_ = ev->seq + 1;
   // Move the handler out and recycle the node before invoking: a handler
   // that schedules a follow-up event (the common steady-state shape) reuses
   // this very node instead of growing the pool.
@@ -228,6 +229,7 @@ void EventQueue::run_until(SimTime t) {
     run_next();
   }
   now_ = t;
+  passed_seq_ = next_seq_;  // every event scheduled so far at <= t has run
 }
 
 std::size_t EventQueue::run_all(std::size_t max_events) {

@@ -69,6 +69,22 @@ class EventQueue {
   /// number of events executed.
   std::size_t run_all(std::size_t max_events = SIZE_MAX);
 
+  /// Sequence number the next schedule_at() assigns.
+  std::uint64_t next_seq() const { return next_seq_; }
+
+  /// Whether execution has passed the point of the (time, seq) order just
+  /// before the event (t, seq): an event scheduled at `t` immediately
+  /// before that one would already have run. Inside a handler the position
+  /// is the running event; after run_until() it is past every event
+  /// scheduled so far at or before now(). Lets a component keep a deadline
+  /// it would otherwise schedule as an event of its own — Network's egress
+  /// departures — and test it when it next looks, with the same tie-breaks.
+  bool passed(SimTime t, std::uint64_t seq) const {
+    // determinism: allow((time, seq) order, as in Later: bit-equal
+    // timestamps fall through to the seq tie-break)
+    return t < now_ || (t == now_ && seq < passed_seq_);
+  }
+
   /// Calendar introspection (tests and benches): current bucket-array size
   /// and bucket width. The calendar starts at kMinBuckets and resizes as
   /// the pending population crosses load thresholds.
@@ -167,6 +183,8 @@ class EventQueue {
   double width_ = 1.0;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  /// Events at now_ with a smaller seq have started (see passed()).
+  std::uint64_t passed_seq_ = 0;
   std::size_t pending_ = 0;
 
   struct Slab {

@@ -55,18 +55,15 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
       bandwidth_bps_(bandwidth_bps),
       delay_scale_(delay_scale) {
   SCMP_EXPECTS(bandwidth_bps > 0.0 && delay_scale > 0.0);
-  link_free_.resize(static_cast<std::size_t>(g.num_nodes()));
+  egress_.resize(static_cast<std::size_t>(g.num_nodes()));
   link_bytes_.resize(static_cast<std::size_t>(g.num_nodes()));
-  link_backlog_.resize(static_cast<std::size_t>(g.num_nodes()));
   node_bandwidth_.assign(static_cast<std::size_t>(g.num_nodes()),
                          bandwidth_bps);
   switch_bps_.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
   switch_free_.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    link_free_[static_cast<std::size_t>(u)].assign(g.neighbors(u).size(), 0.0);
+    egress_[static_cast<std::size_t>(u)].resize(g.neighbors(u).size());
     link_bytes_[static_cast<std::size_t>(u)].assign(g.neighbors(u).size(), 0);
-    link_backlog_[static_cast<std::size_t>(u)].assign(g.neighbors(u).size(),
-                                                      0);
   }
 }
 
@@ -95,32 +92,57 @@ void Network::set_node_switch_capacity(graph::NodeId node, double bps) {
   switch_bps_[static_cast<std::size_t>(node)] = bps;
 }
 
-int Network::link_backlog(graph::NodeId from, graph::NodeId to) const {
-  const auto& nbs = graph_.neighbors(from);
-  for (std::size_t i = 0; i < nbs.size(); ++i) {
-    if (nbs[i].to == to)
-      return link_backlog_[static_cast<std::size_t>(from)][i];
+void Network::Egress::push(Stamp s) {
+  if (size_ == ring_.size()) {
+    // Full: unroll oldest-first, then double (a fresh ring starts at 4).
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.resize(std::max<std::size_t>(4, 2 * ring_.size()));
   }
-  SCMP_EXPECTS(false && "no such link");
-  return 0;
+  ring_[(head_ + size_) & (ring_.size() - 1)] = s;
+  ++size_;
+}
+
+const Network::Egress& Network::egress(graph::NodeId from,
+                                       graph::NodeId to) const {
+  const auto& nbs = graph_.neighbors(from);
+  std::size_t slot = 0;
+  while (slot < nbs.size() && nbs[slot].to != to) ++slot;
+  SCMP_EXPECTS(slot < nbs.size() && "no such link");
+  return egress_[static_cast<std::size_t>(from)][slot];
+}
+
+int Network::link_backlog(graph::NodeId from, graph::NodeId to) const {
+  // Stamps are in (time, seq) order, so the departed ones are a prefix.
+  const Egress& q = egress(from, to);
+  std::size_t departed = 0;
+  while (departed < q.size() &&
+         queue_->passed(q.at(departed).done, q.at(departed).seq))
+    ++departed;
+  return static_cast<int>(q.size() - departed);
+}
+
+std::size_t Network::link_stamps(graph::NodeId from, graph::NodeId to) const {
+  return egress(from, to).size();
 }
 
 void Network::fail_link(graph::NodeId u, graph::NodeId v) {
   SCMP_EXPECTS(graph_.has_edge(u, v));
   // remove_edge erases {u, v} order-preservingly from rows u and v only.
   // Erasing the same slot from those two rows' link state keeps every
-  // surviving directed link aligned with its byte counter and its queue (a
-  // packet still serialising there finishes, and leaves the backlog, when
-  // it was scheduled to); only the dead link's state goes.
+  // surviving directed link aligned with its byte counter and its egress
+  // queue; only the dead link's state goes (its packets in flight still
+  // arrive: their arrival events need no link state).
   const auto erase_slot = [this](graph::NodeId from, graph::NodeId to) {
     const auto f = static_cast<std::size_t>(from);
     const auto& nbs = graph_.neighbors(from);
     for (std::size_t i = 0; i < nbs.size(); ++i) {
       if (nbs[i].to != to) continue;
       const auto slot = static_cast<std::ptrdiff_t>(i);
-      link_free_[f].erase(link_free_[f].begin() + slot);
+      egress_[f].erase(egress_[f].begin() + slot);
       link_bytes_[f].erase(link_bytes_[f].begin() + slot);
-      link_backlog_[f].erase(link_backlog_[f].begin() + slot);
       return;
     }
   };
@@ -203,7 +225,7 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
     return;
   }
 
-  // FIFO transmission on the directed link, then propagation.
+  // Serialisation on the directed link, then propagation.
   const auto& nbs = graph_.neighbors(from);
   std::size_t slot = nbs.size();
   for (std::size_t i = 0; i < nbs.size(); ++i) {
@@ -215,15 +237,18 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   SCMP_ASSERT(slot < nbs.size());
 
   // Drop-tail egress queue (the finite buffers behind the paper's §I
-  // traffic-concentration argument).
-  int& backlog = link_backlog_[static_cast<std::size_t>(from)][slot];
-  if (static_cast<std::size_t>(backlog) >= node_queue_limit(from)) {
+  // traffic-concentration argument). Packets whose departure the event
+  // queue has passed leave it first.
+  Egress& egress = egress_[static_cast<std::size_t>(from)][slot];
+  while (!egress.empty() &&
+         queue_->passed(egress.at(0).done, egress.at(0).seq))
+    egress.pop();
+  if (egress.size() >= node_queue_limit(from)) {
     ++stats_.queue_drops;
     link_counters().queue_drops->inc();
     packet_pool_.release(std::move(pkt));
     return;
   }
-  ++backlog;
 
   // Overhead accounting: every link crossing contributes the link's cost
   // (paper §IV-B definition of data/protocol overhead). Only admitted
@@ -261,24 +286,15 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
     ready = sw_free;
   }
 
-  SimTime& free_at = link_free_[static_cast<std::size_t>(from)][slot];
+  // FIFO on the port: the packet starts once the newest queued one is out
+  // (an empty queue means the port is idle), and leaves the egress queue
+  // when its transmission completes.
   const double tx = static_cast<double>(pkt.size_bytes) * 8.0 /
                     node_bandwidth_[static_cast<std::size_t>(from)];
-  const SimTime start = std::max(ready, free_at);
-  free_at = start + tx;
-  // The packet leaves the egress queue when its transmission completes. The
-  // slot is re-resolved at fire time: fail_link() shifts the later slots of
-  // the two rows it edits (and drops the state of the removed link).
-  queue_->schedule_at(free_at, [this, from, to]() {
-    const auto& neighbors = graph_.neighbors(from);
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      if (neighbors[i].to == to) {
-        --link_backlog_[static_cast<std::size_t>(from)][i];
-        return;
-      }
-    }
-  });
-  const SimTime arrival_at = free_at + e->delay * delay_scale_;
+  const SimTime start =
+      egress.empty() ? ready : std::max(ready, egress.back().done);
+  const SimTime done = start + tx;
+  const SimTime arrival_at = done + e->delay * delay_scale_;
   // The packet moves into the arrival closure — no copy — and the closure
   // is a fixed-size capture (this + endpoints + mode + the packet itself)
   // sized to the queue's inline handler buffer, so the hot delivery path
@@ -297,6 +313,9 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   };
   static_assert(EventQueue::Handler::stores_inline<decltype(deliver)>(),
                 "delivery closure must fit kEventHandlerCapacity");
+  // The stamp takes the arrival's sequence number: the departure sorts just
+  // before the arrival scheduled with it.
+  egress.push({done, queue_->next_seq()});
   queue_->schedule_at(arrival_at, std::move(deliver));
 }
 

@@ -193,6 +193,11 @@ class Network {
   /// from -> to (diagnostic for congestion tests).
   int link_backlog(graph::NodeId from, graph::NodeId to) const;
 
+  /// Departure stamps the directed link from -> to holds: its backlog plus
+  /// the departures not yet dropped, which go when the link is next used
+  /// (diagnostic for the memory bound of the egress queues).
+  std::size_t link_stamps(graph::NodeId from, graph::NodeId to) const;
+
  private:
   /// What happens when a transmitted packet arrives at `to`. A two-way enum
   /// instead of a callback keeps the arrival closure a fixed POD capture
@@ -204,6 +209,42 @@ class Network {
   };
   void transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
                 Arrival arrival);
+
+  /// One directed link's egress queue as departure stamps, oldest first:
+  /// per admitted packet, the time its transmission ends and the sequence
+  /// number of the arrival event scheduled with it. A packet has left the
+  /// queue once the event queue has passed its stamp (EventQueue::passed),
+  /// which is exactly where a departure event scheduled just before the
+  /// arrival would have run, same-instant ties included, so a crossing
+  /// costs one event, not two. transmit() drops the departed stamps before
+  /// it admits a packet, so a link holds at most the packets that were on
+  /// it when it was last used. A ring: its capacity is the link's peak
+  /// backlog, rounded up to a power of two.
+  class Egress {
+   public:
+    struct Stamp {
+      SimTime done;       ///< the transmission ends
+      std::uint64_t seq;  ///< the arrival event's sequence number
+    };
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    /// The i-th oldest stamp.
+    const Stamp& at(std::size_t i) const {
+      return ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    const Stamp& back() const { return at(size_ - 1); }
+    void pop() {
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+    }
+    void push(Stamp s);
+
+   private:
+    std::vector<Stamp> ring_;  ///< power-of-two size once used
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+  const Egress& egress(graph::NodeId from, graph::NodeId to) const;
   /// Idle time for `bytes` to cross the link from -> to (0 if it is down).
   double idle_hop_seconds(graph::NodeId from, graph::NodeId to,
                           std::size_t bytes) const;
@@ -217,12 +258,11 @@ class Network {
   UnicastRouting routing_;
   NetStats stats_;
   std::vector<RouterAgent*> agents_;
-  /// FIFO serialisation per directed link: time the link becomes free.
-  std::vector<std::vector<SimTime>> link_free_;  // indexed like adjacency
+  /// Egress queue per directed link, indexed like adjacency; the newest
+  /// stamp's end time is when the link is free for the next packet.
+  std::vector<std::vector<Egress>> egress_;
   /// Bytes sent per directed link, indexed like adjacency.
   std::vector<std::vector<std::uint64_t>> link_bytes_;
-  /// Packets queued or in transmission per directed link.
-  std::vector<std::vector<int>> link_backlog_;
   std::size_t queue_limit_ = SIZE_MAX;
   std::map<graph::NodeId, std::size_t> node_queue_limit_;
   std::vector<double> node_bandwidth_;  ///< per-router port rate (bps)

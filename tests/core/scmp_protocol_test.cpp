@@ -252,6 +252,26 @@ TEST(ScmpProtocol, EndGroupSessionTearsDownEverything) {
   EXPECT_TRUE(f.send_and_collect(0).empty());
 }
 
+TEST(ScmpProtocol, SendersAreRecordedOnlyForLiveSessions) {
+  // end_group_session is the only code that forgets a group's senders, so
+  // data to a group with no session must not record one: each DATA_ENCAP
+  // to a sessionless group would otherwise leave an entry forever.
+  ScmpFixture f(test::line(4));
+  EXPECT_TRUE(f.send_and_collect(3).empty());  // no session yet
+  EXPECT_TRUE(f.scmp_->senders_of(kGroup).empty());
+
+  f.join(2);
+  f.drain();
+  EXPECT_EQ(f.send_and_collect(3), (std::vector<graph::NodeId>{2}));
+  EXPECT_EQ(f.scmp_->senders_of(kGroup), std::set<graph::NodeId>{3});
+
+  f.scmp_->end_group_session(kGroup);
+  f.drain();
+  EXPECT_TRUE(f.scmp_->senders_of(kGroup).empty());
+  EXPECT_TRUE(f.send_and_collect(3).empty());  // after the session ended
+  EXPECT_TRUE(f.scmp_->senders_of(kGroup).empty());
+}
+
 TEST(ScmpProtocol, IdleSessionExpiresPerPolicy) {
   // NOTE: drain() (run_all) would execute the *future* expiry event too, so
   // these tests advance simulated time explicitly with run_until.

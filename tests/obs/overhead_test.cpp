@@ -1,8 +1,9 @@
 // Overhead guard for the "instrumentation stays in permanently" promise:
 // with metrics and tracing both off, OBS_SPAN and counter updates must not
-// touch the heap, and the instrumented DCDM hot path must allocate exactly
-// as much as an identical uninstrumented-equivalent run (i.e. the obs layer
-// adds zero allocations). Global operator new/delete are replaced with
+// touch the heap, the instrumented DCDM hot path must allocate exactly as
+// much as an identical uninstrumented-equivalent run (i.e. the obs layer
+// adds zero allocations), and the event path and SCMP's DATA forwarding
+// allocate nothing once warm. Global operator new/delete are replaced with
 // counting versions — crude but exact.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/dcdm.hpp"
+#include "core/scmp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/event_queue.hpp"
@@ -100,6 +102,43 @@ TEST(Overhead, EventPathAllocFreeWithMetricsOff) {
   // Steady state: schedule_at/run_next recycle pooled event nodes and store
   // handlers inline — the event path makes zero heap allocations.
   EXPECT_EQ(alloc_count(), before);
+}
+
+TEST(Overhead, ScmpDataForwardingAllocFree) {
+  set_metrics_enabled(false);
+  set_tracing_enabled(false);
+  // 0-1-2-3-4-5 with a spur 2-6-7; m-router 0, members 3 and 5: the tree is
+  // the whole line. Router 4 sends on the tree (up to 3, down to 5); router
+  // 7 is off it and encapsulates to the m-router over 7-6-2-1-0.
+  graph::Graph g(8);
+  for (graph::NodeId v = 0; v < 5; ++v) g.add_edge(v, v + 1, 1, 1);
+  g.add_edge(2, 6, 1, 1);
+  g.add_edge(6, 7, 1, 1);
+  sim::EventQueue q;
+  sim::Network net(g, q);
+  igmp::IgmpDomain igmp(q, g.num_nodes());
+  core::Scmp scmp(net, igmp, core::Scmp::Config{});
+  constexpr proto::GroupId kGroup = 1;
+  scmp.host_join(3, kGroup);
+  scmp.host_join(5, kGroup);
+  q.run_all();
+  ASSERT_NE(scmp.entry_at(4, kGroup), nullptr);
+  ASSERT_EQ(scmp.entry_at(7, kGroup), nullptr);
+
+  auto round = [&] {
+    scmp.send_data(4, kGroup);
+    scmp.send_data(7, kGroup);
+    q.run_all();
+  };
+  // Warm up: packet and event pools, egress rings, the sender record.
+  for (int r = 0; r < 3; ++r) round();
+  const std::uint64_t deliveries = net.stats().deliveries;
+  const std::uint64_t before = alloc_count();
+  for (int r = 0; r < 100; ++r) round();
+  // Every hop — the entry lookup, the in-place F check and fan-out, the
+  // pooled clones, the one-event link crossing — reuses what it has.
+  EXPECT_EQ(alloc_count(), before);
+  EXPECT_EQ(net.stats().deliveries, deliveries + 100 * 4);
 }
 
 }  // namespace

@@ -38,7 +38,8 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
                    path, the tree operations it runs, the Dijkstra kernel,
-                   its link-failure repair and the event core) must not
+                   its link-failure repair, the event core and SCMP's
+                   per-hop DATA forwarding) must not
                    construct a std::vector or call the allocating
                    convenience accessors (members()/on_tree_nodes()/
                    sl_path()/lc_path()/path_to()) — they reuse
@@ -98,14 +99,15 @@ PACKET_CPP = "src/sim/packet.cpp"
 # postconditions (validate_graft/validate_prune) they ensure —
 # dijkstra_into() n times per path-database rebuild, the subtree repair
 # (repair_after_removal, and the routing update built on it) once per source
-# and metric per link failure, and the event-queue/transmit trio once per
-# simulated event or link crossing; an
+# and metric per link failure, the event-queue/transmit trio once per
+# simulated event or link crossing, and forward_data once per DATA hop; an
 # accidental per-call allocation here is a real throughput regression even
 # when every test stays green.
 HOT_PATH_FUNCS = {
     "src/core/dcdm.cpp": ("DcdmTree::join", "DcdmTree::leave",
                           "DcdmTree::delay_bound_for",
                           "DcdmTree::refresh_delays"),
+    "src/core/scmp.cpp": ("Scmp::forward_data",),
     "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
                                      "MulticastTree::prune_upward_from",
                                      "MulticastTree::validate",
