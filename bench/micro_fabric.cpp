@@ -59,23 +59,6 @@ void BM_FabricConfigure(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricConfigure)->Arg(32)->Arg(128)->Arg(256);
 
-void BM_BenesRouteParallel(benchmark::State& state) {
-  const int n = 256;
-  fabric::BenesNetwork net(n);
-  Rng rng(37);
-  std::vector<int> perm(static_cast<std::size_t>(n));
-  std::iota(perm.begin(), perm.end(), 0);
-  const int depth = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    rng.shuffle(perm);
-    state.ResumeTiming();
-    net.route_parallel(perm, depth);
-    benchmark::DoNotOptimize(net);
-  }
-}
-BENCHMARK(BM_BenesRouteParallel)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
-
 void BM_FabricRouteCell(benchmark::State& state) {
   fabric::MRouterFabric fab(256);
   Rng rng(31);

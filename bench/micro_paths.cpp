@@ -1,15 +1,13 @@
-// Micro-benchmarks of the dual-weight path database: full rebuilds (serial
-// and on the compute pool, one Dijkstra source per task), incremental
-// single-link updates (failures repair the orphaned subtrees, link-ups re-run
-// the dirty sources), the network's whole link-failure path, and path
-// materialization into a reused buffer.
+// Micro-benchmarks of the dual-weight path database: full rebuilds,
+// incremental single-link updates (failures repair the orphaned subtrees,
+// link-ups re-run the dirty sources), the network's whole link-failure path,
+// and path materialization into a reused buffer.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/compute_pool.hpp"
 #include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
@@ -38,26 +36,6 @@ void BM_PathsRebuildSerial(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PathsRebuildSerial)->Arg(50)->Arg(100)->Arg(200)->Complexity();
-
-// Arg pair: (nodes, threads). On a single-core host the parallel numbers
-// track the serial ones plus thread overhead; the thread axis is what CI
-// machines with real parallelism exercise.
-void BM_PathsRebuildPool(benchmark::State& state) {
-  const auto topo = make_topo(static_cast<int>(state.range(0)));
-  graph::AllPairsPaths paths(topo.graph);
-  const core::TreeComputePool pool(static_cast<int>(state.range(1)));
-  const graph::ParallelFor pf = pool.parallel_for();
-  for (auto _ : state) {
-    paths.rebuild(topo.graph, pf);
-    benchmark::DoNotOptimize(paths);
-  }
-}
-BENCHMARK(BM_PathsRebuildPool)
-    ->Args({100, 1})
-    ->Args({100, 2})
-    ->Args({100, 4})
-    ->Args({100, 8})
-    ->Args({200, 8});
 
 /// Up to n / 4 links that can fail one after another, in this order, with
 /// the topology staying connected: a fixed, deterministic failure sequence.

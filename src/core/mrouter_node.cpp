@@ -3,10 +3,8 @@
 namespace scmp::core {
 
 MRouterNode::MRouterNode(sim::Network& net, igmp::IgmpDomain& igmp,
-                         Scmp::Config cfg, int fabric_ports, int threads)
-    : pool_(threads), scmp_(net, igmp, cfg), fabric_(fabric_ports) {
-  scmp_.set_compute_pool(&pool_);
-}
+                         Scmp::Config cfg, int fabric_ports)
+    : scmp_(net, igmp, cfg), fabric_(fabric_ports) {}
 
 MRouterNode::FabricSync MRouterNode::sync_fabric() {
   FabricSync result;

@@ -1,20 +1,16 @@
 // The complete m-router device model (paper §II-B, Fig. 2(b)): the SCMP
-// protocol engine with its service database, the n x n sandwich switching
-// fabric, and the multiprocessor compute pool, wired together.
+// protocol engine with its service database and the n x n sandwich switching
+// fabric, wired together.
 //
 //   * sync_fabric() maps every active group onto a fabric session: the
 //     sources the m-router has seen occupy input ports, the fabric merges
 //     them (PN -> CCN) and the DN delivers the merged stream to the output
 //     port that roots the group's multicast tree in the domain.
-//   * the compute pool is registered with the protocol engine, so its
-//     failovers (protocol().fail_over_to()) and topology repairs run their
-//     path-database refreshes and per-group tree rebuilds on the pool.
 #pragma once
 
 #include <map>
 #include <memory>
 
-#include "core/compute_pool.hpp"
 #include "core/scheduler.hpp"
 #include "core/scmp.hpp"
 #include "fabric/mrouter_fabric.hpp"
@@ -23,16 +19,14 @@ namespace scmp::core {
 
 class MRouterNode {
  public:
-  /// `fabric_ports` must be a power of two; `threads` <= 0 selects the
-  /// automatic thread count (see TreeComputePool).
+  /// `fabric_ports` must be a power of two.
   MRouterNode(sim::Network& net, igmp::IgmpDomain& igmp, Scmp::Config cfg,
-              int fabric_ports = 64, int threads = 0);
+              int fabric_ports = 64);
 
   Scmp& protocol() { return scmp_; }
   const Scmp& protocol() const { return scmp_; }
   fabric::MRouterFabric& fabric() { return fabric_; }
   const fabric::MRouterFabric& fabric() const { return fabric_; }
-  const TreeComputePool& pool() const { return pool_; }
 
   /// Reprograms the switching fabric from the protocol's current sessions:
   /// one fabric session per active group that has known senders, each sender
@@ -68,7 +62,6 @@ class MRouterNode {
   void set_port_capacity(double bps) { port_capacity_bps_ = bps; }
 
  private:
-  TreeComputePool pool_;  ///< declared first: outlives scmp_'s registration
   Scmp scmp_;
   fabric::MRouterFabric fabric_;
   std::map<GroupId, std::map<graph::NodeId, int>> input_ports_;

@@ -83,6 +83,26 @@ const char* control_name(sim::PacketType t) {
   return "?";
 }
 
+// scmp.rx.dropped counters for the packets ordinary races make the i-router
+// handlers drop. Each is looked up once: obs::counter() takes the registry
+// lock on every call.
+
+/// An install older than the entry it would overwrite.
+obs::Counter& stale_install_drops() {
+  static obs::Counter& c = obs::counter("scmp.rx.dropped", "stale_install");
+  return c;
+}
+/// An install older than the CLEAR that removed its entry.
+obs::Counter& tombstoned_drops() {
+  static obs::Counter& c = obs::counter("scmp.rx.dropped", "tombstoned");
+  return c;
+}
+/// A PRUNE or detaching CLEAR for an entry the router does not hold.
+obs::Counter& no_entry_drops() {
+  static obs::Counter& c = obs::counter("scmp.rx.dropped", "no_entry");
+  return c;
+}
+
 }  // namespace
 
 Scmp::Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg)
@@ -887,37 +907,23 @@ void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
   if (convergence() != nullptr) {
     for (GroupId group : groups) convergence()->note_event(group);
   }
-  // Fresh trees from the membership database, joined in its ascending member
-  // order. Per-group builds are independent (§II-B): each task joins only
-  // its own slot's tree and reads shared state, so the registered pool's
-  // workers produce exactly the trees the serial loop does.
-  std::vector<DcdmTree> fresh;
-  fresh.reserve(groups.size());
-  for (GroupId group : groups)
-    fresh.emplace_back(net().graph(), paths_, mrouter_of(group), cfg_.dcdm);
-  const auto build = [&](std::size_t i) {
-    for (graph::NodeId member : db_.members_of(groups[i]))
-      fresh[i].join(member);
-  };
-  if (pool_ != nullptr) {
-    pool_->for_each_index(groups.size(), build);
-  } else {
-    for (std::size_t i = 0; i < groups.size(); ++i) build(i);
-  }
-
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    DcdmTree& tree = trees_.at(groups[i]);
+  for (GroupId group : groups) {
+    // A fresh tree from the membership database, joined in its ascending
+    // member order.
+    DcdmTree fresh(net().graph(), paths_, mrouter_of(group), cfg_.dcdm);
+    for (graph::NodeId member : db_.members_of(group)) fresh.join(member);
+    DcdmTree& tree = trees_.at(group);
     // The old tree's routers the new tree drops lose their entries; the TREE
     // install overwrites every other one. The old root (a failed m-router)
     // held no Entry, and send_clear skips the new one.
     const graph::MulticastTree& old_tree = tree.tree();
     std::vector<graph::NodeId> dropped;
     for (graph::NodeId v : old_tree.on_tree_nodes()) {
-      if (v != old_tree.root() && !fresh[i].tree().on_tree(v))
+      if (v != old_tree.root() && !fresh.tree().on_tree(v))
         dropped.push_back(v);
     }
-    tree = std::move(fresh[i]);
-    install_full_tree(groups[i], dropped, next_install_version(groups[i]));
+    tree = std::move(fresh);
+    install_full_tree(group, dropped, next_install_version(group));
   }
 }
 
@@ -963,12 +969,9 @@ std::vector<GroupId> Scmp::broken_trees() const {
 void Scmp::on_topology_change() {
   OBS_SPAN("scmp.topology_change");
   // The m-routers' link-state view reconverged: refresh the global path
-  // database (P_sl / P_lc) — on the registered compute pool's workers when
-  // one is set (one source per task) — then rebuild and reinstall the trees
-  // that lost an edge.
-  paths_.rebuild(net().graph(),
-                 pool_ != nullptr ? pool_->parallel_for()
-                                  : graph::ParallelFor{});
+  // database (P_sl / P_lc), then rebuild and reinstall the trees that lost
+  // an edge.
+  paths_.rebuild(net().graph());
   rebuild_trees(broken_trees());
 }
 
@@ -979,9 +982,7 @@ int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   // Patch the path database incrementally (the failure re-settles only the
   // orphaned subtrees; the result is bit-identical to a from-scratch
   // rebuild), then rebuild and reinstall the trees that used the link.
-  const int recomputed = paths_.apply_link_event(
-      net().graph(), u, v,
-      pool_ != nullptr ? pool_->parallel_for() : graph::ParallelFor{});
+  const int recomputed = paths_.apply_link_event(net().graph(), u, v);
   rebuild_trees(broken_trees());
   return recomputed;
 }
@@ -996,11 +997,15 @@ void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
   // Install-version gate: never let an older install overwrite newer state
   // or resurrect a cleared entry.
   if (const Entry* existing = entry_at(at, pkt.group);
-      existing != nullptr && existing->version > pkt.uid)
+      existing != nullptr && existing->version > pkt.uid) {
+    stale_install_drops().inc();
     return;
+  }
   if (cleared_version_[static_cast<std::size_t>(at)].count(pkt.group) &&
-      cleared_version_[static_cast<std::size_t>(at)][pkt.group] > pkt.uid)
+      cleared_version_[static_cast<std::size_t>(at)][pkt.group] > pkt.uid) {
+    tombstoned_drops().inc();
     return;
+  }
   if (pkt.payload.size() % 4 != 0) {  // not a whole number of words
     drop_malformed(at, pkt, "tree_length");
     return;
@@ -1044,11 +1049,16 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
   }
 
   Entry* e = mutable_entry_at(at, pkt.group);
-  if (e != nullptr && e->version > pkt.uid) return;  // overtaken install
+  if (e != nullptr && e->version > pkt.uid) {  // overtaken install
+    stale_install_drops().inc();
+    return;
+  }
   auto& tombs = cleared_version_[static_cast<std::size_t>(at)];
   if (e == nullptr && tombs.count(pkt.group) &&
-      tombs[pkt.group] > pkt.uid)
-    return;  // would resurrect a cleared entry
+      tombs[pkt.group] > pkt.uid) {  // would resurrect a cleared entry
+    tombstoned_drops().inc();
+    return;
+  }
   if (e == nullptr)
     e = &entries_[static_cast<std::size_t>(at)].get(pkt.group);
   e->version = std::max(e->version, pkt.uid);
@@ -1086,7 +1096,10 @@ void Scmp::ir_handle_prune(graph::NodeId at, const sim::Packet& pkt,
     return;
   }
   Entry* e = mutable_entry_at(at, pkt.group);
-  if (e == nullptr) return;
+  if (e == nullptr) {
+    no_entry_drops().inc();
+    return;
+  }
   e->downstream_routers.erase(from);
   if (e->downstream_routers.empty() && e->downstream_ifaces.empty()) {
     // Relay became a useless leaf; prune continues upstream (§III-C). No
@@ -1097,14 +1110,20 @@ void Scmp::ir_handle_prune(graph::NodeId at, const sim::Packet& pkt,
 
 void Scmp::ir_handle_clear(graph::NodeId at, const sim::Packet& pkt) {
   Entry* e = mutable_entry_at(at, pkt.group);
-  if (e != nullptr && e->version > pkt.uid) return;  // overtaken CLEAR
+  if (e != nullptr && e->version > pkt.uid) {  // overtaken CLEAR
+    stale_install_drops().inc();
+    return;
+  }
   if (pkt.path.empty()) {
     entries_[static_cast<std::size_t>(at)].erase(pkt.group);
     auto& tomb = cleared_version_[static_cast<std::size_t>(at)][pkt.group];
     tomb = std::max(tomb, pkt.uid);
     return;
   }
-  if (e == nullptr) return;
+  if (e == nullptr) {
+    no_entry_drops().inc();
+    return;
+  }
   for (graph::NodeId child : pkt.path) e->downstream_routers.erase(child);
   e->version = std::max(e->version, pkt.uid);
 }

@@ -18,8 +18,7 @@
 // group anchored at a failed m-router to a hot standby, rebuilding trees
 // from the replicated service database; after a link failure,
 // on_topology_change() and handle_link_event() rebuild just the trees that
-// lost an edge. All three share one rebuild path, fanned out over the
-// registered compute pool when there is one. Installed state a rebuild or
+// lost an edge. All three share one rebuild path. Installed state a rebuild or
 // teardown cannot name is left to the one anti-entropy mechanism, digest
 // reconciliation (reconcile_all).
 #pragma once
@@ -30,7 +29,6 @@
 #include <optional>
 #include <set>
 
-#include "core/compute_pool.hpp"
 #include "core/database.hpp"
 #include "core/dcdm.hpp"
 #include "core/retx.hpp"
@@ -90,9 +88,7 @@ class Scmp final : public proto::MulticastProtocol {
   /// Promotes `standby` to replace the failed m-router: every group anchored
   /// at `failed` is re-anchored, its tree rebuilt from the database replica
   /// and reinstalled, and the old tree's routers the new tree drops are
-  /// cleared (paper §V hot-standby failover). The per-group rebuilds run on
-  /// the registered compute pool's workers (§II-B) when one is set; the
-  /// result is identical to the serial rebuild.
+  /// cleared (paper §V hot-standby failover).
   void fail_over(graph::NodeId failed, graph::NodeId standby);
 
   /// Single-m-router convenience: fails the primary over to `standby`.
@@ -114,14 +110,6 @@ class Scmp final : public proto::MulticastProtocol {
   /// from-scratch rebuild; then the trees that used the link are rebuilt as
   /// in on_topology_change(). Returns the number of dirty sources.
   int handle_link_event(graph::NodeId u, graph::NodeId v);
-
-  /// Registers a compute pool whose worker threads run the path-database
-  /// refreshes (one Dijkstra source per task, §II-B) and the per-group tree
-  /// rebuilds (one group per task) of topology changes and failovers. Epoch
-  /// closes never use it: they replay a few DCDM joins and leaves per group,
-  /// serially. The pool must outlive the registration; nullptr (the default)
-  /// reverts to serial.
-  void set_compute_pool(const TreeComputePool* pool) { pool_ = pool; }
 
   /// The m-routers' global dual-weight path database (P_sl / P_lc).
   const graph::AllPairsPaths& paths() const { return paths_; }
@@ -263,10 +251,10 @@ class Scmp final : public proto::MulticastProtocol {
                   std::vector<graph::NodeId> detach, std::uint64_t version);
   void ir_handle_clear(graph::NodeId at, const sim::Packet& pkt);
   /// Rebuilds the given groups' trees at their (current) anchors from the
-  /// membership database — joins in ascending member order, one group per
-  /// task on the registered pool, else serially — then, per group under one
-  /// install version, CLEARs the old tree's routers the new tree drops
-  /// (ascending, neither root) and reinstalls the new tree with TREE packets.
+  /// membership database, joining members in ascending order, then, per
+  /// group under one install version, CLEARs the old tree's routers the new
+  /// tree drops (ascending, neither root) and reinstalls the new tree with
+  /// TREE packets.
   void rebuild_trees(const std::vector<GroupId>& groups);
   /// The groups whose tree has a parent edge the graph no longer has.
   std::vector<GroupId> broken_trees() const;
@@ -365,9 +353,6 @@ class Scmp final : public proto::MulticastProtocol {
   /// Receiver-side dedup of reliably-delivered control packets, per router:
   /// a retransmitted request is re-acknowledged but processed only once.
   std::vector<std::set<std::uint64_t>> seen_req_;
-  /// Optional worker pool for topology-change and failover recomputation
-  /// (not owned).
-  const TreeComputePool* pool_ = nullptr;
   TransitModel transit_model_;
   double session_idle_expiry_ = 0.0;  ///< 0 = sessions never auto-expire
   /// Groups with membership changes recorded but tree work still deferred,

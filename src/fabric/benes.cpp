@@ -1,7 +1,5 @@
 #include "fabric/benes.hpp"
 
-#include <thread>
-
 #include "util/contracts.hpp"
 
 namespace scmp::fabric {
@@ -30,17 +28,6 @@ int BenesNetwork::stage_count() const {
 int BenesNetwork::switch_count() const { return n_ / 2 * stage_count(); }
 
 void BenesNetwork::route(const std::vector<int>& perm) {
-  route_impl(perm, /*parallel_depth=*/0);
-}
-
-void BenesNetwork::route_parallel(const std::vector<int>& perm,
-                                  int parallel_depth) {
-  SCMP_EXPECTS(parallel_depth >= 0);
-  route_impl(perm, parallel_depth);
-}
-
-void BenesNetwork::route_impl(const std::vector<int>& perm,
-                              int parallel_depth) {
   SCMP_EXPECTS(static_cast<int>(perm.size()) == n_);
   if (n_ == 2) {
     SCMP_EXPECTS((perm[0] ^ perm[1]) == 1);
@@ -110,15 +97,8 @@ void BenesNetwork::route_impl(const std::vector<int>& perm,
       low[static_cast<std::size_t>(x >> 1)] = y >> 1;
     }
   }
-  if (parallel_depth > 0 && n_ >= 16) {
-    std::thread upper_worker(
-        [this, &up, parallel_depth] { upper_->route_impl(up, parallel_depth - 1); });
-    lower_->route_impl(low, parallel_depth - 1);
-    upper_worker.join();
-  } else {
-    upper_->route_impl(up, 0);
-    lower_->route_impl(low, 0);
-  }
+  upper_->route(up);
+  lower_->route(low);
 }
 
 int BenesNetwork::forward(int input) const {

@@ -28,19 +28,10 @@ class BenesNetwork {
   /// looping algorithm. `perm` must be a permutation of 0..n-1.
   void route(const std::vector<int>& perm);
 
-  /// Same result as route(), but the two centre sub-networks of the top
-  /// `parallel_depth` recursion levels are routed on separate threads — the
-  /// sub-problems are fully independent, so the configuration is identical
-  /// to the serial one (paper §II-B's multiprocessor m-router applies to
-  /// fabric control too). parallel_depth = 2 uses up to 4 threads.
-  void route_parallel(const std::vector<int>& perm, int parallel_depth = 2);
-
   /// Traces a cell entering at `input` through the configured switches.
   int forward(int input) const;
 
  private:
-  void route_impl(const std::vector<int>& perm, int parallel_depth);
-
   int n_;
   /// Input/output column switch settings: 0 = through, 1 = cross.
   std::vector<std::int8_t> in_sw_;

@@ -92,10 +92,6 @@ class Graph {
 
   /// The CSR snapshot, built lazily on first use and cached until the next
   /// mutation (add_node/add_edge/remove_edge), which invalidates it.
-  ///
-  /// Thread confinement: the lazy build mutates the cache under const, so
-  /// workers sharing one Graph must not race a cold csr() — warm it from a
-  /// single thread first (AllPairsPaths does, before its ParallelFor).
   const CsrView& csr() const;
 
   int degree(NodeId u) const {

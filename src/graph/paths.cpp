@@ -26,29 +26,18 @@ obs::Counter& full_runs_counter() {
 
 }  // namespace
 
-AllPairsPaths::AllPairsPaths(const Graph& g, const ParallelFor& pf) {
-  rebuild(g, pf);
-}
+AllPairsPaths::AllPairsPaths(const Graph& g) { rebuild(g); }
 
-void AllPairsPaths::rebuild(const Graph& g, const ParallelFor& pf) {
+void AllPairsPaths::rebuild(const Graph& g) {
   OBS_SPAN("paths.rebuild");
   const auto n = static_cast<std::size_t>(g.num_nodes());
   by_delay_.resize(n);
   by_cost_.resize(n);
   sources_recomputed_counter().inc(n);
-  // Warm the CSR cache before fanning out: the lazy build mutates the
-  // graph's cache under const, so it must happen on this thread, not raced
-  // by the pool workers' first g.csr() calls.
-  g.csr();
-  const auto recompute_source = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto u = static_cast<NodeId>(i);
     dijkstra_into(g, u, Metric::kDelay, by_delay_[i]);
     dijkstra_into(g, u, Metric::kCost, by_cost_[i]);
-  };
-  if (pf) {
-    pf(n, recompute_source);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) recompute_source(i);
   }
 }
 
@@ -74,59 +63,45 @@ bool AllPairsPaths::run_dirty(const ShortestPaths& sp, NodeId u, NodeId v,
          (dv < kUnreachable && dv + w <= du);
 }
 
-int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v,
-                                    const ParallelFor& pf) {
+int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v) {
   OBS_SPAN("paths.link_event");
   SCMP_EXPECTS(g.valid(u) && g.valid(v) && u != v);
   SCMP_EXPECTS(static_cast<std::size_t>(g.num_nodes()) == by_delay_.size());
   const EdgeAttr* attr = g.edge(u, v);
-  g.csr();  // single-threaded warm-up, as in rebuild()
 
   // One O(1) parent-edge test per run. A failed tree edge is repaired right
-  // here; everything that needs a full run — a present edge that dirties the
-  // run, or a repair that met a zero or absorbed weight — is queued as run
-  // index k (see run()). A source counts as dirty when either of its runs
-  // is touched; its other run is provably the canonical answer already.
-  std::vector<std::size_t> full;
+  // here; a present edge that dirties the run, or a repair that met a zero
+  // or absorbed weight, re-runs it in full. A source counts as dirty when
+  // either of its runs is touched; its other run is provably the canonical
+  // answer already.
   std::size_t dirty = 0;
   std::size_t resettled = 0;
+  std::size_t full = 0;
   for (std::size_t i = 0; i < by_delay_.size(); ++i) {
     bool touched = false;
-    for (std::size_t k = 2 * i; k < 2 * i + 2; ++k) {
-      ShortestPaths& sp = run(k);
+    for (ShortestPaths* sp : {&by_delay_[i], &by_cost_[i]}) {
+      SptRepair outcome = SptRepair::kNeedsFullRun;
       if (attr != nullptr) {
-        if (!run_dirty(sp, u, v, *attr)) continue;
-        full.push_back(k);
+        if (!run_dirty(*sp, u, v, *attr)) continue;
       } else {
-        switch (repair_after_removal(g, sp.metric, u, v, sp.dist,
-                                     sp.companion, sp.parent,
-                                     repair_scratch_)) {
-          case SptRepair::kUnaffected:
-            continue;
-          case SptRepair::kRepaired:
-            resettled += repair_scratch_.subtree.size();
-            break;
-          case SptRepair::kNeedsFullRun:
-            full.push_back(k);
-            break;
-        }
+        outcome = repair_after_removal(g, sp->metric, u, v, sp->dist,
+                                       sp->companion, sp->parent,
+                                       repair_scratch_);
+        if (outcome == SptRepair::kUnaffected) continue;
       }
       touched = true;
+      if (outcome == SptRepair::kRepaired) {
+        resettled += repair_scratch_.subtree.size();
+      } else {
+        dijkstra_into(g, static_cast<NodeId>(i), sp->metric, *sp);
+        ++full;
+      }
     }
     if (touched) ++dirty;
   }
   sources_recomputed_counter().inc(dirty);
   nodes_resettled_counter().inc(resettled);
-  full_runs_counter().inc(full.size());
-  const auto recompute = [&](std::size_t j) {
-    ShortestPaths& sp = run(full[j]);
-    dijkstra_into(g, static_cast<NodeId>(full[j] / 2), sp.metric, sp);
-  };
-  if (pf) {
-    pf(full.size(), recompute);
-  } else {
-    for (std::size_t j = 0; j < full.size(); ++j) recompute(j);
-  }
+  full_runs_counter().inc(full);
   return static_cast<int>(dirty);
 }
 

@@ -7,11 +7,9 @@
 // optimized and the companion metric of every candidate path are O(1) table
 // lookups: sl_delay/sl_cost for P_sl, lc_delay/lc_cost for P_lc.
 //
-// The database is rebuildable in place. rebuild() recomputes every source —
-// optionally fanning the per-source Dijkstra runs out over a caller-supplied
-// parallel-for executor (one source per task; the m-router's TreeComputePool
-// provides one). apply_link_event() handles a single changed/failed/added
-// link incrementally. A run whose cached shortest-path tree does not use a
+// The database is rebuildable in place. rebuild() recomputes every source;
+// apply_link_event() handles a single changed/failed/added link
+// incrementally. A run whose cached shortest-path tree does not use a
 // failed link is provably still the canonical answer; one that does is
 // repaired by re-settling only the subtree the cut orphans
 // (repair_after_removal, see dijkstra.hpp). A present (new or re-weighted)
@@ -19,7 +17,6 @@
 // improve or re-canonicalize a path, and a dirty run is re-run in full.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "graph/dijkstra.hpp"
@@ -27,34 +24,25 @@
 
 namespace scmp::graph {
 
-/// Parallel-for executor shape: pf(count, fn) must invoke fn(i) exactly once
-/// for every i in [0, count), in any order, on any threads, and return only
-/// after all invocations finished. An empty function means "run serially".
-using ParallelFor =
-    std::function<void(std::size_t, const std::function<void(std::size_t)>&)>;
-
 class AllPairsPaths {
  public:
-  explicit AllPairsPaths(const Graph& g, const ParallelFor& pf = {});
+  explicit AllPairsPaths(const Graph& g);
 
   /// Recomputes every source from `g` in place (the m-routers' link-state
-  /// view reconverged wholesale). With `pf`, sources run in parallel; the
-  /// result is bit-identical to a serial rebuild.
-  void rebuild(const Graph& g, const ParallelFor& pf = {});
+  /// view reconverged wholesale).
+  void rebuild(const Graph& g);
 
   /// Incremental update after the single link {u, v} changed: failed, came
   /// up, or changed weight. `g` is the post-event graph. Touches only the
   /// (source, metric) runs the event can actually affect and returns how
   /// many sources had at least one such run (the paths.rebuild.sources_
   /// recomputed counter tracks the same quantity). A failure repairs each
-  /// affected run in place on the calling thread; the full re-runs that
-  /// remain — link-up, re-weighting and the repair's fallbacks — fan out
-  /// over `pf`. The result is bit-identical to a from-scratch rebuild on
-  /// `g`. (A weight change is judged by the new weight alone: exact when
-  /// every weight is positive; with zero-weight links, apply it as a
-  /// failure followed by a link-up.)
-  int apply_link_event(const Graph& g, NodeId u, NodeId v,
-                       const ParallelFor& pf = {});
+  /// affected run in place; link-up, re-weighting and the repair's
+  /// fallbacks re-run it in full. The result is bit-identical to a
+  /// from-scratch rebuild on `g`. (A weight change is judged by the new
+  /// weight alone: exact when every weight is positive; with zero-weight
+  /// links, apply it as a failure followed by a link-up.)
+  int apply_link_event(const Graph& g, NodeId u, NodeId v);
 
   // The lookups below are inline: DCDM's candidate scan makes four of them
   // per on-tree node on every join.
@@ -98,12 +86,6 @@ class AllPairsPaths {
   /// link {u, v} (new or re-weighted, attributes `attr`) changed.
   static bool run_dirty(const ShortestPaths& sp, NodeId u, NodeId v,
                         const EdgeAttr& attr);
-
-  /// Run `k` of the database: source k / 2, delay tree for even k, cost
-  /// tree for odd k.
-  ShortestPaths& run(std::size_t k) {
-    return (k % 2 == 0 ? by_delay_ : by_cost_)[k / 2];
-  }
 
   std::vector<ShortestPaths> by_delay_;
   std::vector<ShortestPaths> by_cost_;

@@ -4,8 +4,8 @@
 // Design constraints:
 //   * A disabled metric costs one relaxed atomic load and a branch — cheap
 //     enough to leave instrumentation in every hot path permanently.
-//   * Enabled updates are relaxed atomic operations: safe from any thread
-//     (compute-pool workers, fabric routing) with no locks on the hot path.
+//   * Enabled updates are relaxed atomic operations: safe from any thread,
+//     with no locks on the hot path.
 //   * Registration is mutex-guarded and returns references that stay valid
 //     for the process lifetime, so call sites cache them in function-local
 //     statics and pay the name lookup exactly once.

@@ -15,9 +15,9 @@ namespace scmp::obs {
 /// Fixed-capacity ring of `Record`s, oldest-overwritten. `dropped()` counts
 /// overwritten records so truncated traces are detectable; `record()`
 /// reports each overwrite so its caller can feed a drop counter.
-/// Thread-safe: compute-pool workers record concurrently with exporter
-/// snapshots; every member is guarded by `mu_` and clang's thread-safety
-/// analysis (the `tsa` preset) enforces the discipline.
+/// Thread-safe: any thread may record concurrently with exporter snapshots;
+/// every member is guarded by `mu_` and clang's thread-safety analysis (the
+/// `tsa` preset) enforces the discipline.
 template <typename Record>
 class Ring {
  public:

@@ -6,7 +6,7 @@
 // Cost model: with both tracing and metrics disabled a span is two relaxed
 // loads and a branch — no clock read, no allocation. Spans nest; each thread
 // tracks its own depth, and records carry a small sequential thread id so
-// traces from compute-pool workers stay distinguishable.
+// traces from different threads stay distinguishable.
 //
 // Span names must be string literals declared under "spans" in
 // src/obs/metrics_manifest.json (tools/lint.py obs-hygiene rule).

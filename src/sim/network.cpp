@@ -50,7 +50,7 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
                  double bandwidth_bps, double delay_scale)
     : graph_(g),
       queue_(&queue),
-      routing_(g, graph::Metric::kDelay),
+      routing_(g),
       agents_(static_cast<std::size_t>(g.num_nodes()), nullptr),
       bandwidth_bps_(bandwidth_bps),
       delay_scale_(delay_scale) {

@@ -5,14 +5,20 @@
 
 namespace scmp::sim {
 
-UnicastRouting::UnicastRouting(const graph::Graph& g, graph::Metric metric)
-    : n_(g.num_nodes()), metric_(metric) {
+namespace {
+
+/// The link-state protocol routes over shortest-delay paths.
+constexpr graph::Metric kMetric = graph::Metric::kDelay;
+
+}  // namespace
+
+UnicastRouting::UnicastRouting(const graph::Graph& g) : n_(g.num_nodes()) {
   const std::size_t cells = row_start(n_);
   next_hop_.resize(cells);
   dist_.resize(cells);
   parent_.resize(cells);
   for (graph::NodeId from = 0; from < n_; ++from) {
-    graph::dijkstra_into(g, from, metric_, run_);
+    graph::dijkstra_into(g, from, kMetric, run_);
     fill_row(from, run_);
   }
 }
@@ -48,11 +54,11 @@ void UnicastRouting::remove_link(const graph::Graph& g, graph::NodeId u,
   for (graph::NodeId from = 0; from < n_; ++from) {
     const std::size_t start = row_start(from);
     const graph::SptRepair outcome = graph::repair_after_removal(
-        g, metric_, u, v, std::span<double>(dist_.data() + start, n), {},
+        g, kMetric, u, v, std::span<double>(dist_.data() + start, n), {},
         std::span<graph::NodeId>(parent_.data() + start, n), repair_scratch_);
     if (outcome == graph::SptRepair::kUnaffected) continue;
     if (outcome == graph::SptRepair::kNeedsFullRun) {
-      graph::dijkstra_into(g, from, metric_, run_);
+      graph::dijkstra_into(g, from, kMetric, run_);
       fill_row(from, run_);
       continue;
     }

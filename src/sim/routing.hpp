@@ -21,21 +21,20 @@ namespace scmp::sim {
 
 class UnicastRouting {
  public:
-  explicit UnicastRouting(const graph::Graph& g,
-                          graph::Metric metric = graph::Metric::kDelay);
+  explicit UnicastRouting(const graph::Graph& g);
 
   /// Reconverges after the link {u, v} failed; `g` is the post-removal
   /// graph. Every source whose tree used the link repairs the orphaned
   /// subtree in place and re-derives first hops for those nodes only, in
   /// settle order; a repair that meets a zero or absorbed weight re-runs
-  /// that source in full. Bit-identical to UnicastRouting(g, metric).
+  /// that source in full. Bit-identical to UnicastRouting(g).
   void remove_link(const graph::Graph& g, graph::NodeId u, graph::NodeId v);
 
   /// First hop on the canonical shortest path from `from` to `to`.
   /// Returns `to` itself when they are equal. Requires reachability.
   graph::NodeId next_hop(graph::NodeId from, graph::NodeId to) const;
 
-  /// Metric distance of the shortest path from `from` to `to`.
+  /// Delay of the shortest-delay path from `from` to `to`.
   double distance(graph::NodeId from, graph::NodeId to) const;
 
   /// DVMRP RPF: the neighbor `at` expects (source, *) traffic to arrive from,
@@ -55,7 +54,6 @@ class UnicastRouting {
   void fill_row(graph::NodeId from, const graph::ShortestPaths& sp);
 
   int n_ = 0;
-  graph::Metric metric_ = graph::Metric::kDelay;
   std::vector<graph::NodeId> next_hop_;  ///< n*n, row = from
   std::vector<double> dist_;             ///< n*n, row = from
   std::vector<graph::NodeId> parent_;    ///< n*n, row = from's canonical SPT

@@ -10,9 +10,8 @@ namespace scmp {
 
 enum class LogLevel { kOff = 0, kError, kInfo, kDebug, kTrace };
 
-/// Process-wide log level. Reads and writes are atomic (relaxed), so worker
-/// threads (compute pool, fabric routing) may log concurrently with a level
-/// change without a data race.
+/// Process-wide log level. Reads and writes are atomic (relaxed), so any
+/// thread may log concurrently with a level change without a data race.
 LogLevel log_level();
 void set_log_level(LogLevel level);
 

@@ -15,13 +15,11 @@ constexpr proto::GroupId kG2 = 2;
 
 class MRouterNodeFixture {
  public:
-  explicit MRouterNodeFixture(graph::Graph graph, int fabric_ports = 16,
-                              int threads = 2)
+  explicit MRouterNodeFixture(graph::Graph graph, int fabric_ports = 16)
       : g_(std::move(graph)), net_(g_, queue_), igmp_(queue_, g_.num_nodes()) {
     Scmp::Config cfg;
     cfg.mrouter = 0;
-    node_ = std::make_unique<MRouterNode>(net_, igmp_, cfg, fabric_ports,
-                                          threads);
+    node_ = std::make_unique<MRouterNode>(net_, igmp_, cfg, fabric_ports);
   }
 
   void drain() { queue_.run_all(); }
@@ -84,77 +82,26 @@ TEST(MRouterNode, CapacityOverflowReportsUnplaced) {
   EXPECT_EQ(sync.unplaced, std::vector<proto::GroupId>{kG2});
 }
 
-/// Asserts both protocols hold the same tree, node by node, for group `g`.
-void expect_same_tree(const Scmp& got, const Scmp& want, proto::GroupId g) {
-  const DcdmTree* tg = got.group_tree(g);
-  const DcdmTree* tw = want.group_tree(g);
-  ASSERT_NE(tg, nullptr);
-  ASSERT_NE(tw, nullptr);
-  EXPECT_DOUBLE_EQ(tg->tree_cost(), tw->tree_cost());
-  EXPECT_EQ(tg->tree().edges(), tw->tree().edges());
-  for (graph::NodeId v = 0; v < tg->tree().num_nodes(); ++v)
-    EXPECT_EQ(tg->tree().is_member(v), tw->tree().is_member(v)) << v;
-}
-
-TEST(MRouterNode, ParallelFailoverMatchesSerial) {
-  const auto topo = test::random_topology(11, 35);
-  Rng rng(3);
-  std::vector<graph::NodeId> members;
-  for (int v : rng.sample_without_replacement(topo.graph.num_nodes() - 2, 10))
-    members.push_back(v + 2);
-  // Identical domains; one fails over through the node's compute pool, the
-  // other with the pool unregistered. The trees and installed state must be
-  // identical at every thread count.
-  for (const int threads : {1, 2, 4, 8}) {
-    MRouterNodeFixture parallel(topo.graph, 16, threads);
-    MRouterNodeFixture serial(topo.graph, 16, threads);
-    serial.node_->protocol().set_compute_pool(nullptr);
-    for (graph::NodeId m : members) {
-      for (MRouterNodeFixture* f : {&parallel, &serial}) {
-        f->node_->protocol().host_join(m, kG1);
-        if (m % 2 == 0) f->node_->protocol().host_join(m, kG2);
-      }
-    }
-    parallel.drain();
-    serial.drain();
-
-    parallel.node_->protocol().fail_over_to(1);
-    serial.node_->protocol().fail_over_to(1);
-    parallel.drain();
-    serial.drain();
-
-    for (const proto::GroupId g : {kG1, kG2}) {
-      EXPECT_TRUE(parallel.node_->protocol().network_state_consistent(g));
-      EXPECT_TRUE(serial.node_->protocol().network_state_consistent(g));
-      expect_same_tree(parallel.node_->protocol(), serial.node_->protocol(), g);
-    }
-  }
-}
-
-TEST(MRouterNode, PooledFailoverAfterLinkEventUsesRepairedPaths) {
-  // The pool-backed failover must build over the protocol's own path
-  // database, which the link event patched: a tree built over a stale copy
-  // would graft across the failed link.
+TEST(MRouterNode, FailoverAfterLinkEventUsesRepairedPaths) {
+  // The failover must build over the protocol's own path database, which
+  // the link event patched: a tree built over stale paths would graft
+  // across the failed link.
   Rng trng(3);
   const auto topo = topo::arpanet(trng);
-  MRouterNodeFixture pooled(topo.graph, 16, /*threads=*/2);
-  MRouterNodeFixture serial(topo.graph, 16, /*threads=*/2);
-  serial.node_->protocol().set_compute_pool(nullptr);
-  for (MRouterNodeFixture* f : {&pooled, &serial}) {
-    for (graph::NodeId m : {5, 17, 29, 41, 44}) {
-      f->node_->protocol().host_join(m, kG1);
-      if (m % 2 == 1) f->node_->protocol().host_join(m, kG2);
-    }
-    f->drain();
+  MRouterNodeFixture f(topo.graph);
+  Scmp& scmp = f.node_->protocol();
+  for (graph::NodeId m : {5, 17, 29, 41, 44}) {
+    scmp.host_join(m, kG1);
+    if (m % 2 == 1) scmp.host_join(m, kG2);
   }
+  f.drain();
 
   // Fail the first tree link below the m-router's own links whose loss
   // keeps the domain connected. Its upper endpoint becomes the standby: the
   // stale routes from there to the members below the link cross it.
   graph::NodeId u = graph::kInvalidNode;
   graph::NodeId v = graph::kInvalidNode;
-  for (const auto& [child, parent] :
-       pooled.node_->protocol().group_tree(kG1)->tree().edges()) {
+  for (const auto& [child, parent] : scmp.group_tree(kG1)->tree().edges()) {
     if (parent == 0) continue;
     graph::Graph probe = topo.graph;
     probe.remove_edge(child, parent);
@@ -165,22 +112,18 @@ TEST(MRouterNode, PooledFailoverAfterLinkEventUsesRepairedPaths) {
   }
   ASSERT_NE(u, graph::kInvalidNode) << "no removable tree link";
   const graph::NodeId standby = v;
-  for (MRouterNodeFixture* f : {&pooled, &serial}) {
-    f->net_.fail_link(u, v);
-    f->node_->protocol().handle_link_event(u, v);
-    f->drain();
-    f->node_->protocol().fail_over_to(standby);
-    f->drain();
-  }
+  f.net_.fail_link(u, v);
+  scmp.handle_link_event(u, v);
+  f.drain();
+  scmp.fail_over_to(standby);
+  f.drain();
 
   for (const proto::GroupId g : {kG1, kG2}) {
-    expect_same_tree(pooled.node_->protocol(), serial.node_->protocol(), g);
-    for (const auto& [child, parent] :
-         pooled.node_->protocol().group_tree(g)->tree().edges()) {
+    for (const auto& [child, parent] : scmp.group_tree(g)->tree().edges()) {
       EXPECT_FALSE((child == u && parent == v) || (child == v && parent == u))
           << "group " << g << " tree crosses the failed link";
     }
-    EXPECT_TRUE(pooled.node_->protocol().network_state_consistent(g));
+    EXPECT_TRUE(scmp.network_state_consistent(g));
   }
 }
 

@@ -16,10 +16,12 @@ constexpr proto::GroupId kGroup = 1;
 
 class FailoverFixture {
  public:
-  explicit FailoverFixture(graph::Graph graph, graph::NodeId primary)
+  explicit FailoverFixture(graph::Graph graph, graph::NodeId primary,
+                           DcdmConfig dcdm = {})
       : g_(std::move(graph)), net_(g_, queue_), igmp_(queue_, g_.num_nodes()) {
     Scmp::Config cfg;
     cfg.mrouter = primary;
+    cfg.dcdm = dcdm;
     scmp_ = std::make_unique<Scmp>(net_, igmp_, cfg);
     net_.set_delivery_callback(
         [this](const sim::Packet& pkt, graph::NodeId member, sim::SimTime) {
@@ -164,6 +166,45 @@ TEST(ScmpFailover, MultipleGroupsAllRebuilt) {
   EXPECT_TRUE(f.scmp_->network_state_consistent(2));
   EXPECT_EQ(f.scmp_->group_tree(1)->root(), 5);
   EXPECT_EQ(f.scmp_->group_tree(2)->root(), 5);
+}
+
+/// Joins groups 1..`count`, each of 2-12 members drawn from `seed` (never
+/// router 0), then fails router 0 over to router 1, which rebuilds every
+/// group tree from the service database.
+void join_random_groups_and_fail_over(FailoverFixture& f, int count,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  for (int group = 1; group <= count; ++group) {
+    const int size = static_cast<int>(rng.uniform_int(2, 12));
+    for (int v : rng.sample_without_replacement(f.g_.num_nodes() - 1, size))
+      f.scmp_->host_join(v + 1, group);
+  }
+  f.queue_.run_all();
+  f.scmp_->fail_over_to(1);
+  f.queue_.run_all();
+}
+
+TEST(ScmpFailover, RebuildsManyRandomGroupsIntoValidTrees) {
+  const auto topo = test::random_topology(9, 40);
+  FailoverFixture f(topo.graph, 0, DcdmConfig{2.0});
+  join_random_groups_and_fail_over(f, 16, 5);
+  ASSERT_EQ(f.scmp_->active_groups().size(), 16u);
+  for (GroupId group : f.scmp_->active_groups()) {
+    const DcdmTree& t = *f.scmp_->group_tree(group);
+    EXPECT_EQ(t.root(), 1);
+    EXPECT_TRUE(t.tree().validate(topo.graph));
+    for (graph::NodeId m : f.scmp_->database().members_of(group))
+      EXPECT_TRUE(t.tree().is_member(m));
+    EXPECT_TRUE(f.scmp_->network_state_consistent(group));
+  }
+}
+
+TEST(ScmpFailover, WithNoSessionsSendsNothing) {
+  const auto topo = test::random_topology(9, 20);
+  FailoverFixture f(topo.graph, 0);
+  join_random_groups_and_fail_over(f, 0, 5);
+  EXPECT_TRUE(f.scmp_->active_groups().empty());
+  EXPECT_EQ(f.net_.stats().protocol_link_crossings, 0u);
 }
 
 }  // namespace

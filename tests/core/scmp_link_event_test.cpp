@@ -1,9 +1,9 @@
 // Scmp::handle_link_event — the incremental single-link repair path. It must
 // leave the m-router in exactly the state on_topology_change() produces
 // (same path database bit-for-bit, same trees, same installed network
-// state), while recomputing only the dirty Dijkstra sources; it must behave
-// identically with a compute pool registered; and the repair must be local:
-// only a tree that lost an edge is rebuilt, every other group sends nothing.
+// state), while recomputing only the dirty Dijkstra sources; and the repair
+// must be local: only a tree that lost an edge is rebuilt, every other group
+// sends nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/compute_pool.hpp"
 #include "core/scmp.hpp"
 #include "helpers.hpp"
 #include "igmp/igmp.hpp"
@@ -151,51 +150,6 @@ TEST(ScmpLinkEvent, OffTreeLinkStillRepairsPathDatabase) {
   expect_paths_identical(f.scmp->paths(),
                          graph::AllPairsPaths(f.net.graph()));
   EXPECT_TRUE(f.scmp->network_state_consistent(kGroup));
-}
-
-TEST(ScmpLinkEvent, ComputePoolProducesIdenticalState) {
-  Rng rng(3);
-  const auto topo = topo::arpanet(rng);
-  const std::vector<graph::NodeId> members{2, 11, 23, 37, 44};
-
-  for (const int threads : {1, 2, 4, 8}) {
-    Fixture pooled(topo.graph);
-    Fixture serial(topo.graph);
-    pooled.join_all(members);
-    serial.join_all(members);
-
-    const core::TreeComputePool pool(threads);
-    pooled.scmp->set_compute_pool(&pool);
-
-    const auto [u, v] = pick_tree_link(serial);
-    ASSERT_NE(u, graph::kInvalidNode);
-
-    pooled.net.fail_link(u, v);
-    pooled.scmp->handle_link_event(u, v);
-    pooled.queue.run_all();
-    serial.net.fail_link(u, v);
-    serial.scmp->handle_link_event(u, v);
-    serial.queue.run_all();
-
-    expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
-    ASSERT_NE(pooled.scmp->group_tree(kGroup), nullptr);
-    ASSERT_NE(serial.scmp->group_tree(kGroup), nullptr);
-    EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
-              serial.scmp->group_tree(kGroup)->tree().edges())
-        << threads << " threads";
-    EXPECT_TRUE(pooled.scmp->network_state_consistent(kGroup));
-
-    // on_topology_change refreshes the path database through the same
-    // executor.
-    pooled.scmp->on_topology_change();
-    serial.scmp->on_topology_change();
-    pooled.queue.run_all();
-    serial.queue.run_all();
-    expect_paths_identical(pooled.scmp->paths(), serial.scmp->paths());
-    EXPECT_EQ(pooled.scmp->group_tree(kGroup)->tree().edges(),
-              serial.scmp->group_tree(kGroup)->tree().edges())
-        << threads << " threads";
-  }
 }
 
 // ---- locality: only a tree that lost an edge is rebuilt -------------------

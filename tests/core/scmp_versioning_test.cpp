@@ -69,6 +69,18 @@ class VersioningFixture {
   std::unique_ptr<Scmp> scmp_;
 };
 
+/// Runs `inject` and returns how much the scmp.rx.dropped counter tagged
+/// `reason` rose meanwhile.
+template <typename Inject>
+std::uint64_t drops_after(const char* reason, Inject&& inject) {
+  obs::set_metrics_enabled(true);
+  obs::Counter& drops = obs::counter("scmp.rx.dropped", reason);
+  const std::uint64_t before = drops.value();
+  inject();
+  obs::set_metrics_enabled(false);
+  return drops.value() - before;
+}
+
 TEST(ScmpVersioning, BaselineInstallCarriesVersion) {
   VersioningFixture f;
   EXPECT_GE(f.entry_version(4), 1u);
@@ -79,14 +91,18 @@ TEST(ScmpVersioning, StaleClearIsIgnored) {
   VersioningFixture f;
   const auto v = f.entry_version(2);
   ASSERT_GE(v, 1u);
-  f.inject_clear(2, /*version=*/0);
+  EXPECT_EQ(drops_after("stale_install",
+                        [&] { f.inject_clear(2, /*version=*/0); }),
+            1u);
   EXPECT_NE(f.scmp_->entry_at(2, kGroup), nullptr);  // survived
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
 }
 
 TEST(ScmpVersioning, StaleDetachIsIgnored) {
   VersioningFixture f;
-  f.inject_clear(2, /*version=*/0, /*detach=*/{3});
+  EXPECT_EQ(drops_after("stale_install",
+                        [&] { f.inject_clear(2, /*version=*/0, {3}); }),
+            1u);
   const Scmp::Entry* e = f.scmp_->entry_at(2, kGroup);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->downstream_routers.contains(3));
@@ -99,11 +115,15 @@ TEST(ScmpVersioning, NewerClearAppliesAndTombstones) {
   EXPECT_EQ(f.scmp_->entry_at(2, kGroup), nullptr);
 
   // A stale BRANCH (older than the tombstone) must not resurrect the entry.
-  f.inject_branch({0, 1, 2, 3, 4}, v);
+  EXPECT_EQ(drops_after("tombstoned",
+                        [&] { f.inject_branch({0, 1, 2, 3, 4}, v); }),
+            1u);
   EXPECT_EQ(f.scmp_->entry_at(2, kGroup), nullptr);
 
   // A newer BRANCH may.
-  f.inject_branch({0, 1, 2, 3, 4}, v + 11);
+  EXPECT_EQ(drops_after("tombstoned",
+                        [&] { f.inject_branch({0, 1, 2, 3, 4}, v + 11); }),
+            0u);
   EXPECT_NE(f.scmp_->entry_at(2, kGroup), nullptr);
 }
 
@@ -113,7 +133,9 @@ TEST(ScmpVersioning, StaleBranchCannotOverwriteNewerEntry) {
   // A newer detach removed child 3 from node 2.
   f.inject_clear(2, v + 1, /*detach=*/{3});
   // The overtaken BRANCH that would re-add it arrives late: dropped.
-  f.inject_branch({0, 1, 2, 3, 4}, v);
+  EXPECT_EQ(drops_after("stale_install",
+                        [&] { f.inject_branch({0, 1, 2, 3, 4}, v); }),
+            1u);
   const Scmp::Entry* e = f.scmp_->entry_at(2, kGroup);
   ASSERT_NE(e, nullptr);
   EXPECT_FALSE(e->downstream_routers.contains(3));
@@ -158,13 +180,10 @@ std::vector<InstalledEntry> installed(const VersioningFixture& f) {
 std::uint64_t drops_after(VersioningFixture& f, sim::Packet pkt,
                           const char* reason, graph::NodeId from = 0,
                           graph::NodeId to = 1) {
-  obs::set_metrics_enabled(true);
-  obs::Counter& drops = obs::counter("scmp.rx.dropped", reason);
-  const std::uint64_t before = drops.value();
-  f.net_.send_link(from, to, std::move(pkt));
-  f.queue_.run_all();
-  obs::set_metrics_enabled(false);
-  return drops.value() - before;
+  return drops_after(reason, [&] {
+    f.net_.send_link(from, to, std::move(pkt));
+    f.queue_.run_all();
+  });
 }
 
 TEST(ScmpVersioning, RaggedTreePayloadIsCountedAndDropped) {
@@ -190,6 +209,28 @@ TEST(ScmpVersioning, BranchNotNamingReceiverIsCountedAndDropped) {
   branch.uid = f.entry_version(1) + 50;
   branch.path = {0, 2, 3, 4};  // delivered to router 1, which it omits
   EXPECT_EQ(drops_after(f, std::move(branch), "branch_off_path"), 1u);
+  EXPECT_EQ(installed(f), before);
+}
+
+// A PRUNE, or a CLEAR that detaches children, meant for an entry the
+// router does not hold changes nothing and is counted.
+TEST(ScmpVersioning, PruneAndDetachWithoutEntryAreCountedAndDropped) {
+  VersioningFixture f;
+  const auto before = installed(f);
+  constexpr proto::GroupId kNoSession = kGroup + 1;
+  sim::Packet prune;
+  prune.type = sim::PacketType::kPrune;
+  prune.group = kNoSession;
+  prune.src = 3;
+  EXPECT_EQ(drops_after(f, std::move(prune), "no_entry", 3, 2), 1u);
+  sim::Packet detach;
+  detach.type = sim::PacketType::kClear;
+  detach.group = kNoSession;
+  detach.src = 0;
+  detach.dst = 1;
+  detach.uid = f.entry_version(1) + 50;
+  detach.path = {2};
+  EXPECT_EQ(drops_after(f, std::move(detach), "no_entry"), 1u);
   EXPECT_EQ(installed(f), before);
 }
 

@@ -113,39 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 8, 16, 32, 64, 128, 256),
                        ::testing::Values(1, 2, 3)));
 
-class BenesParallel
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
-
-TEST_P(BenesParallel, MatchesSerialRouting) {
-  const int n = std::get<0>(GetParam());
-  Rng rng(std::get<1>(GetParam()));
-  BenesNetwork serial(n);
-  BenesNetwork parallel(n);
-  for (int trial = 0; trial < 5; ++trial) {
-    std::vector<int> perm = identity_perm(n);
-    rng.shuffle(perm);
-    serial.route(perm);
-    parallel.route_parallel(perm, /*parallel_depth=*/2);
-    for (int i = 0; i < n; ++i) {
-      ASSERT_EQ(parallel.forward(i), perm[static_cast<std::size_t>(i)]);
-      ASSERT_EQ(parallel.forward(i), serial.forward(i));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndSeeds, BenesParallel,
-    ::testing::Combine(::testing::Values(8, 16, 64, 256),
-                       ::testing::Values(5, 6)));
-
-TEST(BenesParallel, DepthZeroIsSerial) {
-  BenesNetwork net(16);
-  std::vector<int> perm = identity_perm(16);
-  std::reverse(perm.begin(), perm.end());
-  net.route_parallel(perm, 0);
-  for (int i = 0; i < 16; ++i) ASSERT_EQ(net.forward(i), 15 - i);
-}
-
 TEST(BenesDeath, RejectsNonPowerOfTwo) {
   EXPECT_DEATH(BenesNetwork(6), "Precondition");
 }

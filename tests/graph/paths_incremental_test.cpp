@@ -2,9 +2,7 @@
 // leave the database bit-identical to a from-scratch rebuild on the
 // post-event graph, while touching only the dirty sources — and, for a
 // failure, re-settling only the subtrees the cut orphans
-// (repair_after_removal). Also covers the parallel rebuild path (one
-// Dijkstra source per compute-pool task), which must be bit-identical to the
-// serial one.
+// (repair_after_removal).
 #include "graph/paths.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/compute_pool.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "topo/arpanet.hpp"
@@ -202,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RepairTieHeavy,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 TEST(PathsIncremental, ZeroDelayLinkEventsMatchOracle) {
-  // The same graphs through apply_link_event: fallbacks join the full-run
-  // fan-out and the database stays identical to a rebuild.
+  // The same graphs through apply_link_event: fallbacks re-run in full and
+  // the database stays identical to a rebuild.
   obs::set_metrics_enabled(true);
   const obs::Counter& full_runs = obs::counter("paths.link_event.full_runs");
   const std::uint64_t before = full_runs.value();
@@ -268,48 +265,6 @@ TEST(PathsIncremental, StubLinkFailureResettlesUnderFivePercent) {
   EXPECT_LE(work * 20, static_cast<std::uint64_t>(n) *
                            static_cast<std::uint64_t>(n));
   expect_identical(db, AllPairsPaths(g));
-}
-
-TEST(PathsIncremental, ParallelRebuildBitIdenticalToSerial) {
-  const auto topo = test::random_topology(9, 60);
-  const AllPairsPaths serial(topo.graph);
-  for (int threads : {1, 2, 4, 8}) {
-    const core::TreeComputePool pool(threads);
-    const AllPairsPaths parallel(topo.graph, pool.parallel_for());
-    expect_identical(parallel, serial);
-  }
-}
-
-TEST(PathsIncremental, ParallelLinkEventBitIdenticalToSerial) {
-  auto topo = test::random_topology(9, 60);
-  Graph& g = topo.graph;
-  AllPairsPaths serial_db(g);
-  AllPairsPaths pool_db(g);
-  const core::TreeComputePool pool(4);
-  const ParallelFor pf = pool.parallel_for();
-  const NodeId u = 1;
-  const NodeId v = g.neighbors(u).front().to;
-  g.remove_edge(u, v);
-  const int serial_n = serial_db.apply_link_event(g, u, v);
-  const int pool_n = pool_db.apply_link_event(g, u, v, pf);
-  EXPECT_EQ(serial_n, pool_n);
-  expect_identical(pool_db, serial_db);
-  expect_identical(pool_db, AllPairsPaths(g));
-}
-
-// Repeated parallel rebuilds over the same database: the TSan preset runs
-// this test to prove the one-source-per-task fan-out is race-free (workers
-// write disjoint per-source slots and only join at the barrier).
-TEST(PathsIncremental, RepeatedParallelRebuildsAreRaceFree) {
-  const auto topo = test::random_topology(4, 40);
-  AllPairsPaths db(topo.graph);
-  const core::TreeComputePool pool(4);
-  const ParallelFor pf = pool.parallel_for();
-  const AllPairsPaths oracle(topo.graph);
-  for (int i = 0; i < 8; ++i) {
-    db.rebuild(topo.graph, pf);
-  }
-  expect_identical(db, oracle);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// ThreadSanitizer-targeted stress test for the logger: worker threads
-// (compute pool, parallel fabric routing) log while the driver changes the
-// level. The level is a relaxed atomic — before that fix this test was a
-// guaranteed TSan data-race report on g_level.
+// ThreadSanitizer-targeted stress test for the logger: worker threads log
+// while the driver changes the level. The level is a relaxed atomic —
+// before that fix this test was a guaranteed TSan data-race report on
+// g_level.
 #include "util/log.hpp"
 
 #include <gtest/gtest.h>
