@@ -1,7 +1,7 @@
-// Micro-benchmarks of the dual-weight path database: full rebuilds,
-// incremental single-link updates (failures repair the orphaned subtrees,
-// link-ups re-run the dirty sources), the network's whole link-failure path,
-// and path materialization into a reused buffer.
+// Micro-benchmarks of the shortest-path store: full builds, incremental
+// single-link updates (failures repair the orphaned subtrees, link-ups re-run
+// the dirty sources), the network's whole link-failure path, and path
+// materialization into a reused buffer.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -28,9 +28,8 @@ topo::Topology make_topo(int n) {
 
 void BM_PathsRebuildSerial(benchmark::State& state) {
   const auto topo = make_topo(static_cast<int>(state.range(0)));
-  graph::AllPairsPaths paths(topo.graph);
   for (auto _ : state) {
-    paths.rebuild(topo.graph);
+    const graph::AllPairsPaths paths(topo.graph);
     benchmark::DoNotOptimize(paths);
   }
   state.SetComplexityN(state.range(0));
@@ -73,7 +72,7 @@ void BM_PathsLinkFail(benchmark::State& state) {
     if (next == links.size()) {
       state.PauseTiming();
       g = topo.graph;
-      paths.rebuild(g);
+      paths = graph::AllPairsPaths(g);
       next = 0;
       state.ResumeTiming();
     }
@@ -98,7 +97,7 @@ void BM_PathsLinkRestore(benchmark::State& state) {
     if (next == 0) {
       state.PauseTiming();
       g = failed;
-      paths.rebuild(g);
+      paths = graph::AllPairsPaths(g);
       next = links.size();
       state.ResumeTiming();
     }
@@ -111,8 +110,9 @@ void BM_PathsLinkRestore(benchmark::State& state) {
 BENCHMARK(BM_PathsLinkRestore)->Arg(50)->Arg(100)->Arg(200);
 
 // Network::fail_link over the same sequence: the per-link state edit plus
-// the unicast routing table's subtree repair. A fresh network is built
-// outside the timed region whenever the sequence is exhausted.
+// the store's whole repair (both metrics' subtrees and the first hops); no
+// protocol listens. A fresh network is built outside the timed region
+// whenever the sequence is exhausted.
 void BM_NetworkFailLink(benchmark::State& state) {
   const auto topo = make_topo(static_cast<int>(state.range(0)));
   const auto links = failure_sequence(topo.graph);
@@ -128,7 +128,7 @@ void BM_NetworkFailLink(benchmark::State& state) {
     }
     const auto [u, v] = links[next++];
     net->fail_link(u, v);
-    benchmark::DoNotOptimize(net->routing());
+    benchmark::DoNotOptimize(net->paths());
   }
 }
 BENCHMARK(BM_NetworkFailLink)->Arg(50)->Arg(100)->Arg(200);

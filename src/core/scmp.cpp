@@ -108,7 +108,6 @@ obs::Counter& no_entry_drops() {
 Scmp::Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg)
     : MulticastProtocol(net, igmp),
       cfg_(cfg),
-      paths_(net.graph()),
       retx_(net.queue(), cfg.reliability) {
   SCMP_EXPECTS(cfg.epoch_interval >= 0.0);
   mrouters_ = cfg.mrouters.empty()
@@ -245,7 +244,7 @@ DcdmTree& Scmp::tree_for(GroupId group) {
   auto it = trees_.find(group);
   if (it == trees_.end()) {
     it = trees_
-             .emplace(group, DcdmTree(net().graph(), paths_,
+             .emplace(group, DcdmTree(net().graph(), net().paths(),
                                       mrouter_of(group), cfg_.dcdm))
              .first;
   }
@@ -910,7 +909,8 @@ void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
   for (GroupId group : groups) {
     // A fresh tree from the membership database, joined in its ascending
     // member order.
-    DcdmTree fresh(net().graph(), paths_, mrouter_of(group), cfg_.dcdm);
+    DcdmTree fresh(net().graph(), net().paths(), mrouter_of(group),
+                   cfg_.dcdm);
     for (graph::NodeId member : db_.members_of(group)) fresh.join(member);
     DcdmTree& tree = trees_.at(group);
     // The old tree's routers the new tree drops lose their entries; the TREE
@@ -966,25 +966,12 @@ std::vector<GroupId> Scmp::broken_trees() const {
   return out;
 }
 
-void Scmp::on_topology_change() {
-  OBS_SPAN("scmp.topology_change");
-  // The m-routers' link-state view reconverged: refresh the global path
-  // database (P_sl / P_lc), then rebuild and reinstall the trees that lost
-  // an edge.
-  paths_.rebuild(net().graph());
-  rebuild_trees(broken_trees());
-}
-
-int Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
+void Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   OBS_SPAN("scmp.link_event");
-  // Network::fail_link is the only topology change the simulator makes.
+  // Network::fail_link is the only topology change the simulator makes, and
+  // it has already repaired the path database the rebuild reads.
   SCMP_EXPECTS(!net().graph().has_edge(u, v));
-  // Patch the path database incrementally (the failure re-settles only the
-  // orphaned subtrees; the result is bit-identical to a from-scratch
-  // rebuild), then rebuild and reinstall the trees that used the link.
-  const int recomputed = paths_.apply_link_event(net().graph(), u, v);
   rebuild_trees(broken_trees());
-  return recomputed;
 }
 
 // ---------------------------------------------------------------------------

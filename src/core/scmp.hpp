@@ -16,11 +16,11 @@
 //
 // Failure handling (paper §V, advantage 4, extended): fail_over moves every
 // group anchored at a failed m-router to a hot standby, rebuilding trees
-// from the replicated service database; after a link failure,
-// on_topology_change() and handle_link_event() rebuild just the trees that
-// lost an edge. All three share one rebuild path. Installed state a rebuild or
-// teardown cannot name is left to the one anti-entropy mechanism, digest
-// reconciliation (reconcile_all).
+// from the replicated service database; after a link failure, the network's
+// hook handle_link_event rebuilds just the trees that lost an edge. Both
+// share one rebuild path. Installed state a rebuild or teardown cannot name
+// is left to the one anti-entropy mechanism, digest reconciliation
+// (reconcile_all).
 #pragma once
 
 #include <functional>
@@ -94,25 +94,15 @@ class Scmp final : public proto::MulticastProtocol {
   /// Single-m-router convenience: fails the primary over to `standby`.
   void fail_over_to(graph::NodeId standby) { fail_over(mrouter(), standby); }
 
-  /// Topology change (failed links): the m-routers refresh the global path
-  /// database, then rebuild and reinstall every group tree with a parent
-  /// edge the graph no longer has — the service-centric repair story: no
-  /// other router runs any algorithm. A failure shortens no path, so every
-  /// other tree keeps its members' delays and admitted bounds and is left
-  /// as it is.
-  void on_topology_change() override;
-
-  /// Incremental variant of on_topology_change() for the failure of link
-  /// {u, v}, which must already be gone from the graph (Network::fail_link
-  /// is the only topology change the simulator makes). The path database
-  /// re-settles just the shortest-path subtrees the cut orphans
-  /// (graph::AllPairsPaths::apply_link_event) and stays bit-identical to a
-  /// from-scratch rebuild; then the trees that used the link are rebuilt as
-  /// in on_topology_change(). Returns the number of dirty sources.
-  int handle_link_event(graph::NodeId u, graph::NodeId v);
-
-  /// The m-routers' global dual-weight path database (P_sl / P_lc).
-  const graph::AllPairsPaths& paths() const { return paths_; }
+  /// The failure of link {u, v}, which must already be gone from the graph:
+  /// Network::fail_link calls this once its path store (the m-routers'
+  /// global P_sl / P_lc database) has been repaired. The m-routers rebuild
+  /// and reinstall every group tree with a parent edge the graph no longer
+  /// has — the service-centric repair story: no other router runs any
+  /// algorithm. A failure shortens no path, so every other tree keeps its
+  /// members' delays and admitted bounds and is left as it is. Idempotent:
+  /// a repeated call finds no cut tree and sends nothing.
+  void handle_link_event(graph::NodeId u, graph::NodeId v) override;
 
   /// Tears down a whole multicast session (paper §II-C): clears the installed
   /// state of every router on the current tree, drops the tree and revokes
@@ -332,7 +322,6 @@ class Scmp final : public proto::MulticastProtocol {
   Config cfg_;
   std::vector<graph::NodeId> mrouters_;
   MRouterDatabase db_;
-  graph::AllPairsPaths paths_;  ///< the m-routers' global path database
   std::map<GroupId, DcdmTree> trees_;
   std::map<GroupId, std::set<graph::NodeId>> senders_;
   /// Monotone install-operation counter per group (carried in TREE/BRANCH/

@@ -102,8 +102,8 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
                                SptRepairScratch& scratch) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   SCMP_EXPECTS(g.valid(a) && g.valid(b));
-  SCMP_EXPECTS(dist.size() == n && parent.size() == n);
-  SCMP_EXPECTS(companion.empty() || companion.size() == n);
+  SCMP_EXPECTS(dist.size() == n && companion.size() == n &&
+               parent.size() == n);
   NodeId root = kInvalidNode;
   if (parent[static_cast<std::size_t>(b)] == a) {
     root = b;
@@ -123,7 +123,6 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
   heap.clear();
   const Graph::CsrView& csr = g.csr();
   const Metric comp = companion_of(metric);
-  const bool keep_companion = !companion.empty();
   // Every exit leaves `state` all-outside again for the next call.
   const auto finish = [&](SptRepair result) {
     for (const NodeId z : subtree)
@@ -155,7 +154,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
     const auto sz = static_cast<std::size_t>(z);
     dist[sz] = kUnreachable;
     parent[sz] = kInvalidNode;
-    if (keep_companion) companion[sz] = kUnreachable;
+    companion[sz] = kUnreachable;
   }
 
   // 3. Seed every subtree node from its outside neighbours, whose distances
@@ -177,8 +176,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
       if (nd < cur || (nd == cur && par != kInvalidNode && nb.to < par)) {
         cur = nd;
         par = nb.to;
-        if (keep_companion)
-          companion[sz] = companion[sx] + weight_of(nb.attr, comp);
+        companion[sz] = companion[sx] + weight_of(nb.attr, comp);
       }
     }
     if (par != kInvalidNode) heap.emplace_back(cur, z);
@@ -195,8 +193,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
     if (su == kSettled) continue;
     su = kSettled;
     settled.push_back(u);
-    const double cu =
-        keep_companion ? companion[static_cast<std::size_t>(u)] : 0.0;
+    const double cu = companion[static_cast<std::size_t>(u)];
     for (const auto& nb : csr.row(u)) {
       const double nd = d + weight_of(nb.attr, metric);
       if (!(nd > d)) return finish(SptRepair::kNeedsFullRun);
@@ -210,7 +207,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
       if (nd < cur || (nd == cur && par != kInvalidNode && u < par)) {
         cur = nd;
         par = u;
-        if (keep_companion) companion[sw] = cu + weight_of(nb.attr, comp);
+        companion[sw] = cu + weight_of(nb.attr, comp);
         heap.emplace_back(nd, nb.to);
         std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }

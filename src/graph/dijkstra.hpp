@@ -1,6 +1,7 @@
 // Single-source shortest paths under either link metric. Used to build the
-// paper's P_sl (shortest-delay) and P_lc (least-cost) paths and the link-state
-// unicast forwarding tables every router is assumed to run (paper §II-D).
+// paper's P_sl (shortest-delay) and P_lc (least-cost) paths, whose
+// shortest-delay trees are also the link-state unicast routes every router
+// is assumed to run (paper §II-D).
 //
 // Every run carries *dual weights*: alongside the optimized distance it
 // accumulates, per destination, the companion metric of the same canonical
@@ -98,7 +99,6 @@ enum class SptRepair : std::uint8_t {
 /// Decremental update of one canonical shortest-path tree after the edge
 /// {a, b} was removed; `g` is the post-removal graph and dist/companion/
 /// parent hold a dijkstra_into() result of `metric` on the pre-removal one.
-/// An empty `companion` is not maintained (unicast routing keeps none).
 ///
 /// When the edge was a tree edge, the subtree below it is collected (CSR
 /// rows, following parent[w] == z), reset, seeded from its outside

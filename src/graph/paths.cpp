@@ -26,18 +26,36 @@ obs::Counter& full_runs_counter() {
 
 }  // namespace
 
-AllPairsPaths::AllPairsPaths(const Graph& g) { rebuild(g); }
-
-void AllPairsPaths::rebuild(const Graph& g) {
+AllPairsPaths::AllPairsPaths(const Graph& g)
+    : by_delay_(static_cast<std::size_t>(g.num_nodes())),
+      by_cost_(static_cast<std::size_t>(g.num_nodes())),
+      next_hop_(by_delay_.size() * by_delay_.size()) {
   OBS_SPAN("paths.rebuild");
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  by_delay_.resize(n);
-  by_cost_.resize(n);
-  sources_recomputed_counter().inc(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  sources_recomputed_counter().inc(by_delay_.size());
+  for (std::size_t i = 0; i < by_delay_.size(); ++i) {
     const auto u = static_cast<NodeId>(i);
     dijkstra_into(g, u, Metric::kDelay, by_delay_[i]);
     dijkstra_into(g, u, Metric::kCost, by_cost_[i]);
+    fill_next_hops(u);
+  }
+}
+
+void AllPairsPaths::fill_next_hops(NodeId u) {
+  const ShortestPaths& sp = by_delay_[static_cast<std::size_t>(u)];
+  const auto n = static_cast<NodeId>(by_delay_.size());
+  NodeId* hop = next_hop_.data() + row_start(u);
+  const NodeId* parent = sp.parent.data();
+  std::fill(hop, hop + n, kInvalidNode);
+  hop[u] = u;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!sp.reachable(v)) continue;
+    // Climb to the first node whose first hop is known, or whose parent is
+    // `u` (such a node is its own first hop), then write that hop on the
+    // way back down: every node is written once.
+    NodeId top = v;
+    while (hop[top] == kInvalidNode && parent[top] != u) top = parent[top];
+    const NodeId first = hop[top] != kInvalidNode ? hop[top] : top;
+    for (NodeId w = v; hop[w] == kInvalidNode; w = parent[w]) hop[w] = first;
   }
 }
 
@@ -78,6 +96,7 @@ int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v) {
   std::size_t resettled = 0;
   std::size_t full = 0;
   for (std::size_t i = 0; i < by_delay_.size(); ++i) {
+    const auto source = static_cast<NodeId>(i);
     bool touched = false;
     for (ShortestPaths* sp : {&by_delay_[i], &by_cost_[i]}) {
       SptRepair outcome = SptRepair::kNeedsFullRun;
@@ -93,9 +112,23 @@ int AllPairsPaths::apply_link_event(const Graph& g, NodeId u, NodeId v) {
       if (outcome == SptRepair::kRepaired) {
         resettled += repair_scratch_.subtree.size();
       } else {
-        dijkstra_into(g, static_cast<NodeId>(i), sp->metric, *sp);
+        dijkstra_into(g, source, sp->metric, *sp);
         ++full;
       }
+      if (sp->metric != Metric::kDelay) continue;
+      if (outcome != SptRepair::kRepaired) {
+        fill_next_hops(source);
+        continue;
+      }
+      // Only the re-settled nodes' first hops can change. Settle order puts
+      // every node after its parent, whose hop is then already current (an
+      // outside parent's never changed); an orphan the repair did not reach
+      // is unreachable.
+      NodeId* hop = next_hop_.data() + row_start(source);
+      const NodeId* parent = sp->parent.data();
+      for (const NodeId z : repair_scratch_.subtree) hop[z] = kInvalidNode;
+      for (const NodeId z : repair_scratch_.settled)
+        hop[z] = parent[z] == source ? z : hop[parent[z]];
     }
     if (touched) ++dirty;
   }

@@ -99,7 +99,7 @@ void Cbt::start_join(graph::NodeId router, GroupId group) {
   join.group = group;
   join.src = router;
   join.path = {router};
-  net().send_link(router, net().routing().next_hop(router, core), join);
+  net().send_link(router, net().paths().next_hop(router, core), join);
 }
 
 void Cbt::handle_join(graph::NodeId at, const sim::Packet& pkt,
@@ -127,7 +127,7 @@ void Cbt::handle_join(graph::NodeId at, const sim::Packet& pkt,
   // Transit router: keep forwarding toward the core.
   sim::Packet join = pkt;
   join.path.push_back(at);
-  net().send_link(at, net().routing().next_hop(at, core), join);
+  net().send_link(at, net().paths().next_hop(at, core), join);
 }
 
 void Cbt::handle_ack(graph::NodeId at, const sim::Packet& pkt,

@@ -17,7 +17,7 @@ std::vector<graph::NodeId> Dvmrp::rpf_children(graph::NodeId at,
   std::vector<graph::NodeId> kids;
   for (const auto& nb : net().graph().neighbors(at)) {
     if (nb.to == source) continue;
-    if (net().routing().rpf_neighbor(nb.to, source) == at) kids.push_back(nb.to);
+    if (net().paths().next_hop(nb.to, source) == at) kids.push_back(nb.to);
   }
   return kids;
 }
@@ -54,7 +54,7 @@ void Dvmrp::handle_data(graph::NodeId at, const sim::Packet& pkt,
 
   // RPF check: accept only from the reverse-path neighbour toward the source.
   if (from != graph::kInvalidNode && at != source &&
-      net().routing().rpf_neighbor(at, source) != from) {
+      net().paths().next_hop(at, source) != from) {
     return;  // duplicate off-tree copy; dropped
   }
 
@@ -93,7 +93,7 @@ void Dvmrp::send_prune_upstream(graph::NodeId at, GroupId group,
   prune.group = group;
   prune.src = source;  // identifies the (source, group) pair being pruned
   prune.created_at = now;  // the lifetime is anchored at the sender's clock
-  net().send_link(at, net().routing().rpf_neighbor(at, source), prune);
+  net().send_link(at, net().paths().next_hop(at, source), prune);
 }
 
 void Dvmrp::handle_prune(graph::NodeId at, const sim::Packet& pkt,
@@ -125,7 +125,7 @@ void Dvmrp::send_graft_upstream(graph::NodeId at, GroupId group,
   graft.type = sim::PacketType::kDvmrpGraft;
   graft.group = group;
   graft.src = source;
-  net().send_link(at, net().routing().rpf_neighbor(at, source), graft);
+  net().send_link(at, net().paths().next_hop(at, source), graft);
 }
 
 void Dvmrp::handle_graft(graph::NodeId at, const sim::Packet& pkt,

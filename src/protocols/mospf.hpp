@@ -29,9 +29,13 @@ class Mospf final : public MulticastProtocol {
   void interface_left(graph::NodeId router, GroupId group, int iface,
                       bool last_iface) override;
 
-  /// Topology change: every router recomputes its per-source SPTs from the
+  /// Link failure: every router recomputes its per-source SPTs from the
   /// (already reconverged) link-state database.
-  void on_topology_change() override { spt_cache_.clear(); }
+  void handle_link_event(graph::NodeId u, graph::NodeId v) override {
+    (void)u;
+    (void)v;
+    spt_cache_.clear();
+  }
 
   /// Membership view a particular router currently holds (exposed for tests
   /// of flood convergence).

@@ -19,10 +19,12 @@ MulticastProtocol::MulticastProtocol(sim::Network& net, igmp::IgmpDomain& igmp)
     adapters_.push_back(std::move(adapter));
   }
   igmp.set_listener(this);
+  net.set_link_listener(this);
 }
 
 MulticastProtocol::~MulticastProtocol() {
   igmp_->set_listener(nullptr);
+  net_->set_link_listener(nullptr);
   for (graph::NodeId v = 0; v < net_->graph().num_nodes(); ++v)
     net_->attach(v, nullptr);
 }

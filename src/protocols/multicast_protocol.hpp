@@ -1,8 +1,10 @@
 // Common frame for all four simulated multicast routing protocols (SCMP plus
 // the DVMRP / MOSPF / CBT baselines of §IV). A protocol instance owns the
 // routing state of *every* router in the domain and receives:
-//   * interface-level membership transitions from the IGMP domain, and
-//   * every packet any router receives (dispatched with the router id).
+//   * interface-level membership transitions from the IGMP domain,
+//   * every packet any router receives (dispatched with the router id), and
+//   * every link failure, once the network's shortest-path store has
+//     reconverged.
 // Harnesses drive it through host_join/host_leave/send_data.
 #pragma once
 
@@ -18,10 +20,12 @@ namespace scmp::proto {
 
 using GroupId = igmp::GroupId;
 
-class MulticastProtocol : public igmp::MembershipListener {
+class MulticastProtocol : public igmp::MembershipListener,
+                          public sim::LinkListener {
  public:
-  /// Registers this protocol as the agent of every router and as the IGMP
-  /// membership listener. The network and IGMP domain must outlive it.
+  /// Registers this protocol as the agent of every router, as the IGMP
+  /// membership listener and as the network's link listener. The network
+  /// and IGMP domain must outlive it.
   MulticastProtocol(sim::Network& net, igmp::IgmpDomain& igmp);
   ~MulticastProtocol() override;
 
@@ -39,11 +43,15 @@ class MulticastProtocol : public igmp::MembershipListener {
   /// (scheduled through the event queue at the current time).
   virtual void send_data(graph::NodeId source, GroupId group) = 0;
 
-  /// Called after the topology changed (Network::fail_link) and the unicast
-  /// routing substrate reconverged — the moment a link-state protocol would
-  /// notify its clients. Default: no reaction (DVMRP adapts implicitly
-  /// through its RPF checks; CBT has no repair mechanism in this model).
-  virtual void on_topology_change() {}
+  /// Network::fail_link calls this after the link {u, v} failed and the
+  /// network's shortest-path store reconverged — the moment a link-state
+  /// protocol would notify its clients. Default: no reaction (DVMRP and
+  /// PIM-SM read the reconverged routes on their next lookup; CBT has no
+  /// repair mechanism in this model).
+  void handle_link_event(graph::NodeId u, graph::NodeId v) override {
+    (void)u;
+    (void)v;
+  }
 
   /// Hard-state self-check, the attachment point of the invariant auditor in
   /// src/verify: appends one human-readable line per violated internal-state

@@ -159,7 +159,7 @@ void PimSm::send_star_join(graph::NodeId router, GroupId group) {
   // Unidirectional shared tree: the join creates (*,G) state at every hop on
   // its way toward the RP, starting with the joining DR itself.
   RptEntry& e = rpt_state_[static_cast<std::size_t>(router)][group];
-  e.upstream = net().routing().next_hop(router, rp);
+  e.upstream = net().paths().next_hop(router, rp);
   if (convergence() != nullptr) convergence()->note_state_change(group);
 
   sim::Packet join;
@@ -174,7 +174,7 @@ void PimSm::send_sg_join(graph::NodeId router, GroupId group,
   if (router == source || spt(router, group, source) != nullptr) return;
   SptEntry& e =
       spt_state_[static_cast<std::size_t>(router)][{group, source}];
-  e.upstream = net().routing().next_hop(router, source);
+  e.upstream = net().paths().next_hop(router, source);
   if (convergence() != nullptr) convergence()->note_state_change(group);
 
   sim::Packet join;
@@ -210,7 +210,7 @@ void PimSm::handle_join(graph::NodeId at, const sim::Packet& pkt,
       }
     }
     if (was_on_tree) return;  // the join spliced into the existing tree
-    e.upstream = net().routing().next_hop(at, rp);
+    e.upstream = net().paths().next_hop(at, rp);
     net().send_link(at, e.upstream, pkt);
     return;
   }
@@ -220,7 +220,7 @@ void PimSm::handle_join(graph::NodeId at, const sim::Packet& pkt,
   const bool was_on_tree = e.upstream != graph::kInvalidNode || at == source;
   e.downstream.insert(from);
   if (was_on_tree) return;
-  e.upstream = net().routing().next_hop(at, source);
+  e.upstream = net().paths().next_hop(at, source);
   net().send_link(at, e.upstream, pkt);
 }
 

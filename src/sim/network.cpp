@@ -50,7 +50,7 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
                  double bandwidth_bps, double delay_scale)
     : graph_(g),
       queue_(&queue),
-      routing_(g),
+      paths_(g),
       agents_(static_cast<std::size_t>(g.num_nodes()), nullptr),
       bandwidth_bps_(bandwidth_bps),
       delay_scale_(delay_scale) {
@@ -150,7 +150,8 @@ void Network::fail_link(graph::NodeId u, graph::NodeId v) {
   erase_slot(v, u);
   graph_.remove_edge(u, v);
   SCMP_EXPECTS(graph_.is_connected());  // unicast routing needs reachability
-  routing_.remove_link(graph_, u, v);
+  paths_.apply_link_event(graph_, u, v);
+  if (link_listener_ != nullptr) link_listener_->handle_link_event(u, v);
 }
 
 void Network::attach(graph::NodeId node, RouterAgent* agent) {
@@ -184,7 +185,7 @@ double Network::idle_route_seconds(graph::NodeId from, graph::NodeId to,
                                    std::size_t bytes) const {
   double total = 0.0;
   for (graph::NodeId at = from; at != to;) {
-    const graph::NodeId hop = routing_.next_hop(at, to);
+    const graph::NodeId hop = paths_.next_hop(at, to);
     total += idle_hop_seconds(at, hop, bytes);
     at = hop;
   }
@@ -336,7 +337,7 @@ void Network::forward_unicast(graph::NodeId at, graph::NodeId prev,
     packet_pool_.release(std::move(pkt));
     return;
   }
-  const graph::NodeId hop = routing_.next_hop(at, pkt.dst);
+  const graph::NodeId hop = paths_.next_hop(at, pkt.dst);
   transmit(at, hop, std::move(pkt), Arrival::kForward);
 }
 

@@ -1,7 +1,8 @@
-// The simulated domain: the topology, its link-state unicast substrate, the
-// per-router protocol agents, and the two bandwidth-accounting counters the
-// paper evaluates (data overhead and protocol overhead, both in link-cost
-// units per link crossing, §IV-B).
+// The simulated domain: the topology, its shortest-path store (the
+// link-state unicast substrate and the m-routers' P_sl / P_lc database in
+// one), the per-router protocol agents, and the two bandwidth-accounting
+// counters the paper evaluates (data overhead and protocol overhead, both in
+// link-cost units per link crossing, §IV-B).
 #pragma once
 
 #include <functional>
@@ -9,10 +10,10 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/packet_pool.hpp"
-#include "sim/routing.hpp"
 #include "util/contracts.hpp"
 
 namespace scmp::sim {
@@ -23,6 +24,14 @@ class RouterAgent {
  public:
   virtual ~RouterAgent() = default;
   virtual void handle(const Packet& pkt, graph::NodeId from) = 0;
+};
+
+/// Told of every link failure (Network::set_link_listener), after the
+/// network's shortest-path store has reconverged on the residual topology.
+class LinkListener {
+ public:
+  virtual ~LinkListener() = default;
+  virtual void handle_link_event(graph::NodeId u, graph::NodeId v) = 0;
 };
 
 struct NetStats {
@@ -57,16 +66,21 @@ class Network {
 
   const graph::Graph& graph() const { return graph_; }
 
-  /// Removes the link {u, v} and reconverges the unicast routing substrate
-  /// (the link-state protocol every router runs) incrementally: only the
-  /// shortest-path subtrees the cut orphans are re-settled
-  /// (UnicastRouting::remove_link). Packets already in flight on the link
-  /// still arrive; every other link keeps its queue and byte counter. The
-  /// residual topology must stay connected (unicast routing assumes
-  /// reachability). Multicast protocols are told separately via
-  /// MulticastProtocol::on_topology_change() or Scmp::handle_link_event().
+  /// Removes the link {u, v}, repairs the shortest-path store once
+  /// (graph::AllPairsPaths::apply_link_event: only the subtrees the cut
+  /// orphans are re-settled) and then tells the link listener, if any.
+  /// Packets already in flight on the link still arrive; every other link
+  /// keeps its queue and byte counter. The residual topology must stay
+  /// connected (unicast routing assumes reachability).
   void fail_link(graph::NodeId u, graph::NodeId v);
-  const UnicastRouting& routing() const { return routing_; }
+  /// The shortest-path store over the current topology, built with the
+  /// network: unicast first hops (next_hop) and both DCDM path families.
+  const graph::AllPairsPaths& paths() const { return paths_; }
+  /// Registers the one listener fail_link notifies (non-owning; nullptr
+  /// unregisters). The multicast protocol registers itself.
+  void set_link_listener(LinkListener* listener) {
+    link_listener_ = listener;
+  }
   EventQueue& queue() { return *queue_; }
   SimTime now() const { return queue_->now(); }
   NetStats& stats() { return stats_; }
@@ -255,7 +269,8 @@ class Network {
 
   graph::Graph graph_;
   EventQueue* queue_;
-  UnicastRouting routing_;
+  graph::AllPairsPaths paths_;
+  LinkListener* link_listener_ = nullptr;
   NetStats stats_;
   std::vector<RouterAgent*> agents_;
   /// Egress queue per directed link, indexed like adjacency; the newest

@@ -21,12 +21,11 @@ std::vector<Violation> InvariantAuditor::audit() const {
     const ScmpSnapshot snap = take_snapshot(*scmp);
     for (const GroupSnapshot& group : snap.groups)
       check_group(group, scmp->net().graph(), out);
-    // Oracle check: the incrementally-maintained path database and unicast
-    // routing table must match a from-scratch build bit-for-bit (catches a
-    // wrong dirty-source test or subtree repair the moment churn exercises
+    // Oracle check: the network's incrementally-maintained path store must
+    // match a from-scratch build bit-for-bit (catches a wrong dirty-source
+    // test, subtree repair or first-hop update the moment churn exercises
     // it).
-    check_path_db(scmp->paths(), scmp->net().routing(), scmp->net().graph(),
-                  out);
+    check_path_db(scmp->net().paths(), scmp->net().graph(), out);
   }
 
   std::vector<std::string> self_check;

@@ -144,11 +144,11 @@ bool apply(World& w, const ChurnEvent& ev) {
       graph::Graph probe = w.net->graph();
       probe.remove_edge(ev.node, ev.node2);
       if (!probe.is_connected()) return false;
+      // The network repairs its path store incrementally and calls the
+      // protocol's link hook. The auditor's path-db-consistent invariant
+      // holds the store against a from-scratch AllPairsPaths at every audit
+      // stride.
       w.net->fail_link(ev.node, ev.node2);
-      // Incremental path: only dirty Dijkstra sources re-run. The auditor's
-      // path-db-consistent invariant holds this against a from-scratch
-      // AllPairsPaths at every audit stride.
-      w.scmp->handle_link_event(ev.node, ev.node2);
       return true;
     }
   }

@@ -29,14 +29,12 @@
 //   protocol-self-check  whatever MulticastProtocol::audit_state of the
 //                        audited protocol reports (CBT / PIM-SM hard-state
 //                        symmetry; empty by default).
-//   path-db-consistent   the two incrementally-maintained shortest-path
-//                        stores match a from-scratch build on the current
-//                        topology bit-for-bit: the m-router's dual-weight
-//                        path database (AllPairsPaths::apply_link_event;
-//                        dist, companion weight and canonical parent, per
-//                        source and metric) and the network's unicast
-//                        routing table (UnicastRouting::remove_link; every
-//                        next hop and distance).
+//   path-db-consistent   the network's incrementally-maintained
+//                        shortest-path store (AllPairsPaths::
+//                        apply_link_event) matches a from-scratch build on
+//                        the current topology bit-for-bit: dist, companion
+//                        weight and canonical parent per source and metric,
+//                        and every unicast first hop.
 #pragma once
 
 #include <map>
@@ -45,7 +43,6 @@
 
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
-#include "sim/routing.hpp"
 #include "verify/snapshot.hpp"
 
 namespace scmp::fabric {
@@ -113,13 +110,11 @@ FabricView view_of(const fabric::MRouterFabric& fabric);
 /// no cross-group connection through the DN).
 void check_fabric(const FabricView& v, std::vector<Violation>& out);
 
-/// Invariant 7: the (possibly incrementally-maintained) path database `db`
-/// is bit-identical to a from-scratch AllPairsPaths built on `g` — every
-/// source's dist/companion/parent under both metrics — and `routing` to a
-/// from-scratch UnicastRouting on `g` — every next hop and distance.
+/// Invariant 7: the (possibly incrementally-maintained) path store `db` is
+/// bit-identical to a from-scratch AllPairsPaths built on `g` — every
+/// source's dist/companion/parent under both metrics and every first hop.
 /// O(n * Dijkstra): an oracle check, meant for audit strides, not hot paths.
-void check_path_db(const graph::AllPairsPaths& db,
-                   const sim::UnicastRouting& routing, const graph::Graph& g,
+void check_path_db(const graph::AllPairsPaths& db, const graph::Graph& g,
                    std::vector<Violation>& out);
 
 /// One line per violation: "<invariant>: <detail>".

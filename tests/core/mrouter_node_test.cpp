@@ -113,7 +113,6 @@ TEST(MRouterNode, FailoverAfterLinkEventUsesRepairedPaths) {
   ASSERT_NE(u, graph::kInvalidNode) << "no removable tree link";
   const graph::NodeId standby = v;
   f.net_.fail_link(u, v);
-  scmp.handle_link_event(u, v);
   f.drain();
   scmp.fail_over_to(standby);
   f.drain();

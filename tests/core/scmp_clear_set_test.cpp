@@ -80,7 +80,6 @@ TEST(ScmpClearSet, FailoverClearsOnlyRoutersTheNewTreeDrops) {
 TEST(ScmpClearSet, LinkEventClearsOnlyRoutersTheNewTreeDrops) {
   Fixture f;
   f.net.fail_link(2, 3);
-  f.scmp->handle_link_event(2, 3);
   f.queue.run_all();
   EXPECT_EQ(f.scmp->group_tree(kGroup)->tree().on_tree_nodes(),
             (std::vector<graph::NodeId>{0, 3, 6}));

@@ -1,9 +1,10 @@
-// Scmp::handle_link_event — the incremental single-link repair path. It must
-// leave the m-router in exactly the state on_topology_change() produces
-// (same path database bit-for-bit, same trees, same installed network
-// state), while recomputing only the dirty Dijkstra sources; and the repair
-// must be local: only a tree that lost an edge is rebuilt, every other group
-// sends nothing.
+// Network::fail_link and the hook it calls, Scmp::handle_link_event — the
+// incremental single-link repair path. It must leave the domain in exactly
+// the state a fresh world on the residual topology reaches (same path store
+// bit-for-bit, same trees, consistent installed state), while recomputing
+// only the dirty Dijkstra sources; the repair must be local: only a tree
+// that lost an edge is rebuilt, every other group sends nothing; and a
+// repeated hook call is a no-op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,22 +50,6 @@ struct Fixture {
   std::unique_ptr<Scmp> scmp;
 };
 
-void expect_paths_identical(const graph::AllPairsPaths& got,
-                            const graph::AllPairsPaths& want) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (graph::NodeId s = 0; s < got.num_nodes(); ++s) {
-    for (const bool least_cost : {false, true}) {
-      const graph::ShortestPaths& x =
-          least_cost ? got.lc_from(s) : got.sl_from(s);
-      const graph::ShortestPaths& y =
-          least_cost ? want.lc_from(s) : want.sl_from(s);
-      ASSERT_EQ(x.dist, y.dist) << "source " << s;
-      ASSERT_EQ(x.companion, y.companion) << "source " << s;
-      ASSERT_EQ(x.parent, y.parent) << "source " << s;
-    }
-  }
-}
-
 /// An on-tree link of the group's current tree (repair is guaranteed to
 /// change something), whose removal keeps the topology connected.
 std::pair<graph::NodeId, graph::NodeId> pick_tree_link(const Fixture& f) {
@@ -82,43 +67,47 @@ std::pair<graph::NodeId, graph::NodeId> pick_tree_link(const Fixture& f) {
 TEST(ScmpLinkEvent, MatchesFullTopologyChange) {
   Rng rng(3);
   const auto topo = topo::arpanet(rng);
+  // Ascending, one join at a time: the order a rebuild joins them in.
   const std::vector<graph::NodeId> members{5, 17, 29, 41};
 
   Fixture incremental(topo.graph);
-  Fixture full(topo.graph);
-  incremental.join_all(members);
-  full.join_all(members);
+  for (graph::NodeId m : members) incremental.join_all({m});
 
   const auto [u, v] = pick_tree_link(incremental);
   ASSERT_NE(u, graph::kInvalidNode);
 
+  obs::set_metrics_enabled(true);
+  const obs::Counter& sources =
+      obs::counter("paths.rebuild.sources_recomputed");
+  const std::uint64_t before = sources.value();
   incremental.net.fail_link(u, v);
-  const int recomputed = incremental.scmp->handle_link_event(u, v);
+  const std::uint64_t recomputed = sources.value() - before;
+  obs::set_metrics_enabled(false);
   incremental.queue.run_all();
-
-  full.net.fail_link(u, v);
-  full.scmp->on_topology_change();
-  full.queue.run_all();
 
   // A failed tree link dirties at least its two endpoints' runs, but never
   // requires every source.
-  EXPECT_GE(recomputed, 1);
-  EXPECT_LE(recomputed, topo.graph.num_nodes());
+  EXPECT_GE(recomputed, 1u);
+  EXPECT_LE(recomputed, static_cast<std::uint64_t>(topo.graph.num_nodes()));
 
-  expect_paths_identical(incremental.scmp->paths(), full.scmp->paths());
-  expect_paths_identical(incremental.scmp->paths(),
-                         graph::AllPairsPaths(incremental.net.graph()));
+  // A fresh world on the residual topology, joined in the same order.
+  graph::Graph residual = topo.graph;
+  residual.remove_edge(u, v);
+  Fixture fresh(residual);
+  for (graph::NodeId m : members) fresh.join_all({m});
+
+  test::expect_paths_identical(incremental.net.paths(), fresh.net.paths());
   ASSERT_NE(incremental.scmp->group_tree(kGroup), nullptr);
-  ASSERT_NE(full.scmp->group_tree(kGroup), nullptr);
+  ASSERT_NE(fresh.scmp->group_tree(kGroup), nullptr);
   EXPECT_EQ(incremental.scmp->group_tree(kGroup)->tree().edges(),
-            full.scmp->group_tree(kGroup)->tree().edges());
+            fresh.scmp->group_tree(kGroup)->tree().edges());
   EXPECT_TRUE(incremental.scmp->network_state_consistent(kGroup));
 }
 
 TEST(ScmpLinkEvent, OffTreeLinkStillRepairsPathDatabase) {
-  // Even when the failed link carries no tree edge, the path database must
-  // end up identical to a from-scratch rebuild (relay candidates for future
-  // joins come from it).
+  // Even when the failed link carries no tree edge, the path store must end
+  // up identical to a from-scratch build (relay candidates for future joins
+  // and every unicast route come from it).
   const auto topo = test::random_topology(6, 30);
   Fixture f(topo.graph);
   f.join_all({3, 9, 21});
@@ -145,10 +134,9 @@ TEST(ScmpLinkEvent, OffTreeLinkStillRepairsPathDatabase) {
   ASSERT_NE(u, graph::kInvalidNode) << "no removable off-tree link";
 
   f.net.fail_link(u, v);
-  f.scmp->handle_link_event(u, v);
   f.queue.run_all();
-  expect_paths_identical(f.scmp->paths(),
-                         graph::AllPairsPaths(f.net.graph()));
+  test::expect_paths_identical(f.net.paths(),
+                               graph::AllPairsPaths(f.net.graph()));
   EXPECT_TRUE(f.scmp->network_state_consistent(kGroup));
 }
 
@@ -248,7 +236,6 @@ TEST(ScmpLinkEvent, FailureRebuildsOnlyTheTreeThatUsedTheLink) {
   }
   const sim::TraceRecorder trace(f->net);
   f->net.fail_link(cut->first, cut->second);
-  f->scmp->handle_link_event(cut->first, cut->second);
   f->queue.run_all();
 
   EXPECT_GT(trace.count(sim::PacketType::kTree), 0u);
@@ -276,26 +263,34 @@ TEST(ScmpLinkEvent, FailureOfALinkNoTreeUsesSendsNothing) {
   const sim::TraceRecorder trace(f->net);
   const std::uint64_t calls = dcdm_calls_during([&] {
     f->net.fail_link(cut->first, cut->second);
-    f->scmp->handle_link_event(cut->first, cut->second);
     f->queue.run_all();
   });
   EXPECT_EQ(calls, 0u);
   EXPECT_TRUE(trace.events().empty());
-  expect_paths_identical(f->scmp->paths(),
-                         graph::AllPairsPaths(f->net.graph()));
+  test::expect_paths_identical(f->net.paths(),
+                               graph::AllPairsPaths(f->net.graph()));
   for (const auto& [group, members] : kGroupMembers)
     EXPECT_TRUE(f->scmp->network_state_consistent(group)) << "g" << group;
 }
 
-TEST(ScmpLinkEvent, TopologyChangeWithNothingChangedSendsNothing) {
+TEST(ScmpLinkEvent, RepeatedLinkEventSendsNothing) {
+  // fail_link has already called the hook and rebuilt the cut tree; a
+  // second call right after it (without draining the rebuild's packets)
+  // finds no cut tree, makes no DCDM call and sends nothing.
   const auto f = multi_group_fixture();
+  const std::optional<Link> cut = link_to_cut(*f, /*in_kgroup_tree=*/true);
+  ASSERT_TRUE(cut.has_value()) << "no link only kGroup's tree uses";
   const sim::TraceRecorder trace(f->net);
-  const std::uint64_t calls = dcdm_calls_during([&] {
-    f->scmp->on_topology_change();
-    f->queue.run_all();
-  });
+  f->net.fail_link(cut->first, cut->second);
+  const std::size_t sent = trace.events().size();
+  EXPECT_GT(sent, 0u);
+  const std::uint64_t calls = dcdm_calls_during(
+      [&] { f->scmp->handle_link_event(cut->first, cut->second); });
   EXPECT_EQ(calls, 0u);
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_EQ(trace.events().size(), sent);
+  f->queue.run_all();
+  for (const auto& [group, members] : kGroupMembers)
+    EXPECT_TRUE(f->scmp->network_state_consistent(group)) << "g" << group;
 }
 
 TEST(ScmpLinkEventDeath, LinkStillInTheGraphAborts) {

@@ -44,9 +44,10 @@ class FailureFixture {
     return got;
   }
 
+  /// fail_link repairs the path store and calls SCMP's link hook, which
+  /// rebuilds the cut trees; draining delivers the reinstall.
   void fail_and_repair(graph::NodeId u, graph::NodeId v) {
     net_.fail_link(u, v);
-    scmp_->on_topology_change();
     queue_.run_all();
   }
 
@@ -88,12 +89,20 @@ TEST(ScmpLinkFailure, InFlightDataOverDeadLinkIsDropped) {
   FailureFixture f(ring(6));
   f.scmp_->host_join(2, kGroup);
   f.queue_.run_all();
-  // Fail the tree link but do NOT repair: stale forwarding state now points
-  // across a dead interface; the packet is dropped, not delivered twice nor
-  // crashing the router.
+  // Put a DATA packet on the wire 0 -> 1, then fail the tree link 1-2 under
+  // it. The hook's repair leaves the m-router behind the packet, so the
+  // packet reaches router 1 while its stale entry still points across the
+  // dead interface: it is dropped, not delivered twice nor crashing the
+  // router.
+  const std::size_t delivered = f.deliveries_.size();
+  f.scmp_->send_data(0, kGroup);
+  ASSERT_TRUE(f.queue_.run_next());  // router 0 forwards toward 1
   f.net_.fail_link(1, 2);
-  EXPECT_TRUE(f.send_and_collect(0).empty());
+  f.queue_.run_all();
+  EXPECT_EQ(f.deliveries_.size(), delivered);
   EXPECT_GE(f.net_.stats().no_link_drops, 1u);
+  // The repair itself went through: the next packet arrives.
+  EXPECT_EQ(f.send_and_collect(0), (std::vector<graph::NodeId>{2}));
 }
 
 TEST(ScmpLinkFailure, JoinsWorkAfterRepair) {
@@ -155,8 +164,7 @@ TEST(ScmpLinkFailure, MospfAlsoRecoversViaCacheInvalidation) {
       });
   for (graph::NodeId m : cfg.members) h.protocol().host_join(m, cfg.group);
   h.queue().run_all();
-  h.network().fail_link(1, 2);
-  h.protocol().on_topology_change();
+  h.network().fail_link(1, 2);  // MOSPF's link hook drops its SPT cache
   h.queue().run_all();
   h.protocol().send_data(0, cfg.group);
   h.queue().run_all();

@@ -132,7 +132,6 @@ TEST(ScmpMultiMRouter, TopologyChangeRebuildsAllAnchors) {
   f.scmp_->host_join(6, 2);  // anchored at 0
   f.drain();
   f.net_.fail_link(3, 4);
-  f.scmp_->on_topology_change();
   f.drain();
   EXPECT_TRUE(f.scmp_->network_state_consistent(1));
   EXPECT_TRUE(f.scmp_->network_state_consistent(2));

@@ -423,7 +423,6 @@ TEST(ScmpReliability, ReconcileDefersGroupWithInstallInFlight) {
   const auto cut = tree_link_to_cut(w, kGroup);
   ASSERT_TRUE(cut.has_value());
   w.net.fail_link(cut->first, cut->second);
-  w.scmp.handle_link_event(cut->first, cut->second);
   ASSERT_FALSE(w.scmp.network_state_consistent(kGroup));
 
   obs::set_metrics_enabled(true);

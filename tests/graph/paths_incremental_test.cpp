@@ -1,7 +1,7 @@
-// Incremental path-database updates: AllPairsPaths::apply_link_event must
-// leave the database bit-identical to a from-scratch rebuild on the
-// post-event graph, while touching only the dirty sources — and, for a
-// failure, re-settling only the subtrees the cut orphans
+// Incremental path-store updates: AllPairsPaths::apply_link_event must
+// leave the store, first hops included, bit-identical to a from-scratch
+// build on the post-event graph, while touching only the dirty sources —
+// and, for a failure, re-settling only the subtrees the cut orphans
 // (repair_after_removal).
 #include "graph/paths.hpp"
 
@@ -18,21 +18,6 @@
 
 namespace scmp::graph {
 namespace {
-
-void expect_identical(const AllPairsPaths& got, const AllPairsPaths& want) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (NodeId s = 0; s < got.num_nodes(); ++s) {
-    for (const bool least_cost : {false, true}) {
-      const ShortestPaths& x = least_cost ? got.lc_from(s) : got.sl_from(s);
-      const ShortestPaths& y = least_cost ? want.lc_from(s) : want.sl_from(s);
-      // operator== on the double vectors is exact; inf compares equal for
-      // unreachable slots and no field is ever NaN.
-      ASSERT_EQ(x.dist, y.dist) << "source " << s;
-      ASSERT_EQ(x.companion, y.companion) << "source " << s;
-      ASSERT_EQ(x.parent, y.parent) << "source " << s;
-    }
-  }
-}
 
 /// Removes up to `rounds` random edges (keeping the graph connected, like
 /// the churn model-checker does), applying each as an incremental event and
@@ -58,7 +43,7 @@ void churn_edges(Graph g, std::uint64_t seed, int rounds) {
     const int recomputed = db.apply_link_event(g, u, v);
     EXPECT_GE(recomputed, 0);
     EXPECT_LE(recomputed, g.num_nodes());
-    expect_identical(db, AllPairsPaths(g));
+    test::expect_paths_identical(db, AllPairsPaths(g));
     removed.emplace_back(u, v);
     attrs.push_back(attr);
   }
@@ -67,7 +52,7 @@ void churn_edges(Graph g, std::uint64_t seed, int rounds) {
     const auto [u, v] = removed[i];
     g.add_edge(u, v, attrs[i].delay, attrs[i].cost);
     db.apply_link_event(g, u, v);
-    expect_identical(db, AllPairsPaths(g));
+    test::expect_paths_identical(db, AllPairsPaths(g));
   }
 }
 
@@ -97,7 +82,7 @@ TEST(PathsIncremental, UnusedHeavyEdgeIsCleanForAllSources) {
   AllPairsPaths db(g);
   g.remove_edge(0, 2);
   EXPECT_EQ(db.apply_link_event(g, 0, 2), 0);
-  expect_identical(db, AllPairsPaths(g));
+  test::expect_paths_identical(db, AllPairsPaths(g));
 }
 
 TEST(PathsIncremental, TieRecanonicalizationIsDetected) {
@@ -112,7 +97,7 @@ TEST(PathsIncremental, TieRecanonicalizationIsDetected) {
   EXPECT_EQ(db.sl_from(0).parent[3], 2);
   g.add_edge(1, 3, 0, 0);  // dist(0,3) stays 2.0, but now also via parent 1
   db.apply_link_event(g, 1, 3);
-  expect_identical(db, AllPairsPaths(g));
+  test::expect_paths_identical(db, AllPairsPaths(g));
   EXPECT_EQ(db.sl_from(0).parent[3], 1);
 }
 
@@ -264,7 +249,7 @@ TEST(PathsIncremental, StubLinkFailureResettlesUnderFivePercent) {
   // ... and all of them together re-settle at most 5% of n^2 nodes.
   EXPECT_LE(work * 20, static_cast<std::uint64_t>(n) *
                            static_cast<std::uint64_t>(n));
-  expect_identical(db, AllPairsPaths(g));
+  test::expect_paths_identical(db, AllPairsPaths(g));
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "helpers.hpp"
+#include "topo/transit_stub.hpp"
+#include "util/rng.hpp"
 
 namespace scmp::graph {
 namespace {
@@ -114,6 +118,125 @@ TEST_P(FloydWarshallCrossCheck, DistancesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FloydWarshallCrossCheck,
                          ::testing::Values(4, 44, 444));
+
+// ---------------------------------------------------------------------------
+// First hops: the unicast routing half of the store.
+// ---------------------------------------------------------------------------
+
+TEST(AllPairsPaths, NextHopOnLine) {
+  const Graph g = test::line(4);
+  const AllPairsPaths paths(g);
+  EXPECT_EQ(paths.next_hop(0, 3), 1);
+  EXPECT_EQ(paths.next_hop(1, 3), 2);
+  EXPECT_EQ(paths.next_hop(3, 0), 2);
+  EXPECT_EQ(paths.next_hop(2, 2), 2);  // self
+}
+
+TEST(AllPairsPaths, DistancesMatchDijkstra) {
+  const Graph g = test::diamond();
+  const AllPairsPaths paths(g);
+  EXPECT_DOUBLE_EQ(paths.sl_delay(0, 3), 2.0);
+  EXPECT_DOUBLE_EQ(paths.sl_delay(3, 0), 2.0);
+  EXPECT_EQ(paths.next_hop(0, 3), 1);  // delay-shortest route
+}
+
+TEST(AllPairsPaths, RpfNeighborIsTowardSource) {
+  // DVMRP's RPF neighbour at a router is its first hop toward the source.
+  const Graph g = test::line(5);
+  const AllPairsPaths paths(g);
+  EXPECT_EQ(paths.next_hop(4, 0), 3);
+  EXPECT_EQ(paths.next_hop(1, 0), 0);
+}
+
+class RoutingProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RoutingProperty, NextHopChainsReachDestination) {
+  const auto topo = test::random_topology(GetParam(), 30);
+  const Graph& g = topo.graph;
+  const AllPairsPaths paths(g);
+  for (NodeId s = 0; s < g.num_nodes(); s += 3) {
+    for (NodeId d = 0; d < g.num_nodes(); d += 2) {
+      NodeId cur = s;
+      int hops = 0;
+      while (cur != d) {
+        const NodeId next = paths.next_hop(cur, d);
+        ASSERT_TRUE(g.has_edge(cur, next));
+        cur = next;
+        ASSERT_LE(++hops, g.num_nodes());
+      }
+    }
+  }
+}
+
+TEST_P(RoutingProperty, NextHopDecreasesDistance) {
+  const auto topo = test::random_topology(GetParam(), 30);
+  const Graph& g = topo.graph;
+  const AllPairsPaths paths(g);
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId d = 0; d < g.num_nodes(); ++d) {
+      if (s == d) continue;
+      const NodeId next = paths.next_hop(s, d);
+      const EdgeAttr* e = g.edge(s, next);
+      ASSERT_NE(e, nullptr);
+      EXPECT_NEAR(paths.sl_delay(s, d), e->delay + paths.sl_delay(next, d),
+                  1e-9);
+    }
+  }
+}
+
+/// Fails `removals` random links one after another, keeping the topology
+/// connected as Network::fail_link requires, and after each failure holds
+/// the incrementally updated store, first hops included, to a fresh build
+/// on the residual graph.
+void expect_removals_match_fresh(Graph g, std::uint64_t seed, int removals) {
+  AllPairsPaths paths(g);
+  Rng rng(seed);
+  int done = 0;
+  for (int attempt = 0; done < removals && attempt < 100 * removals;
+       ++attempt) {
+    const auto u = static_cast<NodeId>(rng.uniform_int(0, g.num_nodes() - 1));
+    const auto& nbs = g.neighbors(u);
+    if (nbs.empty()) continue;
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(nbs.size()) - 1));
+    const NodeId v = nbs[pick].to;
+    Graph probe = g;
+    probe.remove_edge(u, v);
+    if (!probe.is_connected()) continue;
+    g = std::move(probe);
+    paths.apply_link_event(g, u, v);
+    ASSERT_NO_FATAL_FAILURE(
+        test::expect_paths_identical(paths, AllPairsPaths(g)))
+        << "after failing {" << u << ", " << v << "} (failure " << done
+        << ")";
+    ++done;
+  }
+  EXPECT_EQ(done, removals);
+}
+
+TEST_P(RoutingProperty, RemovalSequenceMatchesFreshBuildOnWaxman) {
+  expect_removals_match_fresh(test::random_topology(GetParam(), 30).graph,
+                              GetParam() + 1, 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoutingProperty,
+                         ::testing::Values(1, 13, 222, 3456));
+
+TEST(AllPairsPaths, RemovalSequenceMatchesFreshBuildOnTransitStub) {
+  topo::TransitStubConfig cfg;
+  cfg.transit_domains = 3;
+  cfg.transit_nodes = 4;
+  cfg.stub_domains_per_node = 3;
+  cfg.stub_nodes = 4;
+  Rng rng(7);
+  expect_removals_match_fresh(topo::transit_stub(cfg, rng).graph, 11, 6);
+}
+
+TEST(AllPairsPaths, RemovalSequenceMatchesFreshBuildWithZeroDelays) {
+  // Zero-delay links make the subtree repair fall back to a full run of the
+  // source; the store must come out identical either way.
+  expect_removals_match_fresh(test::tie_heavy_graph(5, 30, 45, 0.2), 6, 12);
+}
 
 }  // namespace
 }  // namespace scmp::graph

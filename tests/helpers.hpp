@@ -1,9 +1,12 @@
-// Shared fixtures for the test suite: the paper's worked-example topologies
-// and deterministic random graphs.
+// Shared fixtures for the test suite: the paper's worked-example topologies,
+// deterministic random graphs, and the bit-identity oracle for path stores.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include "graph/graph.hpp"
 #include "graph/multicast_tree.hpp"
+#include "graph/paths.hpp"
 #include "topo/waxman.hpp"
 #include "util/rng.hpp"
 
@@ -98,6 +101,33 @@ inline graph::Graph tie_heavy_graph(std::uint64_t seed, int n,
     if (u != v && !g.has_edge(u, v)) add(u, v);
   }
   return g;
+}
+
+/// Holds a (possibly incrementally maintained) path store bit-identical to
+/// `want`, usually a from-scratch build: every source's dist, companion and
+/// parent under both metrics, and every first hop. operator== on the double
+/// vectors is exact; inf compares equal for unreachable slots and no field
+/// is ever NaN.
+inline void expect_paths_identical(const graph::AllPairsPaths& got,
+                                   const graph::AllPairsPaths& want) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (graph::NodeId s = 0; s < got.num_nodes(); ++s) {
+    for (const bool least_cost : {false, true}) {
+      const graph::ShortestPaths& x =
+          least_cost ? got.lc_from(s) : got.sl_from(s);
+      const graph::ShortestPaths& y =
+          least_cost ? want.lc_from(s) : want.sl_from(s);
+      ASSERT_EQ(x.dist, y.dist) << "source " << s;
+      ASSERT_EQ(x.companion, y.companion) << "source " << s;
+      ASSERT_EQ(x.parent, y.parent) << "source " << s;
+    }
+    // Equal distances make reachability agree; next_hop requires it.
+    for (graph::NodeId v = 0; v < got.num_nodes(); ++v) {
+      if (!want.sl_from(s).reachable(v)) continue;
+      ASSERT_EQ(got.next_hop(s, v), want.next_hop(s, v))
+          << "first hop " << s << " -> " << v;
+    }
+  }
 }
 
 }  // namespace scmp::test

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "helpers.hpp"
 
 namespace scmp::sim {
@@ -191,10 +194,10 @@ TEST_F(NetworkTest, FailLinkReconvergesRouting) {
   RecordingAgent agents[4];
   for (graph::NodeId v = 0; v < 4; ++v) net.attach(v, &agents[v]);
 
-  EXPECT_EQ(net.routing().next_hop(0, 2), 1);  // tie-break: smaller id
+  EXPECT_EQ(net.paths().next_hop(0, 2), 1);  // tie-break: smaller id
   net.fail_link(1, 2);
   EXPECT_FALSE(net.graph().has_edge(1, 2));
-  EXPECT_EQ(net.routing().next_hop(0, 2), 3);  // rerouted the long way
+  EXPECT_EQ(net.paths().next_hop(0, 2), 3);  // rerouted the long way
 
   Packet p;
   p.dst = 2;
@@ -202,6 +205,33 @@ TEST_F(NetworkTest, FailLinkReconvergesRouting) {
   q.run_all();
   ASSERT_EQ(agents[2].received.size(), 1u);  // via 1-0-3-2
   EXPECT_EQ(agents[2].received[0].second, 3);
+}
+
+TEST_F(NetworkTest, FailLinkTellsListenerAfterTheStoreReconverged) {
+  graph::Graph ring(4);
+  ring.add_edge(0, 1, 1, 1);
+  ring.add_edge(1, 2, 1, 1);
+  ring.add_edge(2, 3, 1, 1);
+  ring.add_edge(3, 0, 1, 1);
+  ring.add_edge(1, 3, 5, 5);  // a slow chord, so a second failure is safe
+  EventQueue q;
+  Network net(ring, q);
+  // Records each call and the route 0 -> 2 the store gives at that moment.
+  struct Listener final : LinkListener {
+    const Network* net = nullptr;
+    std::vector<std::tuple<graph::NodeId, graph::NodeId, graph::NodeId>>
+        calls;
+    void handle_link_event(graph::NodeId u, graph::NodeId v) override {
+      calls.emplace_back(u, v, net->paths().next_hop(0, 2));
+    }
+  } listener;
+  listener.net = &net;
+  net.set_link_listener(&listener);
+  net.fail_link(1, 2);
+  net.set_link_listener(nullptr);
+  net.fail_link(1, 3);  // unregistered: not told
+  ASSERT_EQ(listener.calls.size(), 1u);
+  EXPECT_EQ(listener.calls[0], std::make_tuple(1, 2, 3));
 }
 
 TEST_F(NetworkTest, FailLinkPreservesByteCounters) {

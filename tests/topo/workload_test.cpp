@@ -89,7 +89,9 @@ TEST(FlashCrowd, JoinsLandInsideTheWindowTimeSorted) {
     EXPECT_LT(events[i].time, cfg.start + cfg.window);
     EXPECT_GE(events[i].group, 0);
     EXPECT_LT(events[i].group, cfg.num_groups);
-    if (i > 0) EXPECT_LE(events[i - 1].time, events[i].time);
+    if (i > 0) {
+      EXPECT_LE(events[i - 1].time, events[i].time);
+    }
   }
 }
 

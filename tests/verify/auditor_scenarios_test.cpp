@@ -79,7 +79,8 @@ TEST(AuditorScenarios, LinkFailureRepair) {
   d.drain_and_expect_clean("before the link failure");
 
   // Fail a link the current tree uses, if any survives the guard; the
-  // repair path (on_topology_change) must leave no stale state behind.
+  // repair path (fail_link and SCMP's link hook) must leave no stale state
+  // behind.
   const core::DcdmTree* tree = d.scmp->group_tree(1);
   ASSERT_NE(tree, nullptr);
   for (const auto& [child, parent] : tree->tree().edges()) {
@@ -87,7 +88,6 @@ TEST(AuditorScenarios, LinkFailureRepair) {
     probe.remove_edge(child, parent);
     if (!probe.is_connected()) continue;
     d.net.fail_link(child, parent);
-    d.scmp->on_topology_change();
     break;
   }
   d.drain_and_expect_clean("after the tree link failed and was repaired");

@@ -6,11 +6,14 @@ Usage:
                       [--fail-on-missing]
 
 For every (bench, series, x) point present in both directories the tool
-prints the mean-per-iteration delta as a percentage of the baseline
-(negative = candidate faster). Points slower than ``--threshold`` percent
-(default 25, generous because CI runners are noisy and benches run one
-repetition) are flagged as regressions and make the exit status non-zero,
-so a perf regression fails the build instead of drifting in silently.
+prints the delta of the point's ``p50`` (the median time per iteration over
+its repetitions; for a one-repetition point it equals the mean) as a
+percentage of the baseline (negative = candidate faster). The median keeps
+one slow repetition on a noisy runner from flagging a point by itself.
+Points slower than ``--threshold`` percent (default 25, generous because CI
+runners are noisy) are flagged as regressions and make the exit status
+non-zero, so a perf regression fails the build instead of drifting in
+silently.
 
 Series present on only one side are reported informally (new benches appear,
 retired ones disappear); ``--fail-on-missing`` turns a series that vanished
@@ -29,9 +32,10 @@ import pathlib
 import sys
 
 
-def load_means(dir_path: pathlib.Path) -> dict[tuple[str, str, float], float]:
-    """(bench, series, x) -> mean seconds/iteration, for every valid point."""
-    means: dict[tuple[str, str, float], float] = {}
+def load_medians(
+        dir_path: pathlib.Path) -> dict[tuple[str, str, float], float]:
+    """(bench, series, x) -> p50 seconds/iteration, for every valid point."""
+    medians: dict[tuple[str, str, float], float] = {}
     for path in sorted(dir_path.glob("BENCH_*.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -41,11 +45,11 @@ def load_means(dir_path: pathlib.Path) -> dict[tuple[str, str, float], float]:
             raise SystemExit(f"{path}: not a scmp-bench-v1 file")
         bench = doc.get("bench", path.stem)
         for p in doc.get("points", []):
-            mean = p.get("mean")
-            if isinstance(mean, (int, float)) and not isinstance(mean, bool) \
-                    and mean > 0:
-                means[(bench, p["series"], float(p["x"]))] = float(mean)
-    return means
+            p50 = p.get("p50")
+            if isinstance(p50, (int, float)) and not isinstance(p50, bool) \
+                    and p50 > 0:
+                medians[(bench, p["series"], float(p["x"]))] = float(p50)
+    return medians
 
 
 def fmt_key(key: tuple[str, str, float]) -> str:
@@ -71,8 +75,8 @@ def main(argv: list[str]) -> int:
             print(f"bench_diff.py: {d} is not a directory", file=sys.stderr)
             return 2
 
-    base = load_means(args.baseline)
-    cand = load_means(args.candidate)
+    base = load_medians(args.baseline)
+    cand = load_medians(args.candidate)
     if not base:
         print(f"bench_diff.py: no BENCH_*.json in {args.baseline}",
               file=sys.stderr)

@@ -97,9 +97,9 @@ PACKET_CPP = "src/sim/packet.cpp"
 # rule scans. join() and leave() run per membership change — with the
 # delay-cache refresh, the tree mutations they make and the local
 # postconditions (validate_graft/validate_prune) they ensure —
-# dijkstra_into() n times per path-database rebuild, the subtree repair
-# (repair_after_removal, and the routing update built on it) once per source
-# and metric per link failure, the event-queue/transmit trio once per
+# dijkstra_into() n times per path-store build, the subtree repair
+# (repair_after_removal, and the store update built on it, first hops
+# included) once per source and metric per link failure, the event-queue/transmit trio once per
 # simulated event or link crossing, and forward_data once per DATA hop; an
 # accidental per-call allocation here is a real throughput regression even
 # when every test stays green.
@@ -114,10 +114,10 @@ HOT_PATH_FUNCS = {
                                      "MulticastTree::validate_graft",
                                      "MulticastTree::validate_prune"),
     "src/graph/dijkstra.cpp": ("dijkstra_into", "repair_after_removal"),
+    "src/graph/paths.cpp": ("AllPairsPaths::apply_link_event",),
     "src/sim/event_queue.cpp": ("EventQueue::schedule_at",
                                 "EventQueue::run_next"),
     "src/sim/network.cpp": ("Network::transmit",),
-    "src/sim/routing.cpp": ("UnicastRouting::remove_link",),
 }
 
 CONTRACT_RE = re.compile(r"\bSCMP_(EXPECTS|ENSURES|ASSERT)\s*\(")
