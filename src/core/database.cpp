@@ -1,5 +1,6 @@
 #include "core/database.hpp"
 
+#include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace scmp::core {
@@ -43,22 +44,24 @@ MRouterDatabase::published_addresses() const {
   return out;
 }
 
-bool MRouterDatabase::record_join(GroupId group, graph::NodeId router,
-                                  double now, std::uint64_t req) {
-  if (req != 0 && !seen_join_reqs_.insert(req).second)
-    return false;  // retransmitted JOIN: already recorded and billed
+void MRouterDatabase::record_join(GroupId group, graph::NodeId router,
+                                  double now) {
   members_[group].insert(router);
-  log_.push_back({now, group, router, true});
-  last_change_[group] = now;
-  return true;
+  log_change({now, group, router, true});
 }
 
 void MRouterDatabase::record_leave(GroupId group, graph::NodeId router,
                                    double now) {
   const auto it = members_.find(group);
   if (it != members_.end()) it->second.erase(router);
-  log_.push_back({now, group, router, false});
-  last_change_[group] = now;
+  log_change({now, group, router, false});
+}
+
+void MRouterDatabase::log_change(const MembershipEvent& ev) {
+  static obs::Gauge& size = obs::gauge("scmp.state.membership_log");
+  log_.push_back(ev);
+  last_change_[ev.group] = ev.time;
+  size.set(static_cast<double>(log_.size()));
 }
 
 void MRouterDatabase::record_data_forwarded(GroupId group,

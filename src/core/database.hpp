@@ -53,13 +53,10 @@ class MRouterDatabase {
   /// Published view of all active (group, address) bindings, group-sorted.
   std::vector<std::pair<GroupId, McastAddress>> published_addresses() const;
 
-  /// Records a membership join for accounting/billing. `req` is the JOIN
-  /// packet's reliable-delivery request uid: a retransmitted JOIN repeats the
-  /// uid, and the second record with a uid already seen is dropped so billing
-  /// sessions are never double-counted (0 = fire-and-forget, never deduped).
-  /// Returns false when the record was deduplicated.
-  bool record_join(GroupId group, graph::NodeId router, double now,
-                   std::uint64_t req = 0);
+  /// Records a membership join for accounting/billing. Every call logs one
+  /// record: a retransmitted JOIN never reaches the database, because the
+  /// receiving m-router processes each request uid once.
+  void record_join(GroupId group, graph::NodeId router, double now);
   void record_leave(GroupId group, graph::NodeId router, double now);
   void record_data_forwarded(GroupId group, std::uint64_t bytes);
 
@@ -75,13 +72,16 @@ class MRouterDatabase {
   int billing_events(graph::NodeId router) const;
 
  private:
+  /// Appends one record to the membership log, which grows with history
+  /// (its length is the scmp.state.membership_log gauge).
+  void log_change(const MembershipEvent& ev);
+
   std::map<GroupId, SessionRecord> active_;
   std::map<GroupId, std::set<graph::NodeId>> members_;
   std::vector<SessionRecord> ended_;
   std::vector<MembershipEvent> log_;
   /// Per group, the time of its latest log_ entry; dropped at end_session.
   std::map<GroupId, double> last_change_;
-  std::set<std::uint64_t> seen_join_reqs_;  ///< request uids already billed
   McastAddress next_address_ = 0xE0000100;  // 224.0.1.0 onwards
 };
 

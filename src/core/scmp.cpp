@@ -322,42 +322,35 @@ void Scmp::EntryTable::erase(GroupId group) {
 // Designated-router side (paper §III-B/§III-C pseudo-code).
 // ---------------------------------------------------------------------------
 
-void Scmp::interface_joined(graph::NodeId router, GroupId group, int iface,
-                            bool first_iface) {
+void Scmp::interface_joined(graph::NodeId router, GroupId group,
+                            int /*iface*/, bool first_iface) {
   const graph::NodeId root = mrouter_of(group);
   // The convergence clock starts at the membership event itself, so the
   // measured time covers request loss, retransmission and repair latency.
   if (first_iface && convergence() != nullptr) convergence()->note_event(group);
   if (router == root) {
-    local_membership_change(group, /*joined=*/true);
+    mrouter_handle_join(group, root, 0);
     // No packet will flow for a root-local join; resolve the measurement now.
     check_convergence(group);
     return;
   }
-  Entry* e = mutable_entry_at(router, group);
-  if (e != nullptr) {
-    e->downstream_ifaces.insert(iface);
-    if (!first_iface) return;
-    // Already on the tree as a relay: the tree does not change, but the
-    // m-router needs the JOIN for accounting and billing (paper §III-B).
-  }
+  // A DR on the tree sends its first member interface's JOIN only: a relay's
+  // tree does not change, but the m-router needs the JOIN for accounting and
+  // billing (paper §III-B). A later interface is subnet-local.
+  if (!first_iface && entry_at(router, group) != nullptr) return;
   send_join(router, group);
 }
 
-void Scmp::interface_left(graph::NodeId router, GroupId group, int iface,
+void Scmp::interface_left(graph::NodeId router, GroupId group, int /*iface*/,
                           bool last_iface) {
+  if (!last_iface) return;  // other interfaces keep the DR a member
+  if (convergence() != nullptr) convergence()->note_event(group);
   const graph::NodeId root = mrouter_of(group);
-  if (last_iface && convergence() != nullptr) convergence()->note_event(group);
   if (router == root) {
-    if (last_iface) {
-      local_membership_change(group, /*joined=*/false);
-      check_convergence(group);
-    }
+    mrouter_handle_leave(group, root);
+    check_convergence(group);
     return;
   }
-  Entry* e = mutable_entry_at(router, group);
-  if (e != nullptr) e->downstream_ifaces.erase(iface);
-  if (!last_iface) return;  // other interfaces keep the DR a member
   send_leave(router, group);
 }
 
@@ -398,27 +391,6 @@ void Scmp::prune_upstream(graph::NodeId at, GroupId group) {
   send_control_link(at, up, std::move(prune));
 }
 
-void Scmp::local_membership_change(GroupId group, bool joined) {
-  const double now = net().now();
-  const graph::NodeId root = mrouter_of(group);
-  if (joined) {
-    db_.start_session(group, now);
-    db_.record_join(group, root, now);
-    if (epoch_enabled()) {
-      epoch_enqueue(group);
-      return;
-    }
-    tree_for(group).join(root);
-  } else {
-    db_.record_leave(group, root, now);
-    if (epoch_enabled()) {
-      epoch_enqueue(group, root);
-      return;
-    }
-    tree_for(group).leave(root);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // m-router side (paper §III-D/§III-E).
 // ---------------------------------------------------------------------------
@@ -434,12 +406,12 @@ void Scmp::mrouter_handle_join(GroupId group, graph::NodeId requester,
   obs::flight_record(obs::FlightEventKind::kHandle, now, req, "JOIN", group,
                      requester, mrouter_of(group));
   db_.start_session(group, now);
-  db_.record_join(group, requester, now, req);
+  db_.record_join(group, requester, now);
 
   if (epoch_enabled()) {
-    // Batched mode: the database record above keeps billing / dedup /
-    // session semantics identical, but the tree work is deferred to the
-    // epoch close, which replays the group's net-resolved delta.
+    // Batched mode: the database record above keeps billing and session
+    // semantics identical, but the tree work is deferred to the epoch
+    // close, which replays the group's net-resolved delta.
     epoch_enqueue(group);
     return;
   }
@@ -605,7 +577,7 @@ int Scmp::resolicit_membership() {
       // soft-state probe makes it re-report its membership.
       ++count;
       if (r == root) {
-        local_membership_change(g, /*joined=*/true);
+        mrouter_handle_join(g, root, 0);
         continue;
       }
       send_join(r, g);
@@ -615,7 +587,7 @@ int Scmp::resolicit_membership() {
       // The DR's LEAVE never registered: it re-announces its departure.
       ++count;
       if (r == root) {
-        local_membership_change(g, /*joined=*/false);
+        mrouter_handle_leave(g, root);
         continue;
       }
       send_leave(r, g);  // a stale leaf redoes the whole exit
@@ -623,6 +595,39 @@ int Scmp::resolicit_membership() {
   }
   resolicits.inc(static_cast<std::uint64_t>(count));
   return count;
+}
+
+template <typename Report>
+void Scmp::diff_installed(GroupId group, Report&& report) const {
+  const auto it = trees_.find(group);
+  const graph::MulticastTree* tree =
+      it == trees_.end() ? nullptr : &it->second.tree();
+  const graph::NodeId root = mrouter_of(group);
+  constexpr graph::NodeId kNone = graph::kInvalidNode;
+  for (graph::NodeId v = 0; v < net().graph().num_nodes(); ++v) {
+    const Entry* e = entry_at(v, group);
+    if (tree == nullptr || v == root || !tree->on_tree(v)) {
+      if (e != nullptr && !report(v, Drift::kOrphaned, kNone)) return;
+      continue;
+    }
+    if (e == nullptr) {
+      if (!report(v, Drift::kDivergent, kNone)) return;
+      continue;
+    }
+    const auto& kids = tree->children(v);
+    const bool missing_child =
+        std::any_of(kids.begin(), kids.end(), [&](graph::NodeId c) {
+          return !e->downstream_routers.contains(c);
+        });
+    if ((e->upstream != tree->parent(v) || missing_child) &&
+        !report(v, Drift::kDivergent, kNone))
+      return;
+    for (graph::NodeId c : e->downstream_routers) {
+      if (std::find(kids.begin(), kids.end(), c) == kids.end() &&
+          !report(v, Drift::kExtraChild, c))
+        return;
+    }
+  }
 }
 
 int Scmp::repair_installed_state() {
@@ -636,7 +641,6 @@ int Scmp::repair_installed_state() {
   std::set<GroupId> groups;
   for (GroupId g : active_groups()) groups.insert(g);
   for (GroupId g : groups_with_installed_state()) groups.insert(g);
-  const graph::NodeId n = net().graph().num_nodes();
 
   for (GroupId g : groups) {
     if (retx_.install_in_flight(g)) {
@@ -647,40 +651,24 @@ int Scmp::repair_installed_state() {
       ++deferred;
       continue;
     }
-    const graph::NodeId root = mrouter_of(g);
-    const auto tit = trees_.find(g);
-    const graph::MulticastTree* tree =
-        tit == trees_.end() ? nullptr : &tit->second.tree();
-
     // Digest diff against the authoritative tree.
     std::vector<graph::NodeId> orphaned;  // entry but off-tree: drop it
     std::map<graph::NodeId, std::vector<graph::NodeId>> extra_children;
     std::set<graph::NodeId> divergent;  // on-tree, digest wrong or missing
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const Entry* e = entry_at(v, g);
-      const bool on_tree = tree != nullptr && v != root && tree->on_tree(v);
-      if (!on_tree) {
-        if (e != nullptr) orphaned.push_back(v);
-        continue;
+    diff_installed(g, [&](graph::NodeId v, Drift drift, graph::NodeId child) {
+      switch (drift) {
+        case Drift::kOrphaned: orphaned.push_back(v); break;
+        case Drift::kExtraChild: extra_children[v].push_back(child); break;
+        case Drift::kDivergent: divergent.insert(v); break;
       }
-      const auto& kids = tree->children(v);
-      const std::set<graph::NodeId> want(kids.begin(), kids.end());
-      if (e == nullptr) {
-        divergent.insert(v);
-        continue;
-      }
-      if (e->upstream != tree->parent(v)) divergent.insert(v);
-      for (graph::NodeId c : want) {
-        if (!e->downstream_routers.contains(c)) divergent.insert(v);
-      }
-      std::vector<graph::NodeId> extras;
-      for (graph::NodeId c : e->downstream_routers) {
-        if (!want.contains(c)) extras.push_back(c);
-      }
-      if (!extras.empty()) extra_children.emplace(v, std::move(extras));
-    }
+      return true;
+    });
     if (orphaned.empty() && extra_children.empty() && divergent.empty())
       continue;
+    const graph::NodeId root = mrouter_of(g);
+    const auto tit = trees_.find(g);
+    const graph::MulticastTree* tree =
+        tit == trees_.end() ? nullptr : &tit->second.tree();
 
     // One install operation per group per pass versions every repair.
     const std::uint64_t version = next_install_version(g);
@@ -865,11 +853,11 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
     }
     if (!lost.empty()) send_clear(group, w, std::move(lost), version);
   }
-  // BRANCHes to every joined member whose own edge is not intact: only a
-  // BRANCH's terminal hop hands a DR its member interfaces, and a relay
-  // entry this close creates has none. Then one BRANCH to a member below
-  // each other new, re-parented or regrafted edge none of them crossed;
-  // every non-root leaf is a member, so each such edge has one below it.
+  // BRANCHes to every joined member whose own edge is not intact. Then one
+  // BRANCH to a member below each other new, re-parented or regrafted edge
+  // none of them crossed; every non-root leaf is a member, so each such edge
+  // has one below it. The second pass alone would cover every edge; the
+  // first fixes which BRANCHes the close sends.
   const graph::NodeId root = tree.root();
   std::vector<char> crossed(static_cast<std::size_t>(n), 0);
   const auto intact = [&](graph::NodeId v) {
@@ -978,21 +966,28 @@ void Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
 // i-router side.
 // ---------------------------------------------------------------------------
 
+bool Scmp::install_is_current(graph::NodeId at,
+                              const sim::Packet& pkt) const {
+  // Never let an older install overwrite newer state or resurrect a cleared
+  // entry. An entry is never older than its router's tombstone: only an
+  // install no older than the tombstone creates one, and only the CLEAR
+  // that erases an entry raises it.
+  if (const Entry* e = entry_at(at, pkt.group)) {
+    if (e->version <= pkt.uid) return true;
+    stale_install_drops().inc();
+    return false;
+  }
+  const auto& tombs = cleared_version_[static_cast<std::size_t>(at)];
+  const auto tomb = tombs.find(pkt.group);
+  if (tomb == tombs.end() || tomb->second <= pkt.uid) return true;
+  tombstoned_drops().inc();
+  return false;
+}
+
 void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
                           graph::NodeId from) {
   SCMP_EXPECTS(from != graph::kInvalidNode);
-  // Install-version gate: never let an older install overwrite newer state
-  // or resurrect a cleared entry.
-  if (const Entry* existing = entry_at(at, pkt.group);
-      existing != nullptr && existing->version > pkt.uid) {
-    stale_install_drops().inc();
-    return;
-  }
-  if (cleared_version_[static_cast<std::size_t>(at)].count(pkt.group) &&
-      cleared_version_[static_cast<std::size_t>(at)][pkt.group] > pkt.uid) {
-    tombstoned_drops().inc();
-    return;
-  }
+  if (!install_is_current(at, pkt)) return;
   if (pkt.payload.size() % 4 != 0) {  // not a whole number of words
     drop_malformed(at, pkt, "tree_length");
     return;
@@ -1006,8 +1001,6 @@ void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
   Entry fresh;
   fresh.upstream = from;
   fresh.version = pkt.uid;
-  const auto ifaces = igmp().member_ifaces(at, pkt.group);
-  fresh.downstream_ifaces.insert(ifaces.begin(), ifaces.end());
 
   for (const TreeChild& child : split_tree_packet(words)) {
     fresh.downstream_routers.insert(child.id);
@@ -1035,25 +1028,14 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
     return;
   }
 
-  Entry* e = mutable_entry_at(at, pkt.group);
-  if (e != nullptr && e->version > pkt.uid) {  // overtaken install
-    stale_install_drops().inc();
-    return;
-  }
-  auto& tombs = cleared_version_[static_cast<std::size_t>(at)];
-  if (e == nullptr && tombs.count(pkt.group) &&
-      tombs[pkt.group] > pkt.uid) {  // would resurrect a cleared entry
-    tombstoned_drops().inc();
-    return;
-  }
-  if (e == nullptr)
-    e = &entries_[static_cast<std::size_t>(at)].get(pkt.group);
-  e->version = std::max(e->version, pkt.uid);
+  if (!install_is_current(at, pkt)) return;
+  Entry& e = entries_[static_cast<std::size_t>(at)].get(pkt.group);
+  e.version = std::max(e.version, pkt.uid);
   // The BRANCH always arrives over this node's (possibly new, after a loop
   // elimination) tree edge toward the root, so the upstream is authoritative.
-  e->upstream = from;
+  e.upstream = from;
   if (pos + 1 != path.end()) {
-    e->downstream_routers.insert(*(pos + 1));
+    e.downstream_routers.insert(*(pos + 1));
     obs::flight_record(obs::FlightEventKind::kInstalled, net().now(), pkt.req,
                        "BRANCH", pkt.group, from, at);
     // Forwarded under a fresh request uid: each hop retransmits toward its
@@ -1062,10 +1044,8 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
     return;
   }
 
-  // Terminal hop: the new member's DR attaches its marked interfaces.
-  const auto ifaces = igmp().member_ifaces(at, pkt.group);
-  e->downstream_ifaces.insert(ifaces.begin(), ifaces.end());
-  if (e->downstream_ifaces.empty() && e->downstream_routers.empty()) {
+  // Terminal hop: the new member's DR, whose marked interfaces IGMP holds.
+  if (e.downstream_routers.empty() && !router_is_member(at, pkt.group)) {
     // The hosts already left while the BRANCH was in flight: undo.
     send_leave(at, pkt.group);
     return;
@@ -1088,7 +1068,7 @@ void Scmp::ir_handle_prune(graph::NodeId at, const sim::Packet& pkt,
     return;
   }
   e->downstream_routers.erase(from);
-  if (e->downstream_routers.empty() && e->downstream_ifaces.empty()) {
+  if (e->downstream_routers.empty() && !router_is_member(at, pkt.group)) {
     // Relay became a useless leaf; prune continues upstream (§III-C). No
     // LEAVE is sent: a pure relay never joined the group.
     prune_upstream(at, pkt.group);
@@ -1103,8 +1083,12 @@ void Scmp::ir_handle_clear(graph::NodeId at, const sim::Packet& pkt) {
   }
   if (pkt.path.empty()) {
     entries_[static_cast<std::size_t>(at)].erase(pkt.group);
-    auto& tomb = cleared_version_[static_cast<std::size_t>(at)][pkt.group];
-    tomb = std::max(tomb, pkt.uid);
+    static obs::Gauge& tombs = obs::gauge("scmp.state.tombstones");
+    const auto [tomb, fresh] =
+        cleared_version_[static_cast<std::size_t>(at)].try_emplace(pkt.group,
+                                                                   pkt.uid);
+    tomb->second = std::max(tomb->second, pkt.uid);
+    if (fresh) tombs.set(static_cast<double>(++tombstone_count_));
     return;
   }
   if (e == nullptr) {
@@ -1245,6 +1229,8 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
                          pkt.req, control_name(pkt.type), pkt.group, from, at);
       return;
     }
+    static obs::Gauge& seen = obs::gauge("scmp.state.seen_requests");
+    seen.set(static_cast<double>(++seen_req_total_));
     obs::flight_record(obs::FlightEventKind::kRecv, net().now(), pkt.req,
                        control_name(pkt.type), pkt.group, from, at);
   }
@@ -1306,30 +1292,12 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
 }
 
 bool Scmp::network_state_consistent(GroupId group) const {
-  const auto it = trees_.find(group);
-  const graph::MulticastTree* tree =
-      it == trees_.end() ? nullptr : &it->second.tree();
-  const graph::NodeId root = mrouter_of(group);
-
-  for (graph::NodeId v = 0; v < net().graph().num_nodes(); ++v) {
-    const Entry* e = entry_at(v, group);
-    if (v == root) {
-      if (e != nullptr) return false;  // the anchor holds no Entry
-      continue;
-    }
-    const bool should_be_on_tree = tree != nullptr && tree->on_tree(v);
-    if (!should_be_on_tree) {
-      if (e != nullptr) return false;
-      continue;
-    }
-    if (e == nullptr) return false;
-    if (e->upstream != tree->parent(v)) return false;
-    const auto& kids = tree->children(v);
-    if (e->downstream_routers !=
-        std::set<graph::NodeId>(kids.begin(), kids.end()))
-      return false;
-  }
-  return true;
+  bool consistent = true;
+  diff_installed(group, [&](graph::NodeId, Drift, graph::NodeId) {
+    consistent = false;
+    return false;  // the first difference decides
+  });
+  return consistent;
 }
 
 }  // namespace scmp::core

@@ -175,14 +175,14 @@ class Scmp final : public proto::MulticastProtocol {
   const RetxTable& retx() const { return retx_; }
 
   /// An i-router's installed multicast routing entry (paper §III-A):
-  /// (group id, upstream, downstream routers + downstream interfaces).
+  /// (group id, upstream, downstream routers); a DR's downstream interfaces
+  /// are its IGMP member interfaces (igmp().member_ifaces), not copied here.
   /// `version` is the m-router install operation that last wrote the entry;
   /// i-routers ignore install packets older than their entry (a BRANCH
   /// overtaken by a newer restructure must not resurrect stale state).
   struct Entry {
     graph::NodeId upstream = graph::kInvalidNode;
     std::set<graph::NodeId> downstream_routers;
-    std::set<int> downstream_ifaces;
     std::uint64_t version = 0;
   };
   const Entry* entry_at(graph::NodeId router, GroupId group) const;
@@ -225,8 +225,9 @@ class Scmp final : public proto::MulticastProtocol {
     std::vector<std::unique_ptr<Entry>> nodes_;  ///< parallel to groups_
   };
 
-  // m-router side. `req` is the JOIN's reliable-delivery request uid (0 when
-  // fire-and-forget); the database dedupes billing records by it.
+  // m-router side, for JOIN/LEAVE packets and the anchor's own hosts alike.
+  // `req` is the JOIN's request uid for the flight record (0 when
+  // fire-and-forget or root-local).
   void mrouter_handle_join(GroupId group, graph::NodeId requester,
                            std::uint64_t req);
   void mrouter_handle_leave(GroupId group, graph::NodeId requester);
@@ -267,7 +268,6 @@ class Scmp final : public proto::MulticastProtocol {
   /// BRANCH across every other new, re-parented or pruned-and-regrafted
   /// edge. Returns false (and does nothing) when the delta is empty.
   bool replay_delta(GroupId group, const std::set<graph::NodeId>& left);
-  void local_membership_change(GroupId group, bool joined);
   /// Starts a new install operation for the group and returns its version.
   std::uint64_t next_install_version(GroupId group) {
     return ++install_version_[group];
@@ -296,7 +296,26 @@ class Scmp final : public proto::MulticastProtocol {
   int resolicit_membership();
   int repair_installed_state();
 
+  /// How one router's installed entry for a group differs from the
+  /// anchoring m-router's tree.
+  enum class Drift {
+    kOrphaned,    ///< an entry off the tree, or at the anchor itself
+    kExtraChild,  ///< the entry lists a downstream router the tree does not
+    kDivergent,   ///< on the tree: no entry, wrong upstream or a child missing
+  };
+  /// The one scan behind network_state_consistent and reconciliation: walks
+  /// the routers in ascending order and calls `report(router, drift, child)`
+  /// for every difference, `child` naming the extra downstream router of a
+  /// kExtraChild (kInvalidNode otherwise). `report` returns false to stop the
+  /// scan. Allocates nothing.
+  template <typename Report>
+  void diff_installed(GroupId group, Report&& report) const;
+
   // i-router side.
+  /// The install-version gate of TREE and BRANCH: false, counted, when the
+  /// packet is older than `at`'s entry (stale_install) or, with no entry,
+  /// older than the CLEAR that dropped it (tombstoned).
+  bool install_is_current(graph::NodeId at, const sim::Packet& pkt) const;
   void ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
                       graph::NodeId from);
   void ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
@@ -329,19 +348,21 @@ class Scmp final : public proto::MulticastProtocol {
   std::map<GroupId, std::uint64_t> install_version_;
   /// Tombstones: the version of the last applied entry-drop CLEAR, per
   /// (router, group); install packets older than the tombstone must not
-  /// resurrect the entry.
+  /// resurrect the entry. Never collected; tombstone_count_ counts them.
   std::vector<std::map<GroupId, std::uint64_t>> cleared_version_;
+  std::size_t tombstone_count_ = 0;
   /// Per-router installed entries; a group's anchoring m-router forwards
   /// from its tree and holds no Entry for that group (it may hold entries
-  /// for groups anchored elsewhere). When an entry is created (BRANCH
-  /// terminal or TREE install) its downstream interfaces are taken from the
-  /// IGMP state, which subsumes the paper's "marked interface" bookkeeping.
+  /// for groups anchored elsewhere). A DR's member interfaces, the paper's
+  /// "marked interfaces", are read from the IGMP state.
   std::vector<EntryTable> entries_;
   /// Control-plane retransmission tables (one logical table per endpoint).
   RetxTable retx_;
   /// Receiver-side dedup of reliably-delivered control packets, per router:
   /// a retransmitted request is re-acknowledged but processed only once.
+  /// Insert-only; seen_req_total_ is the sets' total size.
   std::vector<std::set<std::uint64_t>> seen_req_;
+  std::size_t seen_req_total_ = 0;
   TransitModel transit_model_;
   double session_idle_expiry_ = 0.0;  ///< 0 = sessions never auto-expire
   /// Groups with membership changes recorded but tree work still deferred,

@@ -60,20 +60,11 @@ void Mospf::handle_lsa(graph::NodeId at, const sim::Packet& pkt,
   }
 }
 
-const graph::ShortestPaths& Mospf::spt(graph::NodeId source) {
-  auto it = spt_cache_.find(source);
-  if (it == spt_cache_.end()) {
-    it = spt_cache_
-             .emplace(source, graph::dijkstra(net().graph(), source,
-                                              graph::Metric::kDelay))
-             .first;
-  }
-  return it->second;
-}
-
 void Mospf::handle_data(graph::NodeId at, const sim::Packet& pkt,
                         graph::NodeId from) {
-  const graph::ShortestPaths& tree = spt(pkt.src);
+  // The per-source shortest-path tree every router derives from the
+  // link-state database: the network's path store, repaired on link failure.
+  const graph::ShortestPaths& tree = net().paths().sl_from(pkt.src);
 
   // RPF against the canonical SPT: accept only from the tree parent.
   if (from != graph::kInvalidNode &&

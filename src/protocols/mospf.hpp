@@ -9,7 +9,6 @@
 #include <map>
 #include <set>
 
-#include "graph/dijkstra.hpp"
 #include "protocols/multicast_protocol.hpp"
 
 namespace scmp::proto {
@@ -29,14 +28,6 @@ class Mospf final : public MulticastProtocol {
   void interface_left(graph::NodeId router, GroupId group, int iface,
                       bool last_iface) override;
 
-  /// Link failure: every router recomputes its per-source SPTs from the
-  /// (already reconverged) link-state database.
-  void handle_link_event(graph::NodeId u, graph::NodeId v) override {
-    (void)u;
-    (void)v;
-    spt_cache_.clear();
-  }
-
   /// Membership view a particular router currently holds (exposed for tests
   /// of flood convergence).
   std::set<graph::NodeId> view_of(graph::NodeId router, GroupId group) const;
@@ -47,15 +38,12 @@ class Mospf final : public MulticastProtocol {
                   graph::NodeId from);
   void handle_data(graph::NodeId at, const sim::Packet& pkt,
                    graph::NodeId from);
-  const graph::ShortestPaths& spt(graph::NodeId source);
 
   /// views_[router][group] = member routers, per that router's LSA database.
   std::vector<std::map<GroupId, std::set<graph::NodeId>>> views_;
   /// seen_[router] = (origin, seq) pairs already flooded through.
   std::vector<std::set<std::pair<graph::NodeId, std::uint64_t>>> seen_;
   std::vector<std::uint64_t> next_seq_;
-  /// Canonical per-source SPTs; identical at every router, so shared.
-  std::map<graph::NodeId, graph::ShortestPaths> spt_cache_;
 };
 
 }  // namespace scmp::proto

@@ -45,8 +45,8 @@ class MulticastProtocol : public igmp::MembershipListener,
 
   /// Network::fail_link calls this after the link {u, v} failed and the
   /// network's shortest-path store reconverged — the moment a link-state
-  /// protocol would notify its clients. Default: no reaction (DVMRP and
-  /// PIM-SM read the reconverged routes on their next lookup; CBT has no
+  /// protocol would notify its clients. Default: no reaction (DVMRP, MOSPF
+  /// and PIM-SM read the reconverged routes on their next lookup; CBT has no
   /// repair mechanism in this model).
   void handle_link_event(graph::NodeId u, graph::NodeId v) override {
     (void)u;

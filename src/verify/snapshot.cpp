@@ -36,7 +36,6 @@ GroupSnapshot take_group_snapshot(const core::Scmp& scmp, GroupId group) {
     es.router = v;
     es.upstream = e->upstream;
     es.downstream_routers = e->downstream_routers;
-    es.downstream_ifaces = e->downstream_ifaces;
     snap.entries.push_back(std::move(es));
   }
   return snap;

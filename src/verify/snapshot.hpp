@@ -22,7 +22,6 @@ struct EntrySnapshot {
   graph::NodeId router = graph::kInvalidNode;
   graph::NodeId upstream = graph::kInvalidNode;
   std::set<graph::NodeId> downstream_routers;
-  std::set<int> downstream_ifaces;
 
   bool operator==(const EntrySnapshot&) const = default;
 };

@@ -73,36 +73,26 @@ TEST(Database, MembershipLogForBilling) {
   EXPECT_EQ(db.billing_events(7), 0);
 }
 
-TEST(Database, RetransmittedJoinIsDedupedByRequestUid) {
-  // A reliably-delivered JOIN whose ACK was lost arrives twice with the same
-  // request uid; only the first may create a membership/billing record.
-  MRouterDatabase db;
-  EXPECT_TRUE(db.record_join(1, 5, 1.0, 42));
-  EXPECT_FALSE(db.record_join(1, 5, 1.5, 42));  // retransmission
-  EXPECT_EQ(db.members_of(1).size(), 1u);
-  EXPECT_EQ(db.membership_log().size(), 1u);
-  EXPECT_EQ(db.billing_events(5), 1);
-  // A fresh request uid (e.g. a reconciliation re-JOIN) records normally.
-  EXPECT_TRUE(db.record_join(1, 5, 2.0, 43));
-  EXPECT_EQ(db.billing_events(5), 2);
-}
-
 TEST(Database, FireAndForgetJoinsAreNeverDeduped) {
+  // Every record is logged and billed: a retransmitted JOIN is dropped by
+  // the receiving m-router's request dedup before it reaches the database.
   MRouterDatabase db;
-  EXPECT_TRUE(db.record_join(1, 5, 1.0));  // req = 0: no reliability layer
-  EXPECT_TRUE(db.record_join(1, 5, 2.0));
+  db.record_join(1, 5, 1.0);
+  db.record_join(1, 5, 2.0);
+  EXPECT_EQ(db.members_of(1).size(), 1u);
   EXPECT_EQ(db.membership_log().size(), 2u);
+  EXPECT_EQ(db.billing_events(5), 2);
 }
 
 TEST(Database, LastMembershipChangeFollowsLoggedRecords) {
   MRouterDatabase db;
   db.start_session(1, 0.0);
   EXPECT_EQ(db.last_membership_change(1), std::nullopt);
-  db.record_join(1, 5, 1.0, 42);
+  db.record_join(1, 5, 1.0);
   db.record_join(2, 6, 1.2);  // another group's record
   EXPECT_EQ(db.last_membership_change(1), 1.0);
-  db.record_join(1, 5, 1.5, 42);  // deduplicated: not logged
-  EXPECT_EQ(db.last_membership_change(1), 1.0);
+  db.record_join(1, 5, 1.5);  // a repeated join is logged too
+  EXPECT_EQ(db.last_membership_change(1), 1.5);
   db.record_leave(1, 5, 2.0);
   EXPECT_EQ(db.last_membership_change(1), 2.0);
   db.end_session(1, 3.0);

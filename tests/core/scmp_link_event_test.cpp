@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/scmp.hpp"
@@ -192,23 +191,6 @@ std::optional<Link> link_to_cut(const Fixture& f, bool in_kgroup_tree) {
   return std::nullopt;
 }
 
-/// Every router's installed entry for `group`: upstream, downstream routers
-/// and interfaces, install version.
-using EntryDigest =
-    std::map<graph::NodeId, std::tuple<graph::NodeId, std::set<graph::NodeId>,
-                                       std::set<int>, std::uint64_t>>;
-
-EntryDigest entries_of(const Fixture& f, proto::GroupId group) {
-  EntryDigest out;
-  for (graph::NodeId v = 0; v < f.net.graph().num_nodes(); ++v) {
-    const Scmp::Entry* e = f.scmp->entry_at(v, group);
-    if (e == nullptr) continue;
-    out[v] = {e->upstream, e->downstream_routers, e->downstream_ifaces,
-              e->version};
-  }
-  return out;
-}
-
 /// DcdmTree::join plus DcdmTree::leave calls made while `fn` runs.
 template <typename Fn>
 std::uint64_t dcdm_calls_during(Fn&& fn) {
@@ -228,11 +210,11 @@ TEST(ScmpLinkEvent, FailureRebuildsOnlyTheTreeThatUsedTheLink) {
   ASSERT_TRUE(cut.has_value()) << "no link only kGroup's tree uses";
 
   std::map<proto::GroupId, std::vector<Link>> trees_before;
-  std::map<proto::GroupId, EntryDigest> entries_before;
+  std::map<proto::GroupId, test::EntryDigest> entries_before;
   for (const auto& [group, members] : kGroupMembers) {
     if (group == kGroup) continue;
     trees_before[group] = f->scmp->group_tree(group)->tree().edges();
-    entries_before[group] = entries_of(*f, group);
+    entries_before[group] = test::installed_entries(*f->scmp, group);
   }
   const sim::TraceRecorder trace(f->net);
   f->net.fail_link(cut->first, cut->second);
@@ -248,7 +230,9 @@ TEST(ScmpLinkEvent, FailureRebuildsOnlyTheTreeThatUsedTheLink) {
   for (const auto& [group, edges] : trees_before) {
     EXPECT_EQ(f->scmp->group_tree(group)->tree().edges(), edges)
         << "g" << group;
-    EXPECT_EQ(entries_of(*f, group), entries_before.at(group)) << "g" << group;
+    EXPECT_EQ(test::installed_entries(*f->scmp, group),
+              entries_before.at(group))
+        << "g" << group;
     EXPECT_TRUE(f->scmp->network_state_consistent(group)) << "g" << group;
   }
   EXPECT_TRUE(f->scmp->network_state_consistent(kGroup));

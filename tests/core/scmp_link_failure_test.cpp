@@ -164,7 +164,7 @@ TEST(ScmpLinkFailure, MospfAlsoRecoversViaCacheInvalidation) {
       });
   for (graph::NodeId m : cfg.members) h.protocol().host_join(m, cfg.group);
   h.queue().run_all();
-  h.network().fail_link(1, 2);  // MOSPF's link hook drops its SPT cache
+  h.network().fail_link(1, 2);  // repairs the SPTs MOSPF forwards along
   h.queue().run_all();
   h.protocol().send_data(0, cfg.group);
   h.queue().run_all();

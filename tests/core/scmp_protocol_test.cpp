@@ -6,6 +6,7 @@
 #include <set>
 
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace scmp::core {
 namespace {
@@ -60,13 +61,13 @@ TEST(ScmpProtocol, SingleJoinInstallsBranch) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->upstream, 2);
   EXPECT_TRUE(e->downstream_routers.empty());
-  EXPECT_EQ(e->downstream_ifaces.size(), 1u);
-  // Relay routers 1 and 2 have entries with no interfaces.
+  EXPECT_EQ(f.igmp_.member_ifaces(3, kGroup).size(), 1u);
+  // Relay routers 1 and 2 have entries and no member interfaces.
   const Scmp::Entry* relay = f.scmp_->entry_at(1, kGroup);
   ASSERT_NE(relay, nullptr);
   EXPECT_EQ(relay->upstream, 0);
   EXPECT_EQ(relay->downstream_routers, std::set<graph::NodeId>{2});
-  EXPECT_TRUE(relay->downstream_ifaces.empty());
+  EXPECT_TRUE(f.igmp_.member_ifaces(1, kGroup).empty());
 }
 
 TEST(ScmpProtocol, JoinRecordsSessionAndMembership) {
@@ -206,9 +207,8 @@ TEST(ScmpProtocol, SecondIfaceJoinIsSubnetLocal) {
   f.drain();
   EXPECT_EQ(f.net_.stats().protocol_link_crossings, crossings);
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
-  const Scmp::Entry* e = f.scmp_->entry_at(2, kGroup);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->downstream_ifaces.size(), 2u);
+  ASSERT_NE(f.scmp_->entry_at(2, kGroup), nullptr);
+  EXPECT_EQ(f.igmp_.member_ifaces(2, kGroup).size(), 2u);
   EXPECT_EQ(f.scmp_->database().billing_events(2), 1);
 }
 
@@ -224,6 +224,28 @@ TEST(ScmpProtocol, RelayGainingFirstIfaceSendsAccountingJoin) {
   EXPECT_GT(f.net_.stats().protocol_link_crossings, crossings);
   EXPECT_TRUE(f.scmp_->database().members_of(kGroup).contains(2));
   EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
+}
+
+TEST(ScmpProtocol, DrWhoseJoinCrossesABranchStaysOnTheTree) {
+  // Router 2's JOIN crosses BRANCH(3) on the wire: the BRANCH makes 2 a
+  // relay, and the m-router, finding 2 already on the tree, installs nothing
+  // for it. When 3 leaves, 2 must keep its entry because its hosts are still
+  // joined.
+  ScmpFixture f(test::line(4));
+  f.join(3);
+  const auto tree_has_3 = [&] {
+    const DcdmTree* t = f.scmp_->group_tree(kGroup);
+    return t != nullptr && t->tree().is_member(3);
+  };
+  while (!tree_has_3()) ASSERT_TRUE(f.queue_.run_next());
+  ASSERT_EQ(f.scmp_->entry_at(2, kGroup), nullptr);  // BRANCH(3) in flight
+  f.join(2);
+  f.drain();
+  f.leave(3);
+  f.drain();
+  EXPECT_NE(f.scmp_->entry_at(2, kGroup), nullptr);
+  EXPECT_TRUE(f.scmp_->network_state_consistent(kGroup));
+  EXPECT_EQ(f.send_and_collect(0), (std::vector<graph::NodeId>{2}));
 }
 
 TEST(ScmpProtocol, PartialIfaceLeaveKeepsMembership) {
@@ -316,6 +338,45 @@ TEST(ScmpProtocol, ChurnedAndReEmptiedSessionStillExpiresEventually) {
   EXPECT_TRUE(f.scmp_->database().session_active(kGroup));
   f.queue_.run_until(10.0);
   EXPECT_FALSE(f.scmp_->database().session_active(kGroup));
+}
+
+TEST(ScmpProtocol, SessionOfRootLocalMemberExpires) {
+  // The m-router's own host is the session's last member: its leave goes
+  // through the same m-router handler as a LEAVE packet, expiry included.
+  ScmpFixture f(test::line(3));
+  f.scmp_->set_session_idle_expiry(1.0);
+  f.join(0);
+  f.leave(0);
+  f.drain();
+  EXPECT_FALSE(f.scmp_->database().session_active(kGroup));
+  EXPECT_EQ(f.scmp_->group_tree(kGroup), nullptr);
+}
+
+TEST(ScmpProtocol, HistoryBoundStateGaugesCountWhatEachChangeAdds) {
+  // Reliable delivery: every control packet a router processes leaves its
+  // request uid in that router's dedup set.
+  Scmp::Config cfg;
+  cfg.reliability.enabled = true;
+  ScmpFixture f(test::line(4), /*mrouter=*/0, cfg);
+  obs::set_metrics_enabled(true);
+  obs::reset_values();
+  const auto gauge = [](const char* name) { return obs::gauge(name).value(); };
+  f.join(2);  // JOIN at 0, BRANCH at 1 and 2
+  f.join(3);  // JOIN at 0, BRANCH at 1, 2 and 3
+  f.drain();
+  EXPECT_EQ(gauge("scmp.state.seen_requests"), 7.0);
+  EXPECT_EQ(gauge("scmp.state.tombstones"), 0.0);
+  EXPECT_EQ(gauge("scmp.state.membership_log"), 2.0);
+  f.leave(3);  // PRUNE at 2, LEAVE at 0
+  f.drain();
+  EXPECT_EQ(gauge("scmp.state.seen_requests"), 9.0);
+  EXPECT_EQ(gauge("scmp.state.membership_log"), 3.0);
+  f.scmp_->end_group_session(kGroup);  // entry-drop CLEARs at 1 and 2
+  f.drain();
+  EXPECT_EQ(gauge("scmp.state.seen_requests"), 11.0);
+  EXPECT_EQ(gauge("scmp.state.tombstones"), 2.0);
+  EXPECT_EQ(gauge("scmp.state.membership_log"), 3.0);
+  obs::set_metrics_enabled(false);
 }
 
 TEST(ScmpProtocol, NoExpiryWhenPolicyDisabled) {

@@ -12,10 +12,10 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/scmp.hpp"
+#include "helpers.hpp"
 #include "igmp/igmp.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
@@ -175,10 +175,7 @@ void run_sequential_scenario(Scmp& scmp, sim::EventQueue& q) {
 /// service-database membership, the billing log length (a retransmitted
 /// request must never double-bill) and IGMP ground truth.
 struct StateDigest {
-  std::map<graph::NodeId,
-           std::tuple<graph::NodeId, std::set<graph::NodeId>, std::set<int>,
-                      std::uint64_t>>
-      entries;
+  test::EntryDigest entries;
   std::set<graph::NodeId> db_members;
   std::size_t billing_log = 0;
 
@@ -187,12 +184,7 @@ struct StateDigest {
 
 StateDigest digest(const World& w) {
   StateDigest d;
-  for (graph::NodeId v = 0; v < w.topo.graph.num_nodes(); ++v) {
-    const Scmp::Entry* e = w.scmp.entry_at(v, kGroup);
-    if (e == nullptr) continue;
-    d.entries[v] = {e->upstream, e->downstream_routers, e->downstream_ifaces,
-                    e->version};
-  }
+  d.entries = test::installed_entries(w.scmp, kGroup);
   d.db_members = w.scmp.database().members_of(kGroup);
   d.billing_log = w.scmp.database().membership_log().size();
   return d;

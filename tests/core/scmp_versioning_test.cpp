@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/scmp.hpp"
@@ -161,18 +160,9 @@ TEST(ScmpVersioning, MalformedTreePacketIsDropped) {
 // or a BRANCH whose path does not name the receiving router, is counted
 // and dropped by its handler, never an abort.
 
-/// Every router's installed entry for kGroup, as comparable tuples
-/// (router, upstream, version, downstream routers, downstream interfaces).
-using InstalledEntry = std::tuple<graph::NodeId, graph::NodeId, std::uint64_t,
-                                  std::set<graph::NodeId>, std::set<int>>;
-std::vector<InstalledEntry> installed(const VersioningFixture& f) {
-  std::vector<InstalledEntry> out;
-  for (graph::NodeId v = 0; v < f.g_.num_nodes(); ++v) {
-    if (const Scmp::Entry* e = f.scmp_->entry_at(v, kGroup))
-      out.emplace_back(v, e->upstream, e->version, e->downstream_routers,
-                       e->downstream_ifaces);
-  }
-  return out;
+/// Every router's installed entry for kGroup.
+test::EntryDigest installed(const VersioningFixture& f) {
+  return test::installed_entries(*f.scmp_, kGroup);
 }
 
 /// Sends `pkt` over link `from` -> `to` and returns how much the

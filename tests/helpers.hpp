@@ -1,9 +1,16 @@
 // Shared fixtures for the test suite: the paper's worked-example topologies,
-// deterministic random graphs, and the bit-identity oracle for path stores.
+// deterministic random graphs, the bit-identity oracle for path stores and a
+// comparable digest of SCMP's installed entries.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "core/scmp.hpp"
 #include "graph/graph.hpp"
 #include "graph/multicast_tree.hpp"
 #include "graph/paths.hpp"
@@ -128,6 +135,22 @@ inline void expect_paths_identical(const graph::AllPairsPaths& got,
           << "first hop " << s << " -> " << v;
     }
   }
+}
+
+/// Every router's installed SCMP entry for one group, keyed by router:
+/// (upstream, downstream routers, install version).
+using EntryDigest =
+    std::map<graph::NodeId, std::tuple<graph::NodeId, std::set<graph::NodeId>,
+                                       std::uint64_t>>;
+
+inline EntryDigest installed_entries(const core::Scmp& scmp,
+                                     core::GroupId group) {
+  EntryDigest out;
+  for (graph::NodeId v = 0; v < scmp.net().graph().num_nodes(); ++v) {
+    if (const core::Scmp::Entry* e = scmp.entry_at(v, group))
+      out[v] = {e->upstream, e->downstream_routers, e->version};
+  }
+  return out;
 }
 
 }  // namespace scmp::test
