@@ -1,6 +1,9 @@
 #include "core/scmp.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <ranges>
+#include <span>
 
 #include "core/tree_packet.hpp"
 #include "obs/flight.hpp"
@@ -108,6 +111,7 @@ obs::Counter& no_entry_drops() {
 Scmp::Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg)
     : MulticastProtocol(net, igmp),
       cfg_(cfg),
+      entries_(net.graph().num_nodes()),
       retx_(net.queue(), cfg.reliability) {
   SCMP_EXPECTS(cfg.epoch_interval >= 0.0);
   mrouters_ = cfg.mrouters.empty()
@@ -120,7 +124,6 @@ Scmp::Scmp(sim::Network& net, igmp::IgmpDomain& igmp, Config cfg)
     SCMP_EXPECTS(std::adjacent_find(sorted.begin(), sorted.end()) ==
                  sorted.end());
   }
-  entries_.resize(static_cast<std::size_t>(net.graph().num_nodes()));
   cleared_version_.resize(static_cast<std::size_t>(net.graph().num_nodes()));
   seen_req_.resize(static_cast<std::size_t>(net.graph().num_nodes()));
 }
@@ -264,10 +267,7 @@ std::vector<GroupId> Scmp::active_groups() const {
 }
 
 std::vector<GroupId> Scmp::groups_with_installed_state() const {
-  std::set<GroupId> seen;
-  for (const EntryTable& table : entries_)
-    seen.insert(table.groups().begin(), table.groups().end());
-  return {seen.begin(), seen.end()};
+  return entries_.groups();
 }
 
 std::set<graph::NodeId> Scmp::senders_of(GroupId group) const {
@@ -276,11 +276,11 @@ std::set<graph::NodeId> Scmp::senders_of(GroupId group) const {
 }
 
 Scmp::Entry* Scmp::mutable_entry_at(graph::NodeId router, GroupId group) {
-  return entries_[static_cast<std::size_t>(router)].find(group);
+  return entries_.find(router, group);
 }
 
 const Scmp::Entry* Scmp::entry_at(graph::NodeId router, GroupId group) const {
-  return entries_[static_cast<std::size_t>(router)].find(group);
+  return entries_.find(router, group);
 }
 
 std::size_t Scmp::EntryTable::index_of(GroupId group) const {
@@ -300,22 +300,57 @@ Scmp::Entry* Scmp::EntryTable::find(GroupId group) {
   return i == groups_.size() ? nullptr : nodes_[i].get();
 }
 
-Scmp::Entry& Scmp::EntryTable::get(GroupId group) {
+std::pair<Scmp::Entry*, bool> Scmp::EntryTable::get(GroupId group) {
   const auto it = std::lower_bound(groups_.begin(), groups_.end(), group);
   const auto i = it - groups_.begin();
-  if (it == groups_.end() || *it != group) {
+  const bool create = it == groups_.end() || *it != group;
+  if (create) {
     groups_.insert(it, group);
     nodes_.insert(nodes_.begin() + i, std::make_unique<Entry>());
   }
-  return *nodes_[static_cast<std::size_t>(i)];
+  return {nodes_[static_cast<std::size_t>(i)].get(), create};
 }
 
-void Scmp::EntryTable::erase(GroupId group) {
+bool Scmp::EntryTable::erase(GroupId group) {
   const std::size_t i = index_of(group);
-  if (i == groups_.size()) return;
+  if (i == groups_.size()) return false;
   const auto at = static_cast<std::ptrdiff_t>(i);
   groups_.erase(groups_.begin() + at);
   nodes_.erase(nodes_.begin() + at);
+  return true;
+}
+
+Scmp::Entry& Scmp::EntryStore::get(graph::NodeId router, GroupId group) {
+  const auto [entry, created] =
+      tables_[static_cast<std::size_t>(router)].get(group);
+  if (created) {
+    std::vector<graph::NodeId>& routers = holders_[group];
+    routers.insert(std::upper_bound(routers.begin(), routers.end(), router),
+                   router);
+  }
+  return *entry;
+}
+
+void Scmp::EntryStore::erase(graph::NodeId router, GroupId group) {
+  if (!tables_[static_cast<std::size_t>(router)].erase(group)) return;
+  const auto it = holders_.find(group);
+  std::vector<graph::NodeId>& routers = it->second;
+  routers.erase(std::lower_bound(routers.begin(), routers.end(), router));
+  if (routers.empty()) holders_.erase(it);
+}
+
+const std::vector<graph::NodeId>& Scmp::EntryStore::holders(
+    GroupId group) const {
+  static const std::vector<graph::NodeId> kNone;
+  const auto it = holders_.find(group);
+  return it == holders_.end() ? kNone : it->second;
+}
+
+std::vector<GroupId> Scmp::EntryStore::groups() const {
+  std::vector<GroupId> out;
+  out.reserve(holders_.size());
+  for (const auto& [group, routers] : holders_) out.push_back(group);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +417,7 @@ void Scmp::prune_upstream(graph::NodeId at, GroupId group) {
   const Entry* e = entry_at(at, group);
   SCMP_EXPECTS(e != nullptr);
   const graph::NodeId up = e->upstream;
-  entries_[static_cast<std::size_t>(at)].erase(group);
+  entries_.erase(at, group);
   if (up == graph::kInvalidNode) return;
   sim::Packet prune;
   prune.type = sim::PacketType::kPrune;
@@ -458,6 +493,16 @@ void Scmp::set_session_idle_expiry(double idle_seconds) {
 }
 
 void Scmp::mrouter_handle_leave(GroupId group, graph::NodeId requester) {
+  if (!db_.session_active(group)) {
+    // A LEAVE that outlived its session (end_group_session, or idle expiry,
+    // overtook it) has no membership to end and no tree to prune.
+    static obs::Counter& dropped =
+        obs::counter("scmp.rx.dropped", "no_session");
+    dropped.inc();
+    log_debug("scmp: m-router dropped LEAVE of router ", requester, " for g",
+              group, ": no_session");
+    return;
+  }
   OBS_SPAN("scmp.leave");
   static obs::Counter& leaves = obs::counter("scmp.leaves");
   leaves.inc();
@@ -561,15 +606,21 @@ void Scmp::end_group_session(GroupId group) {
 int Scmp::resolicit_membership() {
   static obs::Counter& resolicits = obs::counter("scmp.reconcile.resolicits");
   int count = 0;
-  std::set<GroupId> groups;
-  for (GroupId g : igmp().groups_with_members()) groups.insert(g);
-  for (GroupId g : active_groups()) groups.insert(g);
+  // One sweep of the IGMP ground truth: each group's member routers.
+  const auto members_by_group = igmp().member_routers_by_group();
+  std::vector<GroupId> groups;
+  std::ranges::set_union(std::views::keys(members_by_group), active_groups(),
+                         std::back_inserter(groups));
   for (GroupId g : groups) {
+    const auto found = members_by_group.find(g);
+    std::span<const graph::NodeId> actual;  // ascending
+    if (found != members_by_group.end()) actual = found->second;
+    const std::set<graph::NodeId>& live = db_.members_of(g);
+    if (std::equal(actual.begin(), actual.end(), live.begin(), live.end()))
+      continue;
     const graph::NodeId root = mrouter_of(g);
-    const auto actual_vec = igmp().member_routers(g);
-    const std::set<graph::NodeId> actual(actual_vec.begin(), actual_vec.end());
     // Copy: the m-router-local transitions below mutate the live set.
-    const std::set<graph::NodeId> recorded = db_.members_of(g);
+    const std::set<graph::NodeId> recorded = live;
 
     for (graph::NodeId r : actual) {
       if (recorded.contains(r)) continue;
@@ -583,7 +634,7 @@ int Scmp::resolicit_membership() {
       send_join(r, g);
     }
     for (graph::NodeId r : recorded) {
-      if (actual.contains(r)) continue;
+      if (std::binary_search(actual.begin(), actual.end(), r)) continue;
       // The DR's LEAVE never registered: it re-announces its departure.
       ++count;
       if (r == root) {
@@ -598,22 +649,26 @@ int Scmp::resolicit_membership() {
 }
 
 template <typename Report>
-void Scmp::diff_installed(GroupId group, Report&& report) const {
+std::size_t Scmp::diff_installed(GroupId group, Report&& report) const {
   const auto it = trees_.find(group);
   const graph::MulticastTree* tree =
       it == trees_.end() ? nullptr : &it->second.tree();
   const graph::NodeId root = mrouter_of(group);
   constexpr graph::NodeId kNone = graph::kInvalidNode;
-  for (graph::NodeId v = 0; v < net().graph().num_nodes(); ++v) {
+  std::size_t checked = 0;
+  // Orphans: the holders at the anchor or off the tree. Every other holder
+  // is on the tree, where the walk below judges it.
+  for (graph::NodeId v : entries_.holders(group)) {
+    if (tree != nullptr && v != root && tree->on_tree(v)) continue;
+    ++checked;
+    if (!report(v, Drift::kOrphaned, kNone)) return checked;
+  }
+  if (tree == nullptr) return checked;
+  tree->walk_subtree(root, [&](graph::NodeId v) {
+    if (v == root) return true;
+    ++checked;
     const Entry* e = entry_at(v, group);
-    if (tree == nullptr || v == root || !tree->on_tree(v)) {
-      if (e != nullptr && !report(v, Drift::kOrphaned, kNone)) return;
-      continue;
-    }
-    if (e == nullptr) {
-      if (!report(v, Drift::kDivergent, kNone)) return;
-      continue;
-    }
+    if (e == nullptr) return report(v, Drift::kDivergent, kNone);
     const auto& kids = tree->children(v);
     const bool missing_child =
         std::any_of(kids.begin(), kids.end(), [&](graph::NodeId c) {
@@ -621,26 +676,34 @@ void Scmp::diff_installed(GroupId group, Report&& report) const {
         });
     if ((e->upstream != tree->parent(v) || missing_child) &&
         !report(v, Drift::kDivergent, kNone))
-      return;
+      return false;
+    // Holding every child, an entry of the same size holds nothing else.
+    if (!missing_child && e->downstream_routers.size() == kids.size())
+      return true;
     for (graph::NodeId c : e->downstream_routers) {
       if (std::find(kids.begin(), kids.end(), c) == kids.end() &&
           !report(v, Drift::kExtraChild, c))
-        return;
+        return false;
     }
-  }
+    return true;
+  });
+  return checked;
 }
 
 int Scmp::repair_installed_state() {
   static obs::Counter& repair_counter = obs::counter("scmp.reconcile.repairs");
   static obs::Counter& deferred_counter =
       obs::counter("scmp.reconcile.deferred");
+  static obs::Counter& checked_counter =
+      obs::counter("scmp.reconcile.routers_checked");
   int repairs = 0;
   int deferred = 0;
+  std::size_t checked = 0;
   // Candidates: every live session plus every group some i-router still
   // holds an entry for (orphans of an ended or restructured session).
-  std::set<GroupId> groups;
-  for (GroupId g : active_groups()) groups.insert(g);
-  for (GroupId g : groups_with_installed_state()) groups.insert(g);
+  std::vector<GroupId> groups;
+  std::ranges::set_union(active_groups(), groups_with_installed_state(),
+                         std::back_inserter(groups));
 
   for (GroupId g : groups) {
     if (retx_.install_in_flight(g)) {
@@ -655,14 +718,15 @@ int Scmp::repair_installed_state() {
     std::vector<graph::NodeId> orphaned;  // entry but off-tree: drop it
     std::map<graph::NodeId, std::vector<graph::NodeId>> extra_children;
     std::set<graph::NodeId> divergent;  // on-tree, digest wrong or missing
-    diff_installed(g, [&](graph::NodeId v, Drift drift, graph::NodeId child) {
-      switch (drift) {
-        case Drift::kOrphaned: orphaned.push_back(v); break;
-        case Drift::kExtraChild: extra_children[v].push_back(child); break;
-        case Drift::kDivergent: divergent.insert(v); break;
-      }
-      return true;
-    });
+    checked += diff_installed(
+        g, [&](graph::NodeId v, Drift drift, graph::NodeId child) {
+          switch (drift) {
+            case Drift::kOrphaned: orphaned.push_back(v); break;
+            case Drift::kExtraChild: extra_children[v].push_back(child); break;
+            case Drift::kDivergent: divergent.insert(v); break;
+          }
+          return true;
+        });
     if (orphaned.empty() && extra_children.empty() && divergent.empty())
       continue;
     const graph::NodeId root = mrouter_of(g);
@@ -708,6 +772,7 @@ int Scmp::repair_installed_state() {
   }
   repair_counter.inc(static_cast<std::uint64_t>(repairs));
   deferred_counter.inc(static_cast<std::uint64_t>(deferred));
+  checked_counter.inc(checked);
   return repairs + deferred;
 }
 
@@ -932,24 +997,26 @@ void Scmp::fail_over(graph::NodeId failed, graph::NodeId standby) {
       affected.push_back(group);
       // The standby may have been an ordinary i-router relay for the group;
       // as its new root it forwards from the authoritative tree instead.
-      entries_[static_cast<std::size_t>(standby)].erase(group);
+      entries_.erase(standby, group);
     }
   }
   rebuild_trees(affected);
 }
 
-std::vector<GroupId> Scmp::broken_trees() const {
+std::vector<GroupId> Scmp::broken_trees(graph::NodeId u,
+                                        graph::NodeId v) const {
   // A failed link shortens no path, so a tree whose edges all survive keeps
-  // every member's delay and admitted bound: only a tree that lost a parent
-  // edge needs rebuilding. A bare (root-only) tree has none to lose.
-  const graph::Graph& g = net().graph();
+  // every member's delay and admitted bound: only a tree that hung a node
+  // from {u, v} needs rebuilding. The auditor's tree-well-formed check
+  // (validate: every parent edge exists) guards the premise.
+  const auto hangs = [](const graph::MulticastTree& tree, graph::NodeId child,
+                        graph::NodeId parent) {
+    return tree.on_tree(child) && tree.parent(child) == parent;
+  };
   std::vector<GroupId> out;
   for (const auto& [group, dcdm] : trees_) {
-    const graph::MulticastTree& tree = dcdm.tree();
-    const bool intact = tree.walk_subtree(tree.root(), [&](graph::NodeId v) {
-      return v == tree.root() || g.has_edge(v, tree.parent(v));
-    });
-    if (!intact) out.push_back(group);
+    if (hangs(dcdm.tree(), u, v) || hangs(dcdm.tree(), v, u))
+      out.push_back(group);
   }
   return out;
 }
@@ -959,7 +1026,7 @@ void Scmp::handle_link_event(graph::NodeId u, graph::NodeId v) {
   // Network::fail_link is the only topology change the simulator makes, and
   // it has already repaired the path database the rebuild reads.
   SCMP_EXPECTS(!net().graph().has_edge(u, v));
-  rebuild_trees(broken_trees());
+  rebuild_trees(broken_trees(u, v));
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,7 +1080,7 @@ void Scmp::ir_handle_tree(graph::NodeId at, const sim::Packet& pkt,
     sub.size_bytes = sim::kControlPacketBytes + sub.payload.size();
     send_control_link(at, child.id, std::move(sub));
   }
-  entries_[static_cast<std::size_t>(at)].get(pkt.group) = std::move(fresh);
+  entries_.get(at, pkt.group) = std::move(fresh);
   obs::flight_record(obs::FlightEventKind::kInstalled, net().now(), pkt.req,
                      "TREE", pkt.group, from, at);
 }
@@ -1029,7 +1096,7 @@ void Scmp::ir_handle_branch(graph::NodeId at, const sim::Packet& pkt,
   }
 
   if (!install_is_current(at, pkt)) return;
-  Entry& e = entries_[static_cast<std::size_t>(at)].get(pkt.group);
+  Entry& e = entries_.get(at, pkt.group);
   e.version = std::max(e.version, pkt.uid);
   // The BRANCH always arrives over this node's (possibly new, after a loop
   // elimination) tree edge toward the root, so the upstream is authoritative.
@@ -1082,7 +1149,7 @@ void Scmp::ir_handle_clear(graph::NodeId at, const sim::Packet& pkt) {
     return;
   }
   if (pkt.path.empty()) {
-    entries_[static_cast<std::size_t>(at)].erase(pkt.group);
+    entries_.erase(at, pkt.group);
     static obs::Gauge& tombs = obs::gauge("scmp.state.tombstones");
     const auto [tomb, fresh] =
         cleared_version_[static_cast<std::size_t>(at)].try_emplace(pkt.group,

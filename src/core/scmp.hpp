@@ -142,7 +142,8 @@ class Scmp final : public proto::MulticastProtocol {
 
   /// Groups any i-router still holds an installed Entry for — a superset of
   /// active_groups() only when stale state leaked. The verification
-  /// auditor's orphan-state invariant diffs the two (src/verify).
+  /// auditor's orphan-state invariant diffs the two (src/verify). Ascending,
+  /// read from the entry store's holder index in O(groups).
   std::vector<GroupId> groups_with_installed_state() const;
 
   /// Distinct source routers the anchoring m-router has seen data from, per
@@ -154,10 +155,12 @@ class Scmp final : public proto::MulticastProtocol {
   /// also re-converges installed state after *concurrent* membership
   /// operations raced each other's install packets): first re-solicits
   /// membership lost to dropped JOIN/LEAVE packets by diffing the service
-  /// database against the IGMP ground truth, then diffs every i-router's
-  /// installed digest (upstream + downstream set) against the anchoring
-  /// m-router's authoritative tree and repairs divergence with targeted
-  /// BRANCH reinstalls and CLEARs. A group with an install (TREE, BRANCH
+  /// database against one sweep of the IGMP ground truth, then diffs each
+  /// group's installed digests (upstream + downstream set) — its holders'
+  /// and its tree routers' — against the anchoring m-router's
+  /// authoritative tree and repairs divergence with targeted BRANCH
+  /// reinstalls and CLEARs. The pass costs O(live state), not O(groups ×
+  /// routers). A group with an install (TREE, BRANCH
   /// or CLEAR) still unacked is deferred, not diffed: its digests are
   /// mid-change (counted in scmp.reconcile.deferred). Returns the number of
   /// repair actions initiated plus the groups deferred (0 = the domain
@@ -211,11 +214,11 @@ class Scmp final : public proto::MulticastProtocol {
    public:
     const Entry* find(GroupId group) const;
     Entry* find(GroupId group);
-    /// The group's entry, created empty when there is none.
-    Entry& get(GroupId group);
-    void erase(GroupId group);
-    /// The groups with an entry, ascending.
-    const std::vector<GroupId>& groups() const { return groups_; }
+    /// The group's entry, created empty when there is none; the flag is
+    /// true when it was created.
+    std::pair<Entry*, bool> get(GroupId group);
+    /// False when there was no entry to erase.
+    bool erase(GroupId group);
 
    private:
     /// Index of `group` in groups_, or groups_.size() when it has none.
@@ -225,9 +228,38 @@ class Scmp final : public proto::MulticastProtocol {
     std::vector<std::unique_ptr<Entry>> nodes_;  ///< parallel to groups_
   };
 
+  /// Every router's EntryTable plus, per group, the ascending list of the
+  /// routers that hold an entry for it. get and erase are the only way an
+  /// entry appears or disappears, and they write the holder index only then
+  /// (never when an entry is updated), so a group leaves the index with its
+  /// last holder and the index stays bounded by live state.
+  class EntryStore {
+   public:
+    explicit EntryStore(int num_routers)
+        : tables_(static_cast<std::size_t>(num_routers)) {}
+    const Entry* find(graph::NodeId router, GroupId group) const {
+      return tables_[static_cast<std::size_t>(router)].find(group);
+    }
+    Entry* find(graph::NodeId router, GroupId group) {
+      return tables_[static_cast<std::size_t>(router)].find(group);
+    }
+    /// The router's entry for the group, created empty when there is none.
+    Entry& get(graph::NodeId router, GroupId group);
+    void erase(graph::NodeId router, GroupId group);
+    /// The routers holding an entry for `group`, ascending.
+    const std::vector<graph::NodeId>& holders(GroupId group) const;
+    /// The groups some router holds an entry for, ascending.
+    std::vector<GroupId> groups() const;
+
+   private:
+    std::vector<EntryTable> tables_;
+    std::map<GroupId, std::vector<graph::NodeId>> holders_;
+  };
+
   // m-router side, for JOIN/LEAVE packets and the anchor's own hosts alike.
   // `req` is the JOIN's request uid for the flight record (0 when
-  // fire-and-forget or root-local).
+  // fire-and-forget or root-local). A LEAVE for a group with no session is
+  // dropped (scmp.rx.dropped, no_session).
   void mrouter_handle_join(GroupId group, graph::NodeId requester,
                            std::uint64_t req);
   void mrouter_handle_leave(GroupId group, graph::NodeId requester);
@@ -247,8 +279,10 @@ class Scmp final : public proto::MulticastProtocol {
   /// tree drops (ascending, neither root) and reinstalls the new tree with
   /// TREE packets.
   void rebuild_trees(const std::vector<GroupId>& groups);
-  /// The groups whose tree has a parent edge the graph no longer has.
-  std::vector<GroupId> broken_trees() const;
+  /// The groups whose tree hangs a node from the failed link {u, v}. Every
+  /// other tree edge still exists: each earlier failure rebuilt the trees it
+  /// cut, and every graft follows current paths.
+  std::vector<GroupId> broken_trees(graph::NodeId u, graph::NodeId v) const;
 
   // Epoch-batched membership pipeline (Config::epoch_interval > 0).
   bool epoch_enabled() const { return cfg_.epoch_interval > 0.0; }
@@ -303,13 +337,16 @@ class Scmp final : public proto::MulticastProtocol {
     kExtraChild,  ///< the entry lists a downstream router the tree does not
     kDivergent,   ///< on the tree: no entry, wrong upstream or a child missing
   };
-  /// The one scan behind network_state_consistent and reconciliation: walks
-  /// the routers in ascending order and calls `report(router, drift, child)`
-  /// for every difference, `child` naming the extra downstream router of a
-  /// kExtraChild (kInvalidNode otherwise). `report` returns false to stop the
-  /// scan. Allocates nothing.
+  /// The one scan behind network_state_consistent and reconciliation, in
+  /// O(holders + tree): it calls `report(router, drift, child)` for every
+  /// difference, `child` naming the extra downstream router of a kExtraChild
+  /// (kInvalidNode otherwise). First the orphans, from the group's holder
+  /// index in ascending router order; then one preorder walk of the tree
+  /// below the root reports every on-tree router's drift. `report` returns
+  /// false to stop the scan. Returns the routers examined: the orphans and
+  /// the on-tree routers walked. Allocates nothing.
   template <typename Report>
-  void diff_installed(GroupId group, Report&& report) const;
+  std::size_t diff_installed(GroupId group, Report&& report) const;
 
   // i-router side.
   /// The install-version gate of TREE and BRANCH: false, counted, when the
@@ -355,7 +392,7 @@ class Scmp final : public proto::MulticastProtocol {
   /// from its tree and holds no Entry for that group (it may hold entries
   /// for groups anchored elsewhere). A DR's member interfaces, the paper's
   /// "marked interfaces", are read from the IGMP state.
-  std::vector<EntryTable> entries_;
+  EntryStore entries_;
   /// Control-plane retransmission tables (one logical table per endpoint).
   RetxTable retx_;
   /// Receiver-side dedup of reliably-delivered control packets, per router:

@@ -115,19 +115,14 @@ std::vector<graph::NodeId> IgmpDomain::member_routers(GroupId group) const {
   return out;
 }
 
-std::vector<GroupId> IgmpDomain::groups_with_members() const {
-  std::set<GroupId> seen;
-  for (const auto& groups : membership_) {
-    for (const auto& [group, ifaces] : groups) {
-      for (const auto& [iface, hosts] : ifaces) {
-        if (!hosts.empty()) {
-          seen.insert(group);
-          break;
-        }
-      }
-    }
+std::map<GroupId, std::vector<graph::NodeId>>
+IgmpDomain::member_routers_by_group() const {
+  std::map<GroupId, std::vector<graph::NodeId>> out;
+  for (graph::NodeId r = 0; r < num_routers_; ++r) {
+    for (const auto& [group, ifaces] : membership_[static_cast<std::size_t>(r)])
+      if (!ifaces.empty()) out[group].push_back(r);
   }
-  return {seen.begin(), seen.end()};
+  return out;
 }
 
 int IgmpDomain::host_count(graph::NodeId router, GroupId group) const {

@@ -60,10 +60,13 @@ class IgmpDomain {
   /// All routers that are members of `group`.
   std::vector<graph::NodeId> member_routers(GroupId group) const;
 
-  /// All groups with at least one member host anywhere in the domain — the
-  /// ground truth the m-router's soft-state reconciliation pass walks when
-  /// re-soliciting membership lost to dropped JOIN/LEAVE packets.
-  std::vector<GroupId> groups_with_members() const;
+  /// Every group with a member anywhere in the domain, mapped to its member
+  /// routers in ascending order (member_routers of each), from one pass over
+  /// the membership state: the ground truth the m-router's soft-state
+  /// reconciliation pass compares with its database when re-soliciting
+  /// membership lost to dropped JOIN/LEAVE packets.
+  std::map<GroupId, std::vector<graph::NodeId>> member_routers_by_group()
+      const;
 
   int host_count(graph::NodeId router, GroupId group) const;
 

@@ -340,6 +340,27 @@ TEST(ScmpProtocol, ChurnedAndReEmptiedSessionStillExpiresEventually) {
   EXPECT_FALSE(f.scmp_->database().session_active(kGroup));
 }
 
+TEST(ScmpProtocol, LeaveAfterSessionEndRecreatesNothing) {
+  // The LEAVE of a member whose session already ended finds no session: the
+  // m-router counts and drops it, logs no membership change and keeps no
+  // tree.
+  ScmpFixture f(test::line(4));
+  obs::set_metrics_enabled(true);
+  obs::reset_values();
+  f.join(3);
+  f.drain();
+  f.scmp_->end_group_session(kGroup);
+  f.drain();
+  const std::size_t log_size = f.scmp_->database().membership_log().size();
+  f.leave(3);
+  f.drain();
+  EXPECT_EQ(f.scmp_->group_tree(kGroup), nullptr);
+  EXPECT_TRUE(f.scmp_->active_groups().empty());
+  EXPECT_EQ(f.scmp_->database().membership_log().size(), log_size);
+  EXPECT_EQ(obs::counter("scmp.rx.dropped", "no_session").value(), 1u);
+  obs::set_metrics_enabled(false);
+}
+
 TEST(ScmpProtocol, SessionOfRootLocalMemberExpires) {
   // The m-router's own host is the session's last member: its leave goes
   // through the same m-router handler as a LEAVE packet, expiry included.
