@@ -4,6 +4,8 @@
 // the price of a soft-state reconciliation pass over a healthy domain.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_common.hpp"
 #include "core/retx.hpp"
 #include "core/scmp.hpp"
@@ -38,39 +40,60 @@ void BM_RetxArmAck(benchmark::State& state) {
 }
 BENCHMARK(BM_RetxArmAck)->Arg(1000)->Arg(100000);
 
-/// One world per iteration: `rounds` join/leave pairs per group, drained to
-/// quiescence, with the reliability layer on or off (state.range(1)).
-void churn_rounds(benchmark::State& state, bool reliable) {
-  const int rounds = static_cast<int>(state.range(0));
-  Rng rng(7);
-  const topo::Topology topo = topo::arpanet(rng);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    sim::Network net(topo.graph, queue);
-    igmp::IgmpDomain igmp(queue, topo.graph.num_nodes());
+/// A fresh churn world: the network (and with it the all-pairs path store),
+/// IGMP and SCMP anchored at m-router 0.
+struct ChurnWorld {
+  static core::Scmp::Config config(bool reliable) {
     core::Scmp::Config cfg;
     cfg.mrouter = 0;
     cfg.reliability.enabled = reliable;
-    core::Scmp scmp(net, igmp, cfg);
+    return cfg;
+  }
+  ChurnWorld(const graph::Graph& g, bool reliable)
+      : net(g, queue),
+        igmp(queue, g.num_nodes()),
+        scmp(net, igmp, config(reliable)) {}
+
+  sim::EventQueue queue;
+  sim::Network net;
+  igmp::IgmpDomain igmp;
+  core::Scmp scmp;
+};
+
+/// `rounds` join/leave pairs of one group, each drained to quiescence, on a
+/// fresh world per iteration, with the reliability layer on or off and the
+/// convergence tracker optionally enabled. Each world is built and torn
+/// down with the timer paused, so only the churn is timed.
+void churn_rounds(benchmark::State& state, bool reliable, bool tracked) {
+  const int rounds = static_cast<int>(state.range(0));
+  Rng rng(7);
+  const topo::Topology topo = topo::arpanet(rng);
+  std::unique_ptr<ChurnWorld> w;
+  for (auto _ : state) {
+    state.PauseTiming();
+    w.reset();
+    w = std::make_unique<ChurnWorld>(topo.graph, reliable);
+    if (tracked) w->scmp.enable_convergence_tracking();
+    state.ResumeTiming();
     for (int r = 0; r < rounds; ++r) {
       const graph::NodeId member = 3 + (r * 7) % (topo::kArpanetNodes - 4);
-      scmp.host_join(member, /*group=*/0);
-      queue.run_all();
-      scmp.host_leave(member, /*group=*/0);
-      queue.run_all();
+      w->scmp.host_join(member, /*group=*/0);
+      w->queue.run_all();
+      w->scmp.host_leave(member, /*group=*/0);
+      w->queue.run_all();
     }
-    benchmark::DoNotOptimize(scmp.retx().acked());
+    benchmark::DoNotOptimize(w->scmp.retx().acked());
   }
   state.SetItemsProcessed(state.iterations() * 2 * rounds);
 }
 
 void BM_ChurnFireAndForget(benchmark::State& state) {
-  churn_rounds(state, /*reliable=*/false);
+  churn_rounds(state, /*reliable=*/false, /*tracked=*/false);
 }
 BENCHMARK(BM_ChurnFireAndForget)->Arg(50);
 
 void BM_ChurnReliable(benchmark::State& state) {
-  churn_rounds(state, /*reliable=*/true);
+  churn_rounds(state, /*reliable=*/true, /*tracked=*/false);
 }
 BENCHMARK(BM_ChurnReliable)->Arg(50);
 
@@ -79,28 +102,7 @@ BENCHMARK(BM_ChurnReliable)->Arg(50);
 /// predicate per handled control packet, timeout timers) relative to
 /// BM_ChurnReliable's identical workload.
 void BM_ChurnConvergenceTracked(benchmark::State& state) {
-  const int rounds = static_cast<int>(state.range(0));
-  Rng rng(7);
-  const topo::Topology topo = topo::arpanet(rng);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    sim::Network net(topo.graph, queue);
-    igmp::IgmpDomain igmp(queue, topo.graph.num_nodes());
-    core::Scmp::Config cfg;
-    cfg.mrouter = 0;
-    cfg.reliability.enabled = true;
-    core::Scmp scmp(net, igmp, cfg);
-    scmp.enable_convergence_tracking();
-    for (int r = 0; r < rounds; ++r) {
-      const graph::NodeId member = 3 + (r * 7) % (topo::kArpanetNodes - 4);
-      scmp.host_join(member, /*group=*/0);
-      queue.run_all();
-      scmp.host_leave(member, /*group=*/0);
-      queue.run_all();
-    }
-    benchmark::DoNotOptimize(scmp.convergence_tracker()->stats().converged);
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * rounds);
+  churn_rounds(state, /*reliable=*/true, /*tracked=*/true);
 }
 BENCHMARK(BM_ChurnConvergenceTracked)->Arg(50);
 

@@ -50,7 +50,7 @@ WfqScheduler& MRouterNode::port_scheduler(int port) {
   SCMP_EXPECTS(port >= 0 && port < fabric_.ports());
   auto it = schedulers_.find(port);
   if (it == schedulers_.end())
-    it = schedulers_.emplace(port, WfqScheduler(port_capacity_bps_)).first;
+    it = schedulers_.emplace(port, WfqScheduler(kPortCapacityBps)).first;
   return it->second;
 }
 

@@ -54,18 +54,18 @@ class MRouterNode {
   /// the fabric pay the PN+DN baseline depth.
   void enable_fabric_transit(double per_stage_seconds);
 
-  /// The WFQ scheduler of an egress port (created lazily at the port's line
-  /// rate): groups sharing a port get weighted bandwidth shares (§II-A's
-  /// traffic scheduling / bandwidth management duties).
+  /// The WFQ scheduler of an egress port (created lazily at the port's
+  /// kPortCapacityBps line rate): groups sharing a port get weighted
+  /// bandwidth shares (§II-A's traffic scheduling / bandwidth management
+  /// duties).
   WfqScheduler& port_scheduler(int port);
-  /// Sets the line rate used for ports whose scheduler is created later.
-  void set_port_capacity(double bps) { port_capacity_bps_ = bps; }
 
  private:
+  static constexpr double kPortCapacityBps = 1e9;
+
   Scmp scmp_;
   fabric::MRouterFabric fabric_;
   std::map<GroupId, std::map<graph::NodeId, int>> input_ports_;
-  double port_capacity_bps_ = 1e9;
   std::map<int, WfqScheduler> schedulers_;
 };
 

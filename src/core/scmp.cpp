@@ -359,27 +359,31 @@ std::vector<GroupId> Scmp::EntryStore::groups() const {
 
 void Scmp::interface_joined(graph::NodeId router, GroupId group,
                             int /*iface*/, bool first_iface) {
-  const graph::NodeId root = mrouter_of(group);
+  // Only a router's first member interface joins it to the group; a later
+  // one is subnet-local (IGMP records it) and would only bill the same
+  // membership twice. A lost first JOIN is recovered by retransmission and
+  // reconciliation.
+  if (!first_iface) return;
   // The convergence clock starts at the membership event itself, so the
   // measured time covers request loss, retransmission and repair latency.
-  if (first_iface && convergence() != nullptr) convergence()->note_event(group);
+  if (convergence_ != nullptr) convergence_->note_event(group);
+  const graph::NodeId root = mrouter_of(group);
   if (router == root) {
     mrouter_handle_join(group, root, 0);
     // No packet will flow for a root-local join; resolve the measurement now.
     check_convergence(group);
     return;
   }
-  // A DR on the tree sends its first member interface's JOIN only: a relay's
-  // tree does not change, but the m-router needs the JOIN for accounting and
-  // billing (paper §III-B). A later interface is subnet-local.
-  if (!first_iface && entry_at(router, group) != nullptr) return;
+  // A relay already on the tree still sends the JOIN: its tree does not
+  // change, but the m-router needs it for accounting and billing (paper
+  // §III-B).
   send_join(router, group);
 }
 
 void Scmp::interface_left(graph::NodeId router, GroupId group, int /*iface*/,
                           bool last_iface) {
   if (!last_iface) return;  // other interfaces keep the DR a member
-  if (convergence() != nullptr) convergence()->note_event(group);
+  if (convergence_ != nullptr) convergence_->note_event(group);
   const graph::NodeId root = mrouter_of(group);
   if (router == root) {
     mrouter_handle_leave(group, root);
@@ -586,7 +590,7 @@ void Scmp::install_full_tree(GroupId group,
 void Scmp::end_group_session(GroupId group) {
   const auto it = trees_.find(group);
   if (it == trees_.end()) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
+  if (convergence_ != nullptr) convergence_->note_event(group);
   const std::uint64_t version = next_install_version(group);
   // send_clear skips the root, which holds no Entry for its own group.
   for (graph::NodeId v : it->second.tree().on_tree_nodes())
@@ -783,16 +787,20 @@ int Scmp::reconcile_all() {
   // A clean pass (nothing to repair) is the moment a group whose install
   // packets were all lost finally proves consistent: resolve pending
   // convergence measurements that no packet arrival will ever check.
-  if (convergence() != nullptr) {
-    for (GroupId g : convergence()->pending_groups()) check_convergence(g);
+  if (convergence_ != nullptr) {
+    for (GroupId g : convergence_->pending_groups()) check_convergence(g);
   }
   return resolicited + repaired;
 }
 
+void Scmp::enable_convergence_tracking() {
+  convergence_ =
+      std::make_unique<proto::ConvergenceTracker>(net().queue(), name());
+}
+
 void Scmp::check_convergence(GroupId group) {
-  proto::ConvergenceTracker* c = convergence();
-  if (c == nullptr || !c->is_pending(group)) return;
-  c->check(group, network_state_consistent(group));
+  if (convergence_ == nullptr || !convergence_->is_pending(group)) return;
+  convergence_->check(group, network_state_consistent(group));
 }
 
 void Scmp::start_reconciliation(double interval, double horizon) {
@@ -868,7 +876,7 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
       want.begin(), want.end(),
       [&](graph::NodeId m) { return !tree.is_member(m); });
   if (leaving.empty() && !grows) return false;
-  if (convergence() != nullptr) convergence()->note_event(group);
+  if (convergence_ != nullptr) convergence_->note_event(group);
 
   // The tree before the replay as (router, child) edges in detach-CLEAR
   // order: routers ascending, then each router's child order.
@@ -956,8 +964,8 @@ void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
   OBS_SPAN("scmp.rebuild");
   static obs::Counter& rebuilt = obs::counter("scmp.rebuild.groups");
   rebuilt.inc(groups.size());
-  if (convergence() != nullptr) {
-    for (GroupId group : groups) convergence()->note_event(group);
+  if (convergence_ != nullptr) {
+    for (GroupId group : groups) convergence_->note_event(group);
   }
   for (GroupId group : groups) {
     // A fresh tree from the membership database, joined in its ascending

@@ -32,6 +32,7 @@
 #include "core/database.hpp"
 #include "core/dcdm.hpp"
 #include "core/retx.hpp"
+#include "protocols/convergence.hpp"
 #include "protocols/multicast_protocol.hpp"
 
 namespace scmp::core {
@@ -177,6 +178,17 @@ class Scmp final : public proto::MulticastProtocol {
   /// disabled; tests and benches read its lifetime counters).
   const RetxTable& retx() const { return retx_; }
 
+  /// Opt-in per-group time-to-convergence measurement (off by default).
+  /// Every membership, rebuild or teardown event opens a measurement, which
+  /// resolves once the group's installed state matches its authoritative
+  /// tree (network_state_consistent). It sends no packets; its deadlines
+  /// are event-queue timers (see ConvergenceTracker).
+  void enable_convergence_tracking();
+  /// The tracker when enabled, nullptr otherwise.
+  const proto::ConvergenceTracker* convergence_tracker() const {
+    return convergence_.get();
+  }
+
   /// An i-router's installed multicast routing entry (paper §III-A):
   /// (group id, upstream, downstream routers); a DR's downstream interfaces
   /// are its IGMP member interfaces (igmp().member_ifaces), not copied here.
@@ -195,10 +207,6 @@ class Scmp final : public proto::MulticastProtocol {
   bool network_state_consistent(GroupId group) const;
 
  private:
-  /// SCMP has an authoritative tree to compare against, so convergence is
-  /// measured by predicate (installed state == m-router tree), not by
-  /// control-plane quiescence like the rival protocols.
-  bool convergence_by_quiescence() const override { return false; }
   /// Resolves a pending convergence measurement for `group` if the installed
   /// network state now matches the authoritative tree.
   void check_convergence(GroupId group);
@@ -408,6 +416,8 @@ class Scmp final : public proto::MulticastProtocol {
   /// Cleared at every close: bounded by one epoch's arrivals.
   std::map<GroupId, std::set<graph::NodeId>> epoch_touched_;
   bool epoch_flush_scheduled_ = false;
+  /// Null unless enable_convergence_tracking() was called.
+  std::unique_ptr<proto::ConvergenceTracker> convergence_;
 };
 
 }  // namespace scmp::core

@@ -41,11 +41,6 @@ double TimeseriesSampler::interval() const {
   return interval_;
 }
 
-void TimeseriesSampler::set_include_span_stats(bool on) {
-  const util::LockGuard lock(mu_);
-  include_span_stats_ = on;
-}
-
 void TimeseriesSampler::begin_run() {
   const util::LockGuard lock(mu_);
   if (started_) ++run_;
@@ -80,10 +75,9 @@ void TimeseriesSampler::sample_window(double t) {
         if (s.value != 0.0) w.gauges[key] = s.value;
         break;
       case MetricKind::kHistogram: {
-        if (!include_span_stats_ &&
-            std::string_view(s.name).starts_with("span.")) {
-          break;
-        }
+        // Wall-clock-fed span.* histograms would break the stream's
+        // fixed-seed reproducibility.
+        if (std::string_view(s.name).starts_with("span.")) break;
         const std::uint64_t delta = s.count - prev_hist_counts_[key];
         prev_hist_counts_[key] = s.count;
         if (delta != 0) {

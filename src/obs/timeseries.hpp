@@ -7,7 +7,7 @@
 // Determinism: windows are stamped with exact window boundaries, emission is
 // sparse (zero counter deltas, zero gauges and unchanged histograms are
 // omitted, and fully empty windows are skipped), and wall-clock-fed
-// `span.*` histograms are excluded by default — so two fixed-seed runs
+// `span.*` histograms are always excluded — so two fixed-seed runs
 // serialize bit-identically regardless of metric registration timing.
 //
 // Stream format (one JSON object per line):
@@ -61,10 +61,6 @@ class TimeseriesSampler {
   void set_interval(double seconds) EXCLUDES(mu_);
   double interval() const EXCLUDES(mu_);
 
-  /// Include the wall-clock-fed span.* histograms (off by default: they
-  /// would break fixed-seed reproducibility of the stream).
-  void set_include_span_stats(bool on) EXCLUDES(mu_);
-
   /// Starts a new run partition: bumps the run id (if sampling already
   /// happened) and rebases the window clock to zero. Counter baselines are
   /// kept — the registry accumulates across runs.
@@ -92,7 +88,6 @@ class TimeseriesSampler {
   mutable util::Mutex mu_;
   double interval_ GUARDED_BY(mu_) = 1.0;
   double next_ GUARDED_BY(mu_) = 1.0;  ///< next window end boundary
-  bool include_span_stats_ GUARDED_BY(mu_) = false;
   bool started_ GUARDED_BY(mu_) = false;  ///< any window sampled yet
   int run_ GUARDED_BY(mu_) = 0;
   std::map<std::string, double> prev_counters_ GUARDED_BY(mu_);

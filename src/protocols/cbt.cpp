@@ -83,7 +83,6 @@ void Cbt::handle_packet(graph::NodeId at, const sim::Packet& pkt,
 void Cbt::interface_joined(graph::NodeId router, GroupId group, int /*iface*/,
                            bool first_iface) {
   if (!first_iface) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
   start_join(router, group);
 }
 
@@ -115,7 +114,6 @@ void Cbt::handle_join(graph::NodeId at, const sim::Packet& pkt,
     if (at != core || entry(at, group) == nullptr)
       state_[static_cast<std::size_t>(at)][group];  // ensure core entry exists
     entry(at, group)->downstream.insert(from);
-    if (convergence() != nullptr) convergence()->note_state_change(group);
 
     sim::Packet ack = pkt;
     ack.type = sim::PacketType::kCbtAck;
@@ -142,7 +140,6 @@ void Cbt::handle_ack(graph::NodeId at, const sim::Packet& pkt,
   Entry& e = state_[static_cast<std::size_t>(at)][group];
   if (e.upstream == graph::kInvalidNode && at != core_of(group))
     e.upstream = *(pos + 1);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
   if (pos != path.begin()) {
     e.downstream.insert(*(pos - 1));
     net().send_link(at, *(pos - 1), pkt);
@@ -158,7 +155,6 @@ void Cbt::handle_ack(graph::NodeId at, const sim::Packet& pkt,
 void Cbt::interface_left(graph::NodeId router, GroupId group, int /*iface*/,
                          bool last_iface) {
   if (!last_iface) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
   maybe_quit(router, group);
 }
 
@@ -169,7 +165,6 @@ void Cbt::maybe_quit(graph::NodeId at, GroupId group) {
   // Leaf without members: quit upstream and drop state.
   const graph::NodeId up = e->upstream;
   state_[static_cast<std::size_t>(at)].erase(group);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
   if (up == graph::kInvalidNode) return;
   sim::Packet quit;
   quit.type = sim::PacketType::kCbtQuit;
@@ -184,7 +179,6 @@ void Cbt::handle_quit(graph::NodeId at, const sim::Packet& pkt,
   Entry* e = entry(at, pkt.group);
   if (e == nullptr) return;
   e->downstream.erase(from);
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
   maybe_quit(at, pkt.group);
 }
 

@@ -1,65 +1,36 @@
 #include "protocols/convergence.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace scmp::proto {
 
 ConvergenceTracker::ConvergenceTracker(sim::EventQueue& queue,
-                                       std::string protocol, Config cfg)
-    : queue_(&queue), protocol_(std::move(protocol)), cfg_(cfg) {
-  SCMP_EXPECTS(cfg.quiet_period > 0.0);
-  SCMP_EXPECTS(cfg.timeout > 0.0);
-}
+                                       std::string protocol)
+    : queue_(&queue), protocol_(std::move(protocol)) {}
 
 void ConvergenceTracker::note_event(igmp::GroupId group) {
-  const double now = queue_->now();
   ++events_;
   obs::counter("scmp.convergence.events", protocol_).inc();
   auto [it, fresh] = pending_.try_emplace(group);
-  if (fresh) {
-    it->second.start = now;
-  }
-  it->second.last_change = now;
+  if (fresh) it->second.start = queue_->now();
   it->second.epoch = ++next_epoch_;
   const std::uint64_t epoch = it->second.epoch;
-  queue_->schedule_in(cfg_.timeout,
+  queue_->schedule_in(kTimeoutSeconds,
                       [this, group, epoch] { on_deadline(group, epoch); });
-  // Quiescence mode: an event that provokes no state mutation at all (e.g.
-  // a leave at an already-pruned router) must still settle, so the quiet
-  // window starts immediately.
-  if (cfg_.quiescence) arm_quiet_timer(group);
   update_pending_gauge();
-}
-
-void ConvergenceTracker::note_state_change(igmp::GroupId group) {
-  const auto it = pending_.find(group);
-  if (it == pending_.end()) return;
-  it->second.last_change = queue_->now();
-  it->second.epoch = ++next_epoch_;
-  if (cfg_.quiescence) arm_quiet_timer(group);
 }
 
 void ConvergenceTracker::check(igmp::GroupId group, bool consistent) {
   const auto it = pending_.find(group);
   if (it == pending_.end() || !consistent) return;
-  resolve(group, queue_->now());
-}
-
-void ConvergenceTracker::arm_quiet_timer(igmp::GroupId group) {
-  const std::uint64_t epoch = pending_.at(group).epoch;
-  queue_->schedule_in(cfg_.quiet_period,
-                      [this, group, epoch] { on_quiet(group, epoch); });
-}
-
-void ConvergenceTracker::on_quiet(igmp::GroupId group, std::uint64_t epoch) {
-  const auto it = pending_.find(group);
-  if (it == pending_.end() || it->second.epoch != epoch) return;
-  // Quiet period elapsed with no further mutation: the group converged at
-  // its last state change (converging "instantly" when nothing mutated).
-  resolve(group, it->second.last_change);
+  const double seconds = queue_->now() - it->second.start;
+  SCMP_ASSERT(seconds >= 0.0);  // the event queue's clock never runs back
+  per_group_[group].add(seconds);
+  obs::histogram("scmp.convergence.seconds", protocol_).observe(seconds);
+  ++converged_;
+  pending_.erase(it);
+  update_pending_gauge();
 }
 
 void ConvergenceTracker::on_deadline(igmp::GroupId group,
@@ -68,17 +39,6 @@ void ConvergenceTracker::on_deadline(igmp::GroupId group,
   if (it == pending_.end() || it->second.epoch != epoch) return;
   ++timeouts_;
   obs::counter("scmp.convergence.timeouts", protocol_).inc();
-  pending_.erase(it);
-  update_pending_gauge();
-}
-
-void ConvergenceTracker::resolve(igmp::GroupId group, double converged_at) {
-  const auto it = pending_.find(group);
-  SCMP_ASSERT(it != pending_.end());
-  const double seconds = std::max(0.0, converged_at - it->second.start);
-  per_group_[group].add(seconds);
-  obs::histogram("scmp.convergence.seconds", protocol_).observe(seconds);
-  ++converged_;
   pending_.erase(it);
   update_pending_gauge();
 }

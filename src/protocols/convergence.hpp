@@ -1,25 +1,18 @@
-// Per-group time-to-convergence measurement, comparable across protocols.
+// Per-group time-to-convergence measurement for SCMP.
 //
-// A membership or link event opens a measurement (`note_event`); the
-// tracker stamps the sim-time until the group's distributed state settles,
-// feeds it into `scmp.convergence.seconds` (histogram, tagged with the
-// protocol name) and a per-group RunningStats, and abandons measurements
-// that outlive the deadline (`scmp.convergence.timeouts`).
+// A membership or link event opens a measurement (`note_event`); the owner
+// calls `check(group, consistent)` whenever installed state may have
+// changed, and the measurement resolves the first time the predicate holds
+// (installed digests match the authoritative tree,
+// Scmp::network_state_consistent). The tracker feeds the elapsed sim time
+// into `scmp.convergence.seconds` (histogram, tagged with the protocol name)
+// and a per-group RunningStats, and abandons measurements that outlive the
+// deadline (`scmp.convergence.timeouts`).
 //
-// Two resolution modes:
-//   * Predicate (SCMP): the owner calls `check(group, consistent)` whenever
-//     installed state may have changed; the measurement resolves the first
-//     time the predicate holds (installed digests match the authoritative
-//     tree, Scmp::network_state_consistent).
-//   * Quiescence (DVMRP/MOSPF/CBT/PIM-SM, which have no authoritative tree
-//     to compare against): the owner calls `note_state_change(group)` on
-//     every forwarding-state mutation; the measurement resolves once no
-//     mutation has happened for `quiet_period` simulated seconds, stamped
-//     at the *last* mutation so the quiet wait does not inflate samples.
-//
-// All timers run on the simulation event queue — no wall clock — and the
-// tracker sends no packets, so enabling it never perturbs a fixed-seed
-// packet trace.
+// The deadline runs on the simulation event queue — no wall clock — and the
+// tracker sends no packets. A deadline stays queued after its measurement
+// resolves, so EventQueue::run_all() on a tracked world ends up to
+// kTimeoutSeconds later than on an untracked one.
 #pragma once
 
 #include <cstdint>
@@ -35,31 +28,26 @@ namespace scmp::proto {
 
 class ConvergenceTracker {
  public:
-  struct Config {
-    bool quiescence = true;    ///< resolve by quiet period (vs. predicate)
-    double quiet_period = 1.0;  ///< quiescence mode: settle window, sim-s
-    double timeout = 60.0;      ///< abandon a measurement after this long
-  };
+  /// A measurement still open this long (sim-s) after its latest event is
+  /// abandoned and counted as a timeout.
+  static constexpr double kTimeoutSeconds = 60.0;
 
   /// The queue must outlive the tracker (both owned by the same harness).
-  ConvergenceTracker(sim::EventQueue& queue, std::string protocol,
-                     Config cfg);
+  ConvergenceTracker(sim::EventQueue& queue, std::string protocol);
+  /// Scheduled deadlines hold the tracker's address.
+  ConvergenceTracker(const ConvergenceTracker&) = delete;
+  ConvergenceTracker& operator=(const ConvergenceTracker&) = delete;
 
-  /// A membership/link event touched `group`: open (or re-arm) its
-  /// measurement at the current sim time.
+  /// A membership/link event touched `group`: open its measurement at the
+  /// current sim time (an open one keeps its start) and re-arm the deadline.
   void note_event(igmp::GroupId group);
 
-  /// Quiescence mode: `group`'s forwarding state mutated.
-  void note_state_change(igmp::GroupId group);
-
-  /// Predicate mode: resolves `group`'s measurement if one is open and
-  /// `consistent` holds.
+  /// Resolves `group`'s measurement if one is open and `consistent` holds.
   void check(igmp::GroupId group, bool consistent);
 
   bool is_pending(igmp::GroupId group) const {
     return pending_.contains(group);
   }
-  std::size_t pending() const { return pending_.size(); }
   std::vector<igmp::GroupId> pending_groups() const;
 
   struct Stats {
@@ -70,25 +58,17 @@ class ConvergenceTracker {
   };
   Stats stats() const;
 
-  const Config& config() const { return cfg_; }
-  const std::string& protocol() const { return protocol_; }
-
  private:
   struct Pending {
-    double start = 0.0;        ///< sim time of the opening event
-    double last_change = 0.0;  ///< sim time of the last state mutation
-    std::uint64_t epoch = 0;   ///< invalidates stale timers
+    double start = 0.0;       ///< sim time of the opening event
+    std::uint64_t epoch = 0;  ///< invalidates stale deadlines
   };
 
-  void resolve(igmp::GroupId group, double converged_at);
-  void arm_quiet_timer(igmp::GroupId group);
-  void on_quiet(igmp::GroupId group, std::uint64_t epoch);
   void on_deadline(igmp::GroupId group, std::uint64_t epoch);
   void update_pending_gauge();
 
   sim::EventQueue* queue_;
   std::string protocol_;
-  Config cfg_;
   std::map<igmp::GroupId, Pending> pending_;
   std::map<igmp::GroupId, RunningStats> per_group_;
   std::uint64_t next_epoch_ = 0;

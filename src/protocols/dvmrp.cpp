@@ -86,7 +86,6 @@ void Dvmrp::send_prune_upstream(graph::NodeId at, GroupId group,
   const auto it = sent.find(key);
   if (it != sent.end() && it->second > now) return;  // already pruned
   sent[key] = now + prune_lifetime_;
-  if (convergence() != nullptr) convergence()->note_state_change(group);
 
   sim::Packet prune;
   prune.type = sim::PacketType::kDvmrpPrune;
@@ -106,7 +105,6 @@ void Dvmrp::handle_prune(graph::NodeId at, const sim::Packet& pkt,
   // on when the prune lapses (no one-propagation-delay suppression window).
   prunes_received_[static_cast<std::size_t>(at)][key][from] =
       pkt.created_at + prune_lifetime_;
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
 
   // If every downstream branch is now pruned and we have no members either,
   // the prune cascades upstream.
@@ -135,7 +133,6 @@ void Dvmrp::handle_graft(graph::NodeId at, const sim::Packet& pkt,
   auto& pruned = prunes_received_[static_cast<std::size_t>(at)];
   const auto it = pruned.find(key);
   if (it != pruned.end()) it->second.erase(from);
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
 
   // The graft propagates all the way to the source, clearing any suppression
   // a cascade may have left on the reverse path (a cascaded ancestor's prune
@@ -148,7 +145,6 @@ void Dvmrp::handle_graft(graph::NodeId at, const sim::Packet& pkt,
 void Dvmrp::interface_joined(graph::NodeId router, GroupId group,
                              int /*iface*/, bool first_iface) {
   if (!first_iface) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
   // Graft back every (source, group) branch this router had pruned. The
   // graft is sent even when the local prune record has already expired: the
   // upstream's copy expires one propagation delay later, so a join landing
@@ -165,14 +161,10 @@ void Dvmrp::interface_joined(graph::NodeId router, GroupId group,
   }
 }
 
-void Dvmrp::interface_left(graph::NodeId /*router*/, GroupId group,
-                           int /*iface*/, bool last_iface) {
+void Dvmrp::interface_left(graph::NodeId /*router*/, GroupId /*group*/,
+                           int /*iface*/, bool /*last_iface*/) {
   // Nothing proactive: the next data packet arriving at a now-memberless
-  // leaf triggers the prune (dense-mode behaviour). The convergence
-  // measurement still opens — dense-mode leaves settle only when data
-  // traffic provokes the prune, and that latency is exactly what the
-  // tracker should surface.
-  if (last_iface && convergence() != nullptr) convergence()->note_event(group);
+  // leaf triggers the prune (dense-mode behaviour).
 }
 
 bool Dvmrp::prune_active(graph::NodeId at, GroupId group,

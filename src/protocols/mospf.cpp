@@ -41,7 +41,6 @@ void Mospf::flood_lsa(graph::NodeId origin, GroupId group, bool is_member) {
   seen_[static_cast<std::size_t>(origin)].insert({origin, lsa.uid});
   auto& view = views_[static_cast<std::size_t>(origin)][group];
   if (is_member) view.insert(origin); else view.erase(origin);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
 
   for (const auto& nb : net().graph().neighbors(origin))
     net().send_link(origin, nb.to, lsa);
@@ -54,7 +53,6 @@ void Mospf::handle_lsa(graph::NodeId at, const sim::Packet& pkt,
   auto& view = views_[static_cast<std::size_t>(at)][pkt.group];
   SCMP_EXPECTS(!pkt.payload.empty());
   if (pkt.payload[0] != 0) view.insert(pkt.src); else view.erase(pkt.src);
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
   for (const auto& nb : net().graph().neighbors(at)) {
     if (nb.to != from) net().send_link(at, nb.to, pkt);
   }
@@ -106,13 +104,11 @@ void Mospf::interface_joined(graph::NodeId router, GroupId group,
   // The paper attributes MOSPF's steep protocol overhead to an LSA flood on
   // *every* membership change, so we flood per host transition, not only on
   // first/last interface.
-  if (convergence() != nullptr) convergence()->note_event(group);
   flood_lsa(router, group, /*is_member=*/true);
 }
 
 void Mospf::interface_left(graph::NodeId router, GroupId group, int /*iface*/,
                            bool last_iface) {
-  if (convergence() != nullptr) convergence()->note_event(group);
   flood_lsa(router, group, /*is_member=*/!last_iface ||
                                router_is_member(router, group));
 }

@@ -44,16 +44,6 @@ void MulticastProtocol::host_leave(graph::NodeId router, GroupId group,
   igmp_->host_leave(router, iface, host, group);
 }
 
-void MulticastProtocol::enable_convergence_tracking(double quiet_period,
-                                                    double timeout) {
-  ConvergenceTracker::Config cfg;
-  cfg.quiescence = convergence_by_quiescence();
-  cfg.quiet_period = quiet_period;
-  cfg.timeout = timeout;
-  convergence_ = std::make_unique<ConvergenceTracker>(net_->queue(), name(),
-                                                      cfg);
-}
-
 void MulticastProtocol::drop_unexpected(graph::NodeId at,
                                         const sim::Packet& pkt) {
   obs::counter("net.drops.unexpected_type", name()).inc();

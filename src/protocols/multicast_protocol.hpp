@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "igmp/igmp.hpp"
-#include "protocols/convergence.hpp"
 #include "sim/network.hpp"
 
 namespace scmp::proto {
@@ -69,17 +68,6 @@ class MulticastProtocol : public igmp::MembershipListener,
   void host_leave(graph::NodeId router, GroupId group, int iface = 0,
                   int host = 0);
 
-  /// Opt-in per-group time-to-convergence measurement (off by default so
-  /// fixed-seed packet traces and uninstrumented benches are unaffected).
-  /// The resolution mode is the protocol's choice: quiescence unless it
-  /// overrides convergence_by_quiescence() (SCMP resolves by predicate
-  /// against its authoritative trees).
-  void enable_convergence_tracking(double quiet_period = 1.0,
-                                   double timeout = 60.0);
-  const ConvergenceTracker* convergence_tracker() const {
-    return convergence_.get();
-  }
-
   sim::Network& net() { return *net_; }
   const sim::Network& net() const { return *net_; }
   igmp::IgmpDomain& igmp() { return *igmp_; }
@@ -89,14 +77,6 @@ class MulticastProtocol : public igmp::MembershipListener,
   bool router_is_member(graph::NodeId router, GroupId group) const {
     return igmp_->router_is_member(router, group);
   }
-
-  /// Whether the tracker resolves by forwarding-state quiescence (the only
-  /// option for protocols without an authoritative tree to compare against).
-  virtual bool convergence_by_quiescence() const { return true; }
-
-  /// The tracker when enabled, nullptr otherwise — instrumentation sites
-  /// null-check it, so disabled tracking costs one load and a branch.
-  ConvergenceTracker* convergence() { return convergence_.get(); }
 
   /// Reports application-level delivery of a data packet at a member router.
   void deliver_locally(graph::NodeId at, const sim::Packet& pkt) {
@@ -125,7 +105,6 @@ class MulticastProtocol : public igmp::MembershipListener,
   sim::Network* net_;
   igmp::IgmpDomain* igmp_;
   std::vector<std::unique_ptr<NodeAdapter>> adapters_;
-  std::unique_ptr<ConvergenceTracker> convergence_;
 };
 
 }  // namespace scmp::proto

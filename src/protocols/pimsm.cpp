@@ -149,7 +149,6 @@ void PimSm::audit_state(std::vector<std::string>& violations) const {
 void PimSm::interface_joined(graph::NodeId router, GroupId group,
                              int /*iface*/, bool first_iface) {
   if (!first_iface) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
   send_star_join(router, group);
 }
 
@@ -160,7 +159,6 @@ void PimSm::send_star_join(graph::NodeId router, GroupId group) {
   // its way toward the RP, starting with the joining DR itself.
   RptEntry& e = rpt_state_[static_cast<std::size_t>(router)][group];
   e.upstream = net().paths().next_hop(router, rp);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
 
   sim::Packet join;
   join.type = sim::PacketType::kPimJoin;
@@ -175,7 +173,6 @@ void PimSm::send_sg_join(graph::NodeId router, GroupId group,
   SptEntry& e =
       spt_state_[static_cast<std::size_t>(router)][{group, source}];
   e.upstream = net().paths().next_hop(router, source);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
 
   sim::Packet join;
   join.type = sim::PacketType::kPimJoin;
@@ -188,7 +185,6 @@ void PimSm::send_sg_join(graph::NodeId router, GroupId group,
 void PimSm::handle_join(graph::NodeId at, const sim::Packet& pkt,
                         graph::NodeId from) {
   SCMP_EXPECTS(from != graph::kInvalidNode && !pkt.payload.empty());
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
   if (pkt.payload[0] == kStarG) {
     const graph::NodeId rp = rp_of(pkt.group);
     RptEntry& e = rpt_state_[static_cast<std::size_t>(at)][pkt.group];
@@ -231,7 +227,6 @@ void PimSm::handle_join(graph::NodeId at, const sim::Packet& pkt,
 void PimSm::interface_left(graph::NodeId router, GroupId group,
                            int /*iface*/, bool last_iface) {
   if (!last_iface) return;
-  if (convergence() != nullptr) convergence()->note_event(group);
   // Drop switchover decisions and any now-useless (S,G) state, then the
   // shared-tree membership itself.
   auto& marks = switched_[static_cast<std::size_t>(router)];
@@ -251,7 +246,6 @@ void PimSm::maybe_prune_rpt(graph::NodeId at, GroupId group) {
   if (router_is_member(at, group) || !e->downstream.empty()) return;
   const graph::NodeId up = e->upstream;
   rpt_state_[static_cast<std::size_t>(at)].erase(group);
-  if (convergence() != nullptr) convergence()->note_state_change(group);
   if (up == graph::kInvalidNode) return;
   sim::Packet prune;
   prune.type = sim::PacketType::kPimPrune;
@@ -271,7 +265,6 @@ void PimSm::maybe_prune_spt(graph::NodeId at, GroupId group,
     return;
   const graph::NodeId up = e->upstream;
   spt_state_[static_cast<std::size_t>(at)].erase({group, source});
-  if (convergence() != nullptr) convergence()->note_state_change(group);
   if (up == graph::kInvalidNode) return;
   sim::Packet prune;
   prune.type = sim::PacketType::kPimPrune;
@@ -284,7 +277,6 @@ void PimSm::maybe_prune_spt(graph::NodeId at, GroupId group,
 void PimSm::handle_prune(graph::NodeId at, const sim::Packet& pkt,
                          graph::NodeId from) {
   SCMP_EXPECTS(from != graph::kInvalidNode && !pkt.payload.empty());
-  if (convergence() != nullptr) convergence()->note_state_change(pkt.group);
   switch (pkt.payload[0]) {
     case kStarG: {
       RptEntry* e = rpt(at, pkt.group);

@@ -57,24 +57,10 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
   SCMP_EXPECTS(bandwidth_bps > 0.0 && delay_scale > 0.0);
   egress_.resize(static_cast<std::size_t>(g.num_nodes()));
   link_bytes_.resize(static_cast<std::size_t>(g.num_nodes()));
-  node_bandwidth_.assign(static_cast<std::size_t>(g.num_nodes()),
-                         bandwidth_bps);
-  switch_bps_.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  switch_free_.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     egress_[static_cast<std::size_t>(u)].resize(g.neighbors(u).size());
     link_bytes_[static_cast<std::size_t>(u)].assign(g.neighbors(u).size(), 0);
   }
-}
-
-void Network::set_node_bandwidth(graph::NodeId node, double bps) {
-  SCMP_EXPECTS(graph_.valid(node) && bps > 0.0);
-  node_bandwidth_[static_cast<std::size_t>(node)] = bps;
-}
-
-double Network::node_bandwidth(graph::NodeId node) const {
-  SCMP_EXPECTS(graph_.valid(node));
-  return node_bandwidth_[static_cast<std::size_t>(node)];
 }
 
 void Network::set_node_queue_limit(graph::NodeId node, std::size_t packets) {
@@ -85,11 +71,6 @@ void Network::set_node_queue_limit(graph::NodeId node, std::size_t packets) {
 std::size_t Network::node_queue_limit(graph::NodeId node) const {
   const auto it = node_queue_limit_.find(node);
   return it == node_queue_limit_.end() ? queue_limit_ : it->second;
-}
-
-void Network::set_node_switch_capacity(graph::NodeId node, double bps) {
-  SCMP_EXPECTS(graph_.valid(node) && bps > 0.0);
-  switch_bps_[static_cast<std::size_t>(node)] = bps;
 }
 
 void Network::Egress::push(Stamp s) {
@@ -174,10 +155,7 @@ double Network::idle_hop_seconds(graph::NodeId from, graph::NodeId to,
                                  std::size_t bytes) const {
   const graph::EdgeAttr* e = graph_.edge(from, to);
   if (e == nullptr) return 0.0;
-  const double bits = static_cast<double>(bytes) * 8.0;
-  const double switch_bps = switch_bps_[static_cast<std::size_t>(from)];
-  const double fabric = switch_bps > 0.0 ? bits / switch_bps : 0.0;
-  return fabric + bits / node_bandwidth_[static_cast<std::size_t>(from)] +
+  return static_cast<double>(bytes) * 8.0 / bandwidth_bps_ +
          e->delay * delay_scale_;
 }
 
@@ -275,25 +253,13 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
     observer(from, to, pkt, queue_->now());
   dispatching_observers_ = false;
 
-  // The packet first crosses the router's switching fabric (shared across
-  // all ports; unlimited unless configured), then its egress port.
-  SimTime ready = queue_->now();
-  const double switch_bps = switch_bps_[static_cast<std::size_t>(from)];
-  if (switch_bps > 0.0) {
-    SimTime& sw_free = switch_free_[static_cast<std::size_t>(from)];
-    const double sw_time =
-        static_cast<double>(pkt.size_bytes) * 8.0 / switch_bps;
-    sw_free = std::max(ready, sw_free) + sw_time;
-    ready = sw_free;
-  }
-
   // FIFO on the port: the packet starts once the newest queued one is out
   // (an empty queue means the port is idle), and leaves the egress queue
   // when its transmission completes.
-  const double tx = static_cast<double>(pkt.size_bytes) * 8.0 /
-                    node_bandwidth_[static_cast<std::size_t>(from)];
+  const SimTime now = queue_->now();
+  const double tx = static_cast<double>(pkt.size_bytes) * 8.0 / bandwidth_bps_;
   const SimTime start =
-      egress.empty() ? ready : std::max(ready, egress.back().done);
+      egress.empty() ? now : std::max(now, egress.back().done);
   const SimTime done = start + tx;
   const SimTime arrival_at = done + e->delay * delay_scale_;
   // The packet moves into the arrival closure — no copy — and the closure

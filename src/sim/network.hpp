@@ -54,8 +54,9 @@ struct NetStats {
 
 class Network {
  public:
-  /// `delay_scale` converts graph delay units (grid distances, up to ~65534)
-  /// to seconds; the default puts a worst-case single link at ~65 ms.
+  /// `bandwidth_bps` is the line rate of every port. `delay_scale` converts
+  /// graph delay units (grid distances, up to ~65534) to seconds; the
+  /// default puts a worst-case single link at ~65 ms.
   /// The network keeps its own copy of the topology so links can fail at
   /// runtime (fail_link).
   Network(const graph::Graph& g, EventQueue& queue,
@@ -114,7 +115,6 @@ class Network {
   /// A field-for-field copy of `p` built on a recycled packet, reusing the
   /// recycled path/payload capacity (the fan-out clone primitive).
   Packet clone_packet(const Packet& p);
-  void release_packet(Packet&& p) { packet_pool_.release(std::move(p)); }
   const PacketPool& packet_pool() const { return packet_pool_; }
 
   using DeliveryCallback =
@@ -165,9 +165,9 @@ class Network {
 
   /// Idle round trip, in seconds, of a `request_bytes` control request and
   /// its kControlPacketBytes ACK: every link each packet crosses adds its
-  /// propagation delay plus the packet's serialisation at the sending
-  /// router's fabric and port, with every queue empty. The reliability
-  /// layer derives its first retransmission timeout from it.
+  /// propagation delay plus the packet's serialisation at the line rate,
+  /// with every queue empty. The reliability layer derives its first
+  /// retransmission timeout from it.
   /// link_round_trip: the request crosses the link {from, to} and is acked
   /// back over it (send_link); a link that is down adds nothing, since the
   /// request never leaves `from`.
@@ -189,19 +189,6 @@ class Network {
   /// bursts an ordinary router would drop.
   void set_node_queue_limit(graph::NodeId node, std::size_t packets);
   std::size_t node_queue_limit(graph::NodeId node) const;
-
-  /// Overrides the port line rate of one router's outgoing links — how the
-  /// paper's m-router differs physically from an i-router (§II-A: "each of
-  /// its input/output links has sufficiently high bandwidth").
-  void set_node_bandwidth(graph::NodeId node, double bps);
-  double node_bandwidth(graph::NodeId node) const;
-
-  /// Aggregate switching capacity of one router: every packet it transmits,
-  /// on any port, must first pass its switching fabric, which serialises at
-  /// this rate. Default: unlimited (ports are the only bottleneck). An
-  /// ordinary router has a capacity comparable to its port rate; the
-  /// m-router's n x n fabric is what removes this bottleneck (§II-B).
-  void set_node_switch_capacity(graph::NodeId node, double bps);
 
   /// Packets currently waiting on or being transmitted by the directed link
   /// from -> to (diagnostic for congestion tests).
@@ -280,10 +267,7 @@ class Network {
   std::vector<std::vector<std::uint64_t>> link_bytes_;
   std::size_t queue_limit_ = SIZE_MAX;
   std::map<graph::NodeId, std::size_t> node_queue_limit_;
-  std::vector<double> node_bandwidth_;  ///< per-router port rate (bps)
-  std::vector<double> switch_bps_;      ///< 0 = unlimited
-  std::vector<SimTime> switch_free_;    ///< per-router fabric serialiser
-  double bandwidth_bps_;
+  double bandwidth_bps_;  ///< every port's line rate
   double delay_scale_;
   std::uint64_t uid_counter_ = 0;
   DeliveryCallback on_delivery_;

@@ -17,17 +17,6 @@ std::vector<TraceEvent> TraceRecorder::of_type(PacketType type) const {
   return out;
 }
 
-std::vector<graph::NodeId> TraceRecorder::path_of(std::uint64_t uid,
-                                                  PacketType type) const {
-  std::vector<graph::NodeId> path;
-  for (const TraceEvent& e : events_) {
-    if (e.type != type || e.uid != uid) continue;
-    if (path.empty()) path.push_back(e.from);
-    path.push_back(e.to);
-  }
-  return path;
-}
-
 std::size_t TraceRecorder::count(PacketType type) const {
   std::size_t n = 0;
   for (const TraceEvent& e : events_)

@@ -35,11 +35,6 @@ class TraceRecorder {
   /// Events of one packet type, in time order.
   std::vector<TraceEvent> of_type(PacketType type) const;
 
-  /// The hop sequence (from, to, ...) a specific packet id took, as the list
-  /// of nodes visited starting at the first transmission's source. Only
-  /// meaningful for packets forwarded along a single path.
-  std::vector<graph::NodeId> path_of(std::uint64_t uid, PacketType type) const;
-
   /// Number of link crossings of a given type.
   std::size_t count(PacketType type) const;
 

@@ -210,6 +210,23 @@ TEST(ScmpProtocol, SecondIfaceJoinIsSubnetLocal) {
   ASSERT_NE(f.scmp_->entry_at(2, kGroup), nullptr);
   EXPECT_EQ(f.igmp_.member_ifaces(2, kGroup).size(), 2u);
   EXPECT_EQ(f.scmp_->database().billing_events(2), 1);
+
+  // The same holds at the m-router's own router, where no packet flows ...
+  ScmpFixture at_root(test::line(3));
+  at_root.scmp_->host_join(0, kGroup, /*iface=*/0, /*host=*/0);
+  at_root.scmp_->host_join(0, kGroup, /*iface=*/1, /*host=*/1);
+  at_root.drain();
+  EXPECT_EQ(at_root.igmp_.member_ifaces(0, kGroup).size(), 2u);
+  EXPECT_EQ(at_root.scmp_->database().billing_events(0), 1);
+
+  // ... and for a DR whose first JOIN is still in flight (no entry yet).
+  ScmpFixture in_flight(test::line(3));
+  in_flight.scmp_->host_join(2, kGroup, /*iface=*/0, /*host=*/0);
+  in_flight.scmp_->host_join(2, kGroup, /*iface=*/1, /*host=*/1);
+  in_flight.drain();
+  EXPECT_TRUE(in_flight.scmp_->network_state_consistent(kGroup));
+  EXPECT_EQ(in_flight.igmp_.member_ifaces(2, kGroup).size(), 2u);
+  EXPECT_EQ(in_flight.scmp_->database().billing_events(2), 1);
 }
 
 TEST(ScmpProtocol, RelayGainingFirstIfaceSendsAccountingJoin) {

@@ -92,15 +92,6 @@ TEST_F(TimeseriesTest, SpanStatsExcludedByDefault) {
   ASSERT_EQ(sampler_.windows().size(), 1u);
   EXPECT_EQ(sampler_.windows()[0].histograms.count("span.test_ts.seconds"),
             0u);
-
-  TimeseriesSampler with_spans;
-  with_spans.set_enabled(true);
-  with_spans.set_include_span_stats(true);
-  histogram("span.test_ts.seconds").observe(0.25);
-  with_spans.maybe_sample(1.0);
-  ASSERT_EQ(with_spans.windows().size(), 1u);
-  EXPECT_EQ(
-      with_spans.windows()[0].histograms.count("span.test_ts.seconds"), 1u);
 }
 
 TEST_F(TimeseriesTest, BeginRunPartitionsAndRebasesClock) {

@@ -64,22 +64,11 @@ Packet packet_for(std::uint64_t id, int hop, const Traffic& traffic) {
 class TwoEventLinks {
  public:
   TwoEventLinks(const graph::Graph& g, EventQueue& q, const Traffic& traffic)
-      : g_(g),
-        q_(&q),
-        traffic_(&traffic),
-        bw_(static_cast<std::size_t>(g.num_nodes()), kBps),
-        switch_bps_(static_cast<std::size_t>(g.num_nodes()), 0.0),
-        switch_free_(static_cast<std::size_t>(g.num_nodes()), 0.0) {}
+      : g_(g), q_(&q), traffic_(&traffic) {}
 
   void set_queue_limit(std::size_t n) { limit_ = n; }
   void set_node_queue_limit(graph::NodeId v, std::size_t n) {
     node_limit_[v] = n;
-  }
-  void set_node_bandwidth(graph::NodeId v, double bps) {
-    bw_[static_cast<std::size_t>(v)] = bps;
-  }
-  void set_node_switch_capacity(graph::NodeId v, double bps) {
-    switch_bps_[static_cast<std::size_t>(v)] = bps;
   }
   void fail_link(graph::NodeId u, graph::NodeId v) {
     links_.erase({u, v});
@@ -101,16 +90,9 @@ class TwoEventLinks {
       return;
     }
     ++link.backlog;
-    const auto f = static_cast<std::size_t>(from);
     const double bits = static_cast<double>(traffic_->sizes[id]) * 8.0;
-    SimTime ready = q_->now();
-    if (switch_bps_[f] > 0.0) {
-      switch_free_[f] =
-          std::max(ready, switch_free_[f]) + bits / switch_bps_[f];
-      ready = switch_free_[f];
-    }
-    const SimTime start = std::max(ready, link.free_at);
-    link.free_at = start + bits / bw_[f];
+    const SimTime start = std::max(q_->now(), link.free_at);
+    link.free_at = start + bits / kBps;
     q_->schedule_at(link.free_at, [this, from, to] {
       const auto found = links_.find({from, to});
       if (found != links_.end()) --found->second.backlog;
@@ -162,9 +144,6 @@ class TwoEventLinks {
   std::map<std::pair<graph::NodeId, graph::NodeId>, Link> links_;
   std::size_t limit_ = SIZE_MAX;
   std::map<graph::NodeId, std::size_t> node_limit_;
-  std::vector<double> bw_;
-  std::vector<double> switch_bps_;
-  std::vector<SimTime> switch_free_;
   bool visible_ = false;
 };
 
@@ -205,18 +184,13 @@ void run_episode(std::uint32_t seed) {
   EventQueue ref_q;
   TwoEventLinks ref(g, ref_q, traffic);
 
-  // Finite global and per-node queues, a fast port and a switching fabric
-  // that serialises across ports at half the port rate.
+  // Finite global and per-node queues.
   net.set_queue_limit(3);
   ref.set_queue_limit(3);
   net.set_node_queue_limit(2, 1);
   ref.set_node_queue_limit(2, 1);
   net.set_node_queue_limit(4, 6);
   ref.set_node_queue_limit(4, 6);
-  net.set_node_bandwidth(1, 2 * kBps);
-  ref.set_node_bandwidth(1, 2 * kBps);
-  net.set_node_switch_capacity(0, kBps / 2);
-  ref.set_node_switch_capacity(0, kBps / 2);
 
   // A random walk of 1-4 hops over the intact ring, 1, 2 or 4 bytes long.
   auto new_packet = [&] {
