@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/retx.hpp"
@@ -39,6 +40,39 @@ void BM_RetxArmAck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RetxArmAck)->Arg(1000)->Arg(100000);
+
+/// 100,000 requests armed in windows of `window` and each window acked
+/// newest-first: every ack but a window's last clears a slot behind a live
+/// oldest request, and the last one retires the whole window. Each window's
+/// timers fire before the next is armed, so the event queue holds one
+/// window, not every request.
+void BM_RetxAckNewestFirst(benchmark::State& state) {
+  constexpr double kFirstTimeout = 0.01;
+  constexpr std::size_t kRequests = 100000;
+  const auto window = static_cast<std::size_t>(state.range(0));
+  const auto sender = [](std::size_t k) {
+    return static_cast<graph::NodeId>(k % 32);
+  };
+  core::RetxConfig cfg;
+  cfg.enabled = true;
+  std::vector<std::uint64_t> reqs(window);
+  for (auto _ : state) {
+    sim::EventQueue q;
+    core::RetxTable table(q, cfg);
+    for (std::size_t done = 0; done < kRequests; done += window) {
+      for (std::size_t k = 0; k < window; ++k) {
+        reqs[k] = table.next_req();
+        table.arm(sender(k), reqs[k], kFirstTimeout, [] {});
+      }
+      for (std::size_t k = window; k-- > 0;) table.ack(sender(k), reqs[k]);
+      q.run_all();  // retired timers fire as no-ops
+    }
+    benchmark::DoNotOptimize(table.acked());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRequests));
+}
+BENCHMARK(BM_RetxAckNewestFirst)->Arg(64);
 
 /// A fresh churn world: the network (and with it the all-pairs path store),
 /// IGMP and SCMP anchored at m-router 0.

@@ -10,24 +10,26 @@
 namespace scmp::core {
 
 RetxTable::RetxTable(sim::EventQueue& queue, RetxConfig cfg)
-    : queue_(&queue), cfg_(cfg) {
-  SCMP_EXPECTS(cfg_.max_retries >= 0);
-}
+    : queue_(&queue), cfg_(cfg) {}
 
 void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
-                    double first_timeout, std::function<void()> resend,
+                    double first_timeout, Resend resend,
                     std::optional<int> install_of) {
   if (!cfg_.enabled) return;
-  SCMP_EXPECTS(req != 0);
+  SCMP_EXPECTS(req > last_armed_ && "requests are armed in mint order");
+  SCMP_EXPECTS(req <= req_counter_ && "request ids come from next_req()");
   SCMP_EXPECTS(first_timeout > 0.0);
-  SCMP_EXPECTS(resend != nullptr);
-  Pending p;
+  SCMP_EXPECTS(static_cast<bool>(resend));
+  last_armed_ = req;
+  // Ids minted but never armed since the newest slot stay cleared slots; an
+  // empty ring restarts at `req`.
+  if (slots_.empty()) base_ = req;
+  while (base_ + slots_.size() < req) slots_.emplace_back();
+  Pending& p = slots_.emplace_back();
+  p.sender = sender;
   p.next_timeout = first_timeout * kRetxBackoff;
   p.resend = std::move(resend);
   p.install_of = install_of;
-  const bool inserted =
-      by_sender_[sender].emplace(req, std::move(p)).second;
-  SCMP_EXPECTS(inserted && "request uids are never reused");
   if (install_of.has_value()) ++installs_in_flight_[*install_of];
   ++live_;
   if (live_ > pending_hwm_) {
@@ -41,11 +43,9 @@ void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
 }
 
 void RetxTable::ack(graph::NodeId sender, std::uint64_t req) {
-  const auto sit = by_sender_.find(sender);
-  if (sit == by_sender_.end()) return;
-  const auto it = sit->second.find(req);
-  if (it == sit->second.end()) return;  // duplicate/late ack
-  retire(sit, it);
+  const std::size_t i = slot_of(sender, req);
+  if (i == slots_.size()) return;  // duplicate/late/unknown ack
+  retire(slots_[i]);
   ++acked_;
   static obs::Counter& acks = obs::counter("scmp.retx.acked");
   acks.inc();
@@ -54,40 +54,42 @@ void RetxTable::ack(graph::NodeId sender, std::uint64_t req) {
 }
 
 bool RetxTable::pending(graph::NodeId sender, std::uint64_t req) const {
-  const auto sit = by_sender_.find(sender);
-  return sit != by_sender_.end() && sit->second.contains(req);
+  return slot_of(sender, req) != slots_.size();
 }
 
-std::size_t RetxTable::pending_count() const {
-  std::size_t total = 0;
-  for (const auto& [sender, reqs] : by_sender_) total += reqs.size();
-  return total;
+std::size_t RetxTable::slot_of(graph::NodeId sender,
+                               std::uint64_t req) const {
+  if (req < base_ || req - base_ >= slots_.size()) return slots_.size();
+  const auto i = static_cast<std::size_t>(req - base_);
+  const Pending& p = slots_[i];
+  return p.resend && p.sender == sender ? i : slots_.size();
 }
 
-void RetxTable::retire(Senders::iterator sit, Requests::iterator it) {
-  if (it->second.install_of.has_value()) {
-    const auto git = installs_in_flight_.find(*it->second.install_of);
+void RetxTable::retire(Pending& p) {
+  if (p.install_of.has_value()) {
+    const auto git = installs_in_flight_.find(*p.install_of);
     SCMP_ASSERT(git != installs_in_flight_.end());
     if (--git->second == 0) installs_in_flight_.erase(git);
   }
-  sit->second.erase(it);
+  p = Pending{};
   --live_;
-  if (sit->second.empty()) by_sender_.erase(sit);
+  while (!slots_.empty() && !slots_.front().resend) {
+    slots_.pop_front();
+    ++base_;
+  }
 }
 
 void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
                                double delay) {
   // One timer chain per entry: each fire either retransmits and schedules
-  // the next fire, or exhausts the budget. An ack simply erases the entry;
-  // the outstanding timer then fires as a no-op (request uids are unique, so
+  // the next fire, or exhausts the budget. An ack simply clears the slot;
+  // the outstanding timer then fires as a no-op (request ids are unique, so
   // a retired req can never be confused with a live one).
   queue_->schedule_in(delay, [this, sender, req]() {
-    const auto sit = by_sender_.find(sender);
-    if (sit == by_sender_.end()) return;
-    const auto it = sit->second.find(req);
-    if (it == sit->second.end()) return;
-    Pending& p = it->second;
-    if (p.attempts >= cfg_.max_retries) {
+    const std::size_t i = slot_of(sender, req);
+    if (i == slots_.size()) return;
+    Pending& p = slots_[i];
+    if (p.attempts >= kRetxMaxRetries) {
       // Budget exhausted: degrade gracefully. The request's state transfer
       // is abandoned here; the soft-state reconciliation cycle repairs the
       // divergence it leaves behind.
@@ -98,7 +100,7 @@ void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
                          "", -1, sender, -1);
       log_debug("retx: sender ", sender, " abandoned request ", req, " after ",
                 p.attempts, " retransmission(s)");
-      retire(sit, it);
+      retire(p);
       return;
     }
     ++p.attempts;

@@ -1,5 +1,5 @@
-// Reliable delivery for the SCMP control plane: a per-endpoint
-// retransmission table. Every reliably-sent control packet (JOIN / LEAVE /
+// Reliable delivery for the SCMP control plane: a retransmission table
+// keyed by request uid. Every reliably-sent control packet (JOIN / LEAVE /
 // TREE / BRANCH / PRUNE / CLEAR) carries a request uid (sim::Packet::req);
 // the sender arms an entry here and the receiver answers with an ACK packet
 // carrying the same uid. An unacknowledged request is first retransmitted
@@ -19,12 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <map>
 #include <optional>
 
 #include "graph/graph.hpp"
 #include "sim/event_queue.hpp"
+#include "util/inline_function.hpp"
 
 namespace scmp::core {
 
@@ -37,19 +38,27 @@ inline constexpr double kRetxMargin = 0.005;  // seconds
 /// Multiplier applied to a request's timeout after each retransmission.
 inline constexpr double kRetxBackoff = 2.0;
 
+/// Retransmissions after the original send before a request is abandoned.
+inline constexpr int kRetxMaxRetries = 4;
+
 struct RetxConfig {
   /// Off by default: the control plane stays fire-and-forget and the packet
   /// streams stay bit-identical to the unreliable protocol.
   bool enabled = false;
-  /// Retransmissions after the original send before giving up.
-  int max_retries = 4;
 };
 
-/// Retransmission state of every in-flight reliable request, grouped by the
-/// sending endpoint (each router retransmits its own requests; the table is
-/// centralised only because the simulation hosts all routers in one object).
+/// Retransmission state of every in-flight reliable request. Each router
+/// retransmits its own requests; the table is centralised only because the
+/// simulation hosts all routers in one object, so one counter mints every
+/// request id and the table is a ring of slots indexed by id. Arm, ack and
+/// each timer fire cost O(1), with no tree node and no boxed closure.
 class RetxTable {
  public:
+  /// Repeats a request's original packet. Sized like an event handler, so
+  /// a closure holding the sending Scmp, its endpoints and a Packet copy
+  /// stores inline.
+  using Resend = util::InlineFunction<void(), sim::kEventHandlerCapacity>;
+
   RetxTable(sim::EventQueue& queue, RetxConfig cfg);
 
   const RetxConfig& config() const { return cfg_; }
@@ -63,18 +72,19 @@ class RetxTable {
   /// retransmission; it must repeat the original packet (same req) so the
   /// receiver can dedup. A request that installs state for a group (TREE,
   /// BRANCH, CLEAR) names the group in `install_of`; the group then has an
-  /// install in flight until the request is acked or abandoned. No-op
-  /// unless enabled.
+  /// install in flight until the request is acked or abandoned. Requests
+  /// are armed in the order next_req() minted them; a minted id that is
+  /// never armed just leaves a cleared slot. No-op unless enabled.
   void arm(graph::NodeId sender, std::uint64_t req, double first_timeout,
-           std::function<void()> resend,
-           std::optional<int> install_of = std::nullopt);
+           Resend resend, std::optional<int> install_of = std::nullopt);
 
   /// Acknowledges `req` at `sender`: the pending entry (if any) is retired
-  /// and its outstanding timer becomes a no-op.
+  /// and its outstanding timer becomes a no-op. An unknown, retired or
+  /// wrong-sender id is a no-op (an ACK's id is packet input).
   void ack(graph::NodeId sender, std::uint64_t req);
 
   bool pending(graph::NodeId sender, std::uint64_t req) const;
-  std::size_t pending_count() const;
+  std::size_t pending_count() const { return live_; }
 
   /// True while any install request armed for `group` is neither acked nor
   /// abandoned — the union, over every router, of the "install in flight"
@@ -97,22 +107,30 @@ class RetxTable {
   std::uint64_t exhausted() const { return exhausted_; }
 
  private:
+  /// One request's slot; a cleared slot (no resend) is retired or was never
+  /// armed.
   struct Pending {
+    graph::NodeId sender = graph::kInvalidNode;
     int attempts = 0;  ///< retransmissions already sent
     double next_timeout = 0.0;
-    std::function<void()> resend;
+    Resend resend;
     std::optional<int> install_of;
   };
-  using Requests = std::map<std::uint64_t, Pending>;
-  using Senders = std::map<graph::NodeId, Requests>;
 
+  /// Index of `req`'s live slot if `sender` armed it, else slots_.size().
+  std::size_t slot_of(graph::NodeId sender, std::uint64_t req) const;
   void schedule_timer(graph::NodeId sender, std::uint64_t req, double delay);
-  /// Erases an acked or abandoned entry, and its group's install count.
-  void retire(Senders::iterator sit, Requests::iterator it);
+  /// Clears an acked or abandoned slot, and its group's install count, then
+  /// pops cleared slots off the ring's front.
+  void retire(Pending& p);
 
   sim::EventQueue* queue_;
   RetxConfig cfg_;
-  Senders by_sender_;
+  /// Slot i holds request base_ + i. The front slot is live whenever the
+  /// ring is non-empty.
+  std::deque<Pending> slots_;
+  std::uint64_t base_ = 0;
+  std::uint64_t last_armed_ = 0;  ///< newest armed id; 0 before the first
   /// Pending install requests per group; a group is absent at zero.
   std::map<int, std::size_t> installs_in_flight_;
   std::size_t live_ = 0;  ///< entries currently pending (all senders)

@@ -147,6 +147,8 @@ void Scmp::send_control_link(graph::NodeId from, graph::NodeId to,
   auto resend = [this, from, to, copy = pkt]() {
     net().send_link(from, to, copy);
   };
+  static_assert(RetxTable::Resend::stores_inline<decltype(resend)>(),
+                "link resend closure must fit kEventHandlerCapacity");
   retx_.arm(from, pkt.req, timeout, std::move(resend), install_group(pkt));
   net().send_link(from, to, std::move(pkt));
 }
@@ -167,6 +169,8 @@ void Scmp::send_control_unicast(graph::NodeId from, sim::Packet pkt) {
       net().unicast_round_trip(from, pkt.dst, pkt.src, pkt.size_bytes) +
       kRetxMargin;
   auto resend = [this, from, copy = pkt]() { net().send_unicast(from, copy); };
+  static_assert(RetxTable::Resend::stores_inline<decltype(resend)>(),
+                "unicast resend closure must fit kEventHandlerCapacity");
   retx_.arm(pkt.src, pkt.req, timeout, std::move(resend), install_group(pkt));
   net().send_unicast(from, std::move(pkt));
 }
@@ -1296,16 +1300,20 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
     // At-least-once delivery: every copy is (re-)acknowledged — the original
     // ack may have been lost — but only the first copy is processed.
     send_ack(at, pkt, from);
-    const auto idx = static_cast<std::size_t>(at);
-    if (!seen_req_[idx].insert(pkt.req).second) {
+    // Ids arrive nearly in mint order, so the insert is almost always an
+    // append.
+    std::vector<std::uint64_t>& seen = seen_req_[static_cast<std::size_t>(at)];
+    const auto pos = std::lower_bound(seen.begin(), seen.end(), pkt.req);
+    if (pos != seen.end() && *pos == pkt.req) {
       static obs::Counter& dups = obs::counter("scmp.retx.duplicates");
       dups.inc();
       obs::flight_record(obs::FlightEventKind::kDuplicate, net().now(),
                          pkt.req, control_name(pkt.type), pkt.group, from, at);
       return;
     }
-    static obs::Gauge& seen = obs::gauge("scmp.state.seen_requests");
-    seen.set(static_cast<double>(++seen_req_total_));
+    seen.insert(pos, pkt.req);
+    static obs::Gauge& seen_gauge = obs::gauge("scmp.state.seen_requests");
+    seen_gauge.set(static_cast<double>(++seen_req_total_));
     obs::flight_record(obs::FlightEventKind::kRecv, net().now(), pkt.req,
                        control_name(pkt.type), pkt.group, from, at);
   }

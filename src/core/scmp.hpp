@@ -405,8 +405,9 @@ class Scmp final : public proto::MulticastProtocol {
   RetxTable retx_;
   /// Receiver-side dedup of reliably-delivered control packets, per router:
   /// a retransmitted request is re-acknowledged but processed only once.
-  /// Insert-only; seen_req_total_ is the sets' total size.
-  std::vector<std::set<std::uint64_t>> seen_req_;
+  /// Each router's ids ascend. Insert-only; seen_req_total_ is the vectors'
+  /// total size.
+  std::vector<std::vector<std::uint64_t>> seen_req_;
   std::size_t seen_req_total_ = 0;
   TransitModel transit_model_;
   double session_idle_expiry_ = 0.0;  ///< 0 = sessions never auto-expire

@@ -220,7 +220,6 @@ TEST(ScmpReconcile, IndexesMatchBruteForceUnderLossyChurn) {
   const topo::Topology topo = topo::arpanet(topo_rng);
   Scmp::Config cfg;
   cfg.reliability.enabled = true;
-  cfg.reliability.max_retries = 2;
   Domain d(topo.graph, cfg);
   Rng rng(2024);
   d.lose([&rng](graph::NodeId, graph::NodeId, const sim::Packet& p) {

@@ -28,10 +28,9 @@
 namespace scmp::core {
 namespace {
 
-RetxConfig reliable(int max_retries = 4) {
+RetxConfig reliable() {
   RetxConfig cfg;
   cfg.enabled = true;
-  cfg.max_retries = max_retries;
   return cfg;
 }
 
@@ -68,18 +67,21 @@ TEST(RetxTable, AckBeforeTimeoutRetiresEntryWithoutResend) {
 
 TEST(RetxTable, UnackedRequestBacksOffExponentiallyThenExhausts) {
   sim::EventQueue q;
-  RetxTable table(q, reliable(/*max_retries=*/3));
+  RetxTable table(q, reliable());
   std::vector<double> resend_times;
   table.arm(7, table.next_req(), /*first_timeout=*/1.0,
             [&] { resend_times.push_back(q.now()); });
   q.run_all();
-  // Retransmissions at t=1, 1+2, 1+2+4; the budget check fires at 1+2+4+8.
-  ASSERT_EQ(resend_times.size(), 3u);
+  // kRetxMaxRetries retransmissions at t=1, 1+2, 1+2+4, 1+2+4+8; the budget
+  // check fires at 1+2+4+8+16.
+  static_assert(kRetxMaxRetries == 4);
+  ASSERT_EQ(resend_times.size(), 4u);
   EXPECT_DOUBLE_EQ(resend_times[0], 1.0);
   EXPECT_DOUBLE_EQ(resend_times[1], 3.0);
   EXPECT_DOUBLE_EQ(resend_times[2], 7.0);
-  EXPECT_DOUBLE_EQ(q.now(), 15.0);
-  EXPECT_EQ(table.retransmissions(), 3u);
+  EXPECT_DOUBLE_EQ(resend_times[3], 15.0);
+  EXPECT_DOUBLE_EQ(q.now(), 31.0);
+  EXPECT_EQ(table.retransmissions(), 4u);
   EXPECT_EQ(table.exhausted(), 1u);
   EXPECT_EQ(table.pending_count(), 0u);
 }
@@ -99,7 +101,7 @@ TEST(RetxTable, LateAndUnknownAcksAreIgnored) {
 
 TEST(RetxTable, InstallInFlightUntilAckedOrAbandoned) {
   sim::EventQueue q;
-  RetxTable table(q, reliable(/*max_retries=*/1));
+  RetxTable table(q, reliable());
   const std::uint64_t acked = table.next_req();
   const std::uint64_t lost = table.next_req();
   table.arm(3, acked, kFirstTimeout, [] {}, /*install_of=*/7);
@@ -109,9 +111,73 @@ TEST(RetxTable, InstallInFlightUntilAckedOrAbandoned) {
   EXPECT_FALSE(table.install_in_flight(8));
   table.ack(3, acked);
   EXPECT_TRUE(table.install_in_flight(7));  // `lost` is still out
-  q.run_all();  // `lost` is resent once, then abandoned
+  q.run_all();  // `lost` is resent kRetxMaxRetries times, then abandoned
   EXPECT_EQ(table.exhausted(), 2u);
   EXPECT_FALSE(table.install_in_flight(7));
+}
+
+TEST(RetxTable, AcksArrivingNewestFirstDrainTheRing) {
+  sim::EventQueue q;
+  RetxTable table(q, reliable());
+  const auto sender_of = [](std::uint64_t req) {
+    return static_cast<graph::NodeId>(req % 3);
+  };
+  std::vector<std::uint64_t> reqs;
+  for (int i = 0; i < 8; ++i) {
+    reqs.push_back(table.next_req());
+    table.arm(sender_of(reqs.back()), reqs.back(), kFirstTimeout, [] {});
+  }
+  EXPECT_EQ(table.pending_count(), 8u);
+  // Every ack but the last leaves the oldest slot live at the ring's front.
+  for (auto it = reqs.rbegin(); it != reqs.rend(); ++it) {
+    table.ack(sender_of(*it), *it);
+    EXPECT_FALSE(table.pending(sender_of(*it), *it));
+  }
+  EXPECT_EQ(table.pending_count(), 0u);
+  EXPECT_EQ(table.acked(), 8u);
+  for (const std::uint64_t req : reqs) table.ack(sender_of(req), req);
+  EXPECT_EQ(table.acked(), 8u);
+  EXPECT_EQ(table.pending_count(), 0u);
+  q.run_all();
+  EXPECT_EQ(table.retransmissions(), 0u);
+  EXPECT_EQ(table.exhausted(), 0u);
+}
+
+TEST(RetxTable, UnackedOldestRequestDoesNotHideNewerOnes) {
+  sim::EventQueue q;
+  RetxTable table(q, reliable());
+  int oldest_resends = 0;
+  const std::uint64_t oldest = table.next_req();
+  table.arm(1, oldest, kFirstTimeout, [&] { ++oldest_resends; });
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t req = table.next_req();
+    table.arm(2, req, kFirstTimeout, [] {});
+    EXPECT_TRUE(table.pending(2, req));
+    EXPECT_FALSE(table.pending(1, req));
+    table.ack(2, req);
+    EXPECT_FALSE(table.pending(2, req));
+  }
+  EXPECT_EQ(table.acked(), 5u);
+  EXPECT_EQ(table.pending_count(), 1u);
+  EXPECT_TRUE(table.pending(1, oldest));
+  q.run_all();
+  EXPECT_EQ(oldest_resends, kRetxMaxRetries);
+  EXPECT_EQ(table.exhausted(), 1u);
+  EXPECT_EQ(table.pending_count(), 0u);
+  EXPECT_FALSE(table.pending(1, oldest));
+}
+
+TEST(RetxTableDeath, ArmRejectsUnmintedAndOutOfOrderIds) {
+  sim::EventQueue q;
+  RetxTable table(q, reliable());
+  const std::uint64_t first = table.next_req();
+  const std::uint64_t second = table.next_req();
+  // Never minted by this table.
+  EXPECT_DEATH(table.arm(1, second + 1, kFirstTimeout, [] {}),
+               "Precondition");
+  table.arm(1, second, kFirstTimeout, [] {});
+  // Minted, but below an armed id.
+  EXPECT_DEATH(table.arm(1, first, kFirstTimeout, [] {}), "Precondition");
 }
 
 TEST(RetxTable, RequestUidsAreNeverZero) {
@@ -249,7 +315,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ScmpReliability, ExhaustedJoinIsRepairedByReconciliation) {
   Scmp::Config cfg;
-  cfg.reliability = reliable(/*max_retries=*/2);
+  cfg.reliability = reliable();
   World w(cfg);
   // Seed the group so the tree and session exist.
   w.scmp.host_join(5, kGroup);
@@ -278,7 +344,7 @@ TEST(ScmpReliability, ExhaustedJoinIsRepairedByReconciliation) {
 
 TEST(ScmpReliability, ExhaustedBranchInstallIsRepairedByReconciliation) {
   Scmp::Config cfg;
-  cfg.reliability = reliable(/*max_retries=*/2);
+  cfg.reliability = reliable();
   World w(cfg);
   w.scmp.host_join(5, kGroup);
   w.queue.run_all();
@@ -301,6 +367,55 @@ TEST(ScmpReliability, ExhaustedBranchInstallIsRepairedByReconciliation) {
   w.queue.run_all();
   EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
   EXPECT_EQ(w.scmp.reconcile_all(), 0);
+}
+
+TEST(ScmpReliability, OldDuplicateAfterNewerRequestsIsReackedNotReprocessed) {
+  Scmp::Config cfg;
+  cfg.reliability = reliable();
+  World w(cfg);
+  constexpr graph::NodeId kOld = 5;
+  // Router 5's JOIN reaches the m-router, but its ACK is lost. Its
+  // retransmissions are held back until the m-router has processed the
+  // newer JOINs of routers 12 and 19; the next one then arrives as a
+  // duplicate of an id below ids the m-router has already seen.
+  std::uint64_t old_req = 0;
+  int copies_sent = 0;
+  bool ack_lost = false;
+  w.net.set_drop_filter(
+      [&](graph::NodeId from, graph::NodeId, const sim::Packet& pkt) {
+        if (pkt.type == sim::PacketType::kJoin && pkt.src == kOld &&
+            from == kOld) {
+          if (old_req == 0) old_req = pkt.req;
+          if (pkt.req != old_req || ++copies_sent == 1) return false;
+          const MRouterDatabase& db = w.scmp.database();
+          return db.billing_events(12) == 0 || db.billing_events(19) == 0;
+        }
+        if (pkt.type == sim::PacketType::kAck && pkt.req == old_req &&
+            !ack_lost) {
+          ack_lost = true;
+          return true;
+        }
+        return false;
+      });
+  obs::set_metrics_enabled(true);
+  obs::Counter& dups = obs::counter("scmp.retx.duplicates");
+  const std::uint64_t dups_before = dups.value();
+  w.scmp.host_join(kOld, kGroup);
+  w.scmp.host_join(12, kGroup);
+  w.scmp.host_join(19, kGroup);
+  w.queue.run_all();
+  obs::set_metrics_enabled(false);
+
+  ASSERT_NE(old_req, 0u);
+  EXPECT_TRUE(ack_lost);
+  EXPECT_GE(copies_sent, 2);
+  EXPECT_EQ(dups.value(), dups_before + 1);
+  EXPECT_EQ(w.scmp.database().billing_events(kOld), 1);
+  EXPECT_EQ(w.scmp.database().membership_log().size(), 3u);
+  // The duplicate was re-acked: the old request retired, not exhausted.
+  EXPECT_EQ(w.scmp.retx().exhausted(), 0u);
+  EXPECT_EQ(w.scmp.retx().pending_count(), 0u);
+  EXPECT_TRUE(w.scmp.network_state_consistent(kGroup));
 }
 
 /// A link of `group`'s tree whose failure leaves the topology connected.

@@ -38,8 +38,9 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
                    path, the tree operations it runs, the Dijkstra kernel,
-                   its link-failure repair, the event core and SCMP's
-                   per-hop DATA forwarding) must not
+                   its link-failure repair, the event core, SCMP's
+                   per-hop DATA forwarding and the retransmission table's
+                   per-request arm/ack) must not
                    construct a std::vector or call the allocating
                    convenience accessors (members()/on_tree_nodes()/
                    sl_path()/lc_path()/path_to()) — they reuse
@@ -100,13 +101,16 @@ PACKET_CPP = "src/sim/packet.cpp"
 # dijkstra_into() n times per path-store build, the subtree repair
 # (repair_after_removal, and the store update built on it, first hops
 # included) once per source and metric per link failure, the event-queue/transmit trio once per
-# simulated event or link crossing, and forward_data once per DATA hop; an
+# simulated event or link crossing, forward_data once per DATA hop, and the
+# retransmission table's arm and ack once per reliable control request
+# (a ring slot indexed by request id, the resend closure stored inline); an
 # accidental per-call allocation here is a real throughput regression even
 # when every test stays green.
 HOT_PATH_FUNCS = {
     "src/core/dcdm.cpp": ("DcdmTree::join", "DcdmTree::leave",
                           "DcdmTree::delay_bound_for",
                           "DcdmTree::refresh_delays"),
+    "src/core/retx.cpp": ("RetxTable::arm", "RetxTable::ack"),
     "src/core/scmp.cpp": ("Scmp::forward_data",),
     "src/graph/multicast_tree.cpp": ("MulticastTree::graft_path",
                                      "MulticastTree::prune_upward_from",
