@@ -1,5 +1,6 @@
 #include "core/retx.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/flight.hpp"
@@ -23,14 +24,23 @@ void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
   last_armed_ = req;
   // Ids minted but never armed since the newest slot stay cleared slots; an
   // empty ring restarts at `req`.
-  if (slots_.empty()) base_ = req;
-  while (base_ + slots_.size() < req) slots_.emplace_back();
-  Pending& p = slots_.emplace_back();
+  if (size_ == 0) base_ = req;
+  while (base_ + size_ < req) push_slot();
+  Pending& p = push_slot();
   p.sender = sender;
   p.next_timeout = first_timeout * kRetxBackoff;
   p.resend = std::move(resend);
   p.install_of = install_of;
-  if (install_of.has_value()) ++installs_in_flight_[*install_of];
+  if (install_of.has_value()) {
+    const auto it = std::lower_bound(installs_in_flight_.begin(),
+                                     installs_in_flight_.end(),
+                                     InstallCount{*install_of, 0});
+    if (it != installs_in_flight_.end() && it->first == *install_of) {
+      ++it->second;
+    } else {
+      installs_in_flight_.insert(it, InstallCount{*install_of, 1});
+    }
+  }
   ++live_;
   if (live_ > pending_hwm_) {
     pending_hwm_ = live_;
@@ -43,9 +53,9 @@ void RetxTable::arm(graph::NodeId sender, std::uint64_t req,
 }
 
 void RetxTable::ack(graph::NodeId sender, std::uint64_t req) {
-  const std::size_t i = slot_of(sender, req);
-  if (i == slots_.size()) return;  // duplicate/late/unknown ack
-  retire(slots_[i]);
+  const std::size_t i = live_offset(sender, req);
+  if (i == size_) return;  // duplicate/late/unknown ack
+  retire(slot(i));
   ++acked_;
   static obs::Counter& acks = obs::counter("scmp.retx.acked");
   acks.inc();
@@ -54,27 +64,51 @@ void RetxTable::ack(graph::NodeId sender, std::uint64_t req) {
 }
 
 bool RetxTable::pending(graph::NodeId sender, std::uint64_t req) const {
-  return slot_of(sender, req) != slots_.size();
+  return live_offset(sender, req) != size_;
 }
 
-std::size_t RetxTable::slot_of(graph::NodeId sender,
-                               std::uint64_t req) const {
-  if (req < base_ || req - base_ >= slots_.size()) return slots_.size();
+std::size_t RetxTable::live_offset(graph::NodeId sender,
+                                   std::uint64_t req) const {
+  if (req < base_ || req - base_ >= size_) return size_;
   const auto i = static_cast<std::size_t>(req - base_);
-  const Pending& p = slots_[i];
-  return p.resend && p.sender == sender ? i : slots_.size();
+  const Pending& p = slot(i);
+  return p.resend && p.sender == sender ? i : size_;
+}
+
+RetxTable::Pending& RetxTable::push_slot() {
+  if (size_ == ring_.size()) {
+    // Full: move the slots oldest-first into a ring twice the size (a
+    // fresh ring starts at 16).
+    std::vector<Pending> grown(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = std::move(slot(i));
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  return slot(size_++);
+}
+
+std::size_t RetxTable::install_index(int group) const {
+  const auto it =
+      std::lower_bound(installs_in_flight_.begin(), installs_in_flight_.end(),
+                       InstallCount{group, 0});
+  return it != installs_in_flight_.end() && it->first == group
+             ? static_cast<std::size_t>(it - installs_in_flight_.begin())
+             : installs_in_flight_.size();
 }
 
 void RetxTable::retire(Pending& p) {
   if (p.install_of.has_value()) {
-    const auto git = installs_in_flight_.find(*p.install_of);
-    SCMP_ASSERT(git != installs_in_flight_.end());
-    if (--git->second == 0) installs_in_flight_.erase(git);
+    const std::size_t i = install_index(*p.install_of);
+    SCMP_ASSERT(i != installs_in_flight_.size());
+    if (--installs_in_flight_[i].second == 0)
+      installs_in_flight_.erase(installs_in_flight_.begin() +
+                                static_cast<std::ptrdiff_t>(i));
   }
   p = Pending{};
   --live_;
-  while (!slots_.empty() && !slots_.front().resend) {
-    slots_.pop_front();
+  while (size_ > 0 && !slot(0).resend) {
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
     ++base_;
   }
 }
@@ -86,9 +120,9 @@ void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
   // the outstanding timer then fires as a no-op (request ids are unique, so
   // a retired req can never be confused with a live one).
   queue_->schedule_in(delay, [this, sender, req]() {
-    const std::size_t i = slot_of(sender, req);
-    if (i == slots_.size()) return;
-    Pending& p = slots_[i];
+    const std::size_t i = live_offset(sender, req);
+    if (i == size_) return;
+    Pending& p = slot(i);
     if (p.attempts >= kRetxMaxRetries) {
       // Budget exhausted: degrade gracefully. The request's state transfer
       // is abandoned here; the soft-state reconciliation cycle repairs the
@@ -111,7 +145,7 @@ void RetxTable::schedule_timer(graph::NodeId sender, std::uint64_t req,
                        -1, sender, -1);
     const double next = p.next_timeout;
     p.next_timeout *= kRetxBackoff;
-    p.resend();
+    p.resend();  // arms nothing (see arm), so `p` stays put
     schedule_timer(sender, req, next);
   });
 }

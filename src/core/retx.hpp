@@ -19,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/event_queue.hpp"
@@ -51,7 +51,9 @@ struct RetxConfig {
 /// retransmits its own requests; the table is centralised only because the
 /// simulation hosts all routers in one object, so one counter mints every
 /// request id and the table is a ring of slots indexed by id. Arm, ack and
-/// each timer fire cost O(1), with no tree node and no boxed closure.
+/// each timer fire cost O(1), with no tree node and no boxed closure; once
+/// the ring and the install counts have grown to the peak in-flight load,
+/// they allocate nothing.
 class RetxTable {
  public:
   /// Repeats a request's original packet. Sized like an event handler, so
@@ -70,11 +72,12 @@ class RetxTable {
   /// `first_timeout` seconds without an ack, each later one after
   /// kRetxBackoff times the previous wait. `resend` is invoked for every
   /// retransmission; it must repeat the original packet (same req) so the
-  /// receiver can dedup. A request that installs state for a group (TREE,
-  /// BRANCH, CLEAR) names the group in `install_of`; the group then has an
-  /// install in flight until the request is acked or abandoned. Requests
-  /// are armed in the order next_req() minted them; a minted id that is
-  /// never armed just leaves a cleared slot. No-op unless enabled.
+  /// receiver can dedup, and arm or ack nothing: it runs in its ring slot.
+  /// A request that installs state for a group (TREE, BRANCH, CLEAR) names
+  /// the group in `install_of`; the group then has an install in flight
+  /// until the request is acked or abandoned. Requests are armed in the
+  /// order next_req() minted them; a minted id that is never armed just
+  /// leaves a cleared slot. No-op unless enabled.
   void arm(graph::NodeId sender, std::uint64_t req, double first_timeout,
            Resend resend, std::optional<int> install_of = std::nullopt);
 
@@ -91,7 +94,7 @@ class RetxTable {
   /// bit of its digest. Reconciliation defers such a group: its installed
   /// state is still changing.
   bool install_in_flight(int group) const {
-    return installs_in_flight_.contains(group);
+    return install_index(group) != installs_in_flight_.size();
   }
 
   /// Most entries ever simultaneously pending — the table's high-water mark.
@@ -117,8 +120,24 @@ class RetxTable {
     std::optional<int> install_of;
   };
 
-  /// Index of `req`'s live slot if `sender` armed it, else slots_.size().
-  std::size_t slot_of(graph::NodeId sender, std::uint64_t req) const;
+  /// One group's pending install requests (count > 0).
+  using InstallCount = std::pair<int, std::size_t>;
+
+  /// The offset from base_ of `req`'s live slot if `sender` armed it, else
+  /// size_.
+  std::size_t live_offset(graph::NodeId sender, std::uint64_t req) const;
+  /// The ring slot of request base_ + i (i < size_).
+  Pending& slot(std::size_t i) {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  const Pending& slot(std::size_t i) const {
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  /// Appends a cleared slot for request base_ + size_, doubling the ring
+  /// when it is full.
+  Pending& push_slot();
+  /// Index of `group` in installs_in_flight_, or its size when absent.
+  std::size_t install_index(int group) const;
   void schedule_timer(graph::NodeId sender, std::uint64_t req, double delay);
   /// Clears an acked or abandoned slot, and its group's install count, then
   /// pops cleared slots off the ring's front.
@@ -126,13 +145,18 @@ class RetxTable {
 
   sim::EventQueue* queue_;
   RetxConfig cfg_;
-  /// Slot i holds request base_ + i. The front slot is live whenever the
-  /// ring is non-empty.
-  std::deque<Pending> slots_;
+  /// A ring of size_ slots from head_: slot i holds request base_ + i, and
+  /// the front slot is live whenever the ring is non-empty. Its capacity is
+  /// the peak in-flight span, rounded up to a power of two; slots outside
+  /// the ring are cleared.
+  std::vector<Pending> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t base_ = 0;
   std::uint64_t last_armed_ = 0;  ///< newest armed id; 0 before the first
-  /// Pending install requests per group; a group is absent at zero.
-  std::map<int, std::size_t> installs_in_flight_;
+  /// Pending install requests per group, ascending by group; a group is
+  /// absent at zero.
+  std::vector<InstallCount> installs_in_flight_;
   std::size_t live_ = 0;  ///< entries currently pending (all senders)
   std::size_t pending_hwm_ = 0;
   std::uint64_t req_counter_ = 0;

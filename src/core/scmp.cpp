@@ -296,12 +296,12 @@ std::size_t Scmp::EntryTable::index_of(GroupId group) const {
 
 const Scmp::Entry* Scmp::EntryTable::find(GroupId group) const {
   const std::size_t i = index_of(group);
-  return i == groups_.size() ? nullptr : nodes_[i].get();
+  return i == groups_.size() ? nullptr : &entries_[i];
 }
 
 Scmp::Entry* Scmp::EntryTable::find(GroupId group) {
   const std::size_t i = index_of(group);
-  return i == groups_.size() ? nullptr : nodes_[i].get();
+  return i == groups_.size() ? nullptr : &entries_[i];
 }
 
 std::pair<Scmp::Entry*, bool> Scmp::EntryTable::get(GroupId group) {
@@ -310,9 +310,9 @@ std::pair<Scmp::Entry*, bool> Scmp::EntryTable::get(GroupId group) {
   const bool create = it == groups_.end() || *it != group;
   if (create) {
     groups_.insert(it, group);
-    nodes_.insert(nodes_.begin() + i, std::make_unique<Entry>());
+    entries_.emplace(entries_.begin() + i);
   }
-  return {nodes_[static_cast<std::size_t>(i)].get(), create};
+  return {&entries_[static_cast<std::size_t>(i)], create};
 }
 
 bool Scmp::EntryTable::erase(GroupId group) {
@@ -320,7 +320,7 @@ bool Scmp::EntryTable::erase(GroupId group) {
   if (i == groups_.size()) return false;
   const auto at = static_cast<std::ptrdiff_t>(i);
   groups_.erase(groups_.begin() + at);
-  nodes_.erase(nodes_.begin() + at);
+  entries_.erase(entries_.begin() + at);
   return true;
 }
 
@@ -1255,18 +1255,18 @@ void Scmp::forward_data(graph::NodeId at, const sim::Packet& pkt,
             // design — the paper's reliability machinery covers control
             // packets only (delayed on-tree DATA fan-out behind the fabric
             // transit model).)
-            if (next != from) net().send_link(at, next, net().clone_packet(p));
+            if (next != from) net().send_link(at, next, sim::Packet(p));
           }
         });
     return;
   }
-  // Each branch gets a pooled clone instead of a fresh copy, recycling
-  // path/payload capacity released by past deliveries.
+  // Each branch gets its own copy. A DATA packet's path and payload are
+  // empty, so the copy allocates nothing.
   const auto send = [this, at, from, &pkt](graph::NodeId next) {
     // protocol: fire-and-forget(data traffic is best-effort by design — the
     // paper's reliability machinery covers control packets only (on-tree
     // DATA fan-out).)
-    if (next != from) net().send_link(at, next, net().clone_packet(pkt));
+    if (next != from) net().send_link(at, next, sim::Packet(pkt));
   };
   if (tree != nullptr) {
     for (graph::NodeId next : tree->children(root)) send(next);

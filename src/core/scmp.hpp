@@ -34,6 +34,7 @@
 #include "core/retx.hpp"
 #include "protocols/convergence.hpp"
 #include "protocols/multicast_protocol.hpp"
+#include "util/flat_set.hpp"
 
 namespace scmp::core {
 
@@ -195,9 +196,11 @@ class Scmp final : public proto::MulticastProtocol {
   /// `version` is the m-router install operation that last wrote the entry;
   /// i-routers ignore install packets older than their entry (a BRANCH
   /// overtaken by a newer restructure must not resurrect stale state).
+  /// The downstream routers are an ascending flat set: forward_data tests
+  /// and walks it on every DATA hop, in ascending order.
   struct Entry {
     graph::NodeId upstream = graph::kInvalidNode;
-    std::set<graph::NodeId> downstream_routers;
+    util::FlatSet<graph::NodeId> downstream_routers;
     std::uint64_t version = 0;
   };
   const Entry* entry_at(graph::NodeId router, GroupId group) const;
@@ -216,8 +219,10 @@ class Scmp final : public proto::MulticastProtocol {
 
   /// One router's installed entries behind a sorted contiguous group index:
   /// a lookup (forward_data makes one per DATA hop) is a binary search over
-  /// adjacent keys, and every Entry keeps its own heap node, so an Entry*
-  /// stays valid while other groups come and go.
+  /// adjacent keys, and the entries sit by value in a parallel vector. An
+  /// Entry* is valid until the next get or erase at the same router: no
+  /// caller keeps one across a call that creates or erases an entry there
+  /// (handlers send by scheduling, so no entry changes under them).
   class EntryTable {
    public:
     const Entry* find(GroupId group) const;
@@ -233,7 +238,7 @@ class Scmp final : public proto::MulticastProtocol {
     std::size_t index_of(GroupId group) const;
 
     std::vector<GroupId> groups_;
-    std::vector<std::unique_ptr<Entry>> nodes_;  ///< parallel to groups_
+    std::vector<Entry> entries_;  ///< parallel to groups_
   };
 
   /// Every router's EntryTable plus, per group, the ascending list of the

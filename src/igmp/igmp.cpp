@@ -1,5 +1,8 @@
 #include "igmp/igmp.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/contracts.hpp"
 #include "util/log.hpp"
 
@@ -11,15 +14,36 @@ IgmpDomain::IgmpDomain(sim::EventQueue& queue, int num_routers)
   membership_.resize(static_cast<std::size_t>(num_routers));
 }
 
+IgmpDomain::Members::const_iterator IgmpDomain::group_begin(
+    const Members& members, GroupId group) {
+  return std::partition_point(
+      members.begin(), members.end(),
+      [group](const Member& m) { return m.group < group; });
+}
+
+bool IgmpDomain::has_iface(const Members& members, GroupId group, int iface) {
+  const auto it =
+      std::lower_bound(members.begin(), members.end(),
+                       Member{group, iface, std::numeric_limits<int>::min()});
+  return it != members.end() && it->group == group && it->iface == iface;
+}
+
+const IgmpDomain::Members& IgmpDomain::members_of(graph::NodeId router) const {
+  SCMP_EXPECTS(router >= 0 && router < num_routers_);
+  return membership_[static_cast<std::size_t>(router)];
+}
+
 void IgmpDomain::host_join(graph::NodeId router, int iface, int host,
                            GroupId group) {
   SCMP_EXPECTS(router >= 0 && router < num_routers_ && iface >= 0);
-  auto& groups = membership_[static_cast<std::size_t>(router)];
+  Members& members = membership_[static_cast<std::size_t>(router)];
+  const Member rec{group, iface, host};
+  const auto pos = std::lower_bound(members.begin(), members.end(), rec);
+  if (pos != members.end() && *pos == rec) return;  // duplicate report
   const bool had_any_iface = router_is_member(router, group);
-  auto& hosts = groups[group][iface];
-  const bool iface_was_empty = hosts.empty();
-  if (!hosts.insert(host).second) return;  // duplicate report
-  ++igmp_messages_;                        // the host's IGMP Report
+  const bool iface_was_empty = !has_iface(members, group, iface);
+  members.insert(pos, rec);
+  ++igmp_messages_;  // the host's IGMP Report
 
   if (iface_was_empty && listener_ != nullptr) {
     log_debug("igmp: router ", router, " iface ", iface, " first member of g",
@@ -36,18 +60,16 @@ void IgmpDomain::host_leave(graph::NodeId router, int iface, int host,
 void IgmpDomain::remove_host(graph::NodeId router, int iface, int host,
                              GroupId group, bool silent) {
   SCMP_EXPECTS(router >= 0 && router < num_routers_ && iface >= 0);
-  auto& groups = membership_[static_cast<std::size_t>(router)];
-  auto git = groups.find(group);
-  if (git == groups.end()) return;
-  auto iit = git->second.find(iface);
-  if (iit == git->second.end()) return;
-  if (iit->second.erase(host) == 0) return;  // host was not a member
-  if (!silent) ++igmp_messages_;             // the host's IGMP Leave
+  Members& members = membership_[static_cast<std::size_t>(router)];
+  const Member rec{group, iface, host};
+  const auto pos = std::lower_bound(members.begin(), members.end(), rec);
+  if (pos == members.end() || *pos != rec) return;  // host was not a member
+  members.erase(pos);
+  if (!silent) ++igmp_messages_;  // the host's IGMP Leave
 
-  if (!iit->second.empty()) return;  // other hosts keep the iface subscribed
-  git->second.erase(iit);
-  const bool last_iface = git->second.empty();
-  if (last_iface) groups.erase(git);
+  // Other hosts keep the iface subscribed.
+  if (has_iface(members, group, iface)) return;
+  const bool last_iface = !router_is_member(router, group);
   if (listener_ != nullptr) {
     log_debug("igmp: router ", router, " iface ", iface, " lost members of g",
               group, last_iface ? " (last iface)" : "");
@@ -78,33 +100,27 @@ void IgmpDomain::expire_crashed_hosts() {
   std::vector<Expired> expired;
   for (const auto& [key, crash_time] : crashed_) {
     if (now < crash_time + holdtime_) continue;
-    const auto& groups = membership_[static_cast<std::size_t>(key.router)];
-    for (const auto& [group, ifaces] : groups) {
-      const auto it = ifaces.find(key.iface);
-      if (it != ifaces.end() && it->second.contains(key.host))
-        expired.push_back({key.router, key.iface, key.host, group});
-    }
+    for (const Member& m : members_of(key.router))
+      if (m.iface == key.iface && m.host == key.host)
+        expired.push_back({key.router, key.iface, key.host, m.group});
   }
   for (const auto& e : expired)
     remove_host(e.router, e.iface, e.host, e.group, /*silent=*/true);
 }
 
 bool IgmpDomain::router_is_member(graph::NodeId router, GroupId group) const {
-  SCMP_EXPECTS(router >= 0 && router < num_routers_);
-  const auto& groups = membership_[static_cast<std::size_t>(router)];
-  const auto it = groups.find(group);
-  return it != groups.end() && !it->second.empty();
+  const Members& members = members_of(router);
+  const auto it = group_begin(members, group);
+  return it != members.end() && it->group == group;
 }
 
 std::vector<int> IgmpDomain::member_ifaces(graph::NodeId router,
                                            GroupId group) const {
-  SCMP_EXPECTS(router >= 0 && router < num_routers_);
+  const Members& members = members_of(router);
   std::vector<int> out;
-  const auto& groups = membership_[static_cast<std::size_t>(router)];
-  const auto it = groups.find(group);
-  if (it == groups.end()) return out;
-  for (const auto& [iface, hosts] : it->second)
-    if (!hosts.empty()) out.push_back(iface);
+  for (auto it = group_begin(members, group);
+       it != members.end() && it->group == group; ++it)
+    if (out.empty() || out.back() != it->iface) out.push_back(it->iface);
   return out;
 }
 
@@ -119,21 +135,21 @@ std::map<GroupId, std::vector<graph::NodeId>>
 IgmpDomain::member_routers_by_group() const {
   std::map<GroupId, std::vector<graph::NodeId>> out;
   for (graph::NodeId r = 0; r < num_routers_; ++r) {
-    for (const auto& [group, ifaces] : membership_[static_cast<std::size_t>(r)])
-      if (!ifaces.empty()) out[group].push_back(r);
+    const Members& members = membership_[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < members.size(); ++i)
+      if (i == 0 || members[i].group != members[i - 1].group)
+        out[members[i].group].push_back(r);
   }
   return out;
 }
 
 int IgmpDomain::host_count(graph::NodeId router, GroupId group) const {
-  SCMP_EXPECTS(router >= 0 && router < num_routers_);
-  const auto& groups = membership_[static_cast<std::size_t>(router)];
-  const auto it = groups.find(group);
-  if (it == groups.end()) return 0;
-  int total = 0;
-  for (const auto& [iface, hosts] : it->second)
-    total += static_cast<int>(hosts.size());
-  return total;
+  const Members& members = members_of(router);
+  const auto first = group_begin(members, group);
+  const auto last = std::partition_point(
+      first, members.end(),
+      [group](const Member& m) { return m.group == group; });
+  return static_cast<int>(last - first);
 }
 
 void IgmpDomain::start_query_cycle(double interval, double horizon) {
@@ -146,20 +162,21 @@ void IgmpDomain::start_query_cycle(double interval, double horizon) {
 void IgmpDomain::query_tick(double interval, double horizon) {
   expire_crashed_hosts();
   for (graph::NodeId r = 0; r < num_routers_; ++r) {
-    const auto& groups = membership_[static_cast<std::size_t>(r)];
-    if (groups.empty()) continue;
+    const Members& members = membership_[static_cast<std::size_t>(r)];
+    if (members.empty()) continue;
     ++igmp_messages_;  // the DR's Host Membership Query
-    for (const auto& [group, ifaces] : groups) {
-      // Report suppression: one Report per member interface per group, from
-      // interfaces that still have a live (non-crashed) host.
-      for (const auto& [iface, hosts] : ifaces) {
-        for (int host : hosts) {
-          if (!crashed_.contains(HostKey{r, iface, host})) {
-            ++igmp_messages_;
-            break;
-          }
-        }
-      }
+    // Report suppression: one Report per member interface per group, from
+    // interfaces that still have a live (non-crashed) host.
+    for (auto it = members.begin(); it != members.end();) {
+      const auto run_end =
+          std::find_if(it, members.end(), [&](const Member& m) {
+            return m.group != it->group || m.iface != it->iface;
+          });
+      if (std::any_of(it, run_end, [&](const Member& m) {
+            return !crashed_.contains(HostKey{r, m.iface, m.host});
+          }))
+        ++igmp_messages_;
+      it = run_end;
     }
   }
   if (queue_->now() + interval <= horizon) {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -102,11 +101,28 @@ class IgmpDomain {
     int host;
     auto operator<=>(const HostKey&) const = default;
   };
+  /// One member host of a group on one of a router's interfaces.
+  struct Member {
+    GroupId group;
+    int iface;
+    int host;
+    auto operator<=>(const Member&) const = default;
+  };
+  using Members = std::vector<Member>;
+
+  const Members& members_of(graph::NodeId router) const;
+  /// The first of `members`' records of `group` (or where it would go).
+  static Members::const_iterator group_begin(const Members& members,
+                                             GroupId group);
+  /// Whether `members` holds a record of `group` on `iface`.
+  static bool has_iface(const Members& members, GroupId group, int iface);
 
   sim::EventQueue* queue_;
   int num_routers_;
-  // membership_[router][group][iface] = set of member host ids.
-  std::vector<std::map<GroupId, std::map<int, std::set<int>>>> membership_;
+  /// Per router, one record per member host, ascending by (group, iface,
+  /// host): a router's membership of a group is one contiguous run, so
+  /// router_is_member (one call or two per DATA hop) is one binary search.
+  std::vector<Members> membership_;
   MembershipListener* listener_ = nullptr;
   std::uint64_t igmp_messages_ = 0;
   double holdtime_ = 0.0;  ///< 0 = soft state disabled

@@ -53,9 +53,8 @@ void MulticastProtocol::drop_unexpected(graph::NodeId at,
 
 sim::Packet MulticastProtocol::make_data_packet(graph::NodeId source,
                                                 GroupId group) {
-  // From the pool, like every fan-out clone: the network releases each
-  // packet it retires there, so a steady stream of sends allocates nothing.
-  sim::Packet pkt = net_->make_packet();
+  // A DATA packet carries no path and no payload, so it allocates nothing.
+  sim::Packet pkt;
   pkt.type = sim::PacketType::kData;
   pkt.group = group;
   pkt.src = source;

@@ -53,13 +53,9 @@ std::size_t EventQueue::bucket_index(double slot) const {
       std::fmod(slot, static_cast<double>(buckets_.size())));
 }
 
-void EventQueue::schedule_at(SimTime t, Handler fn) {
-  SCMP_EXPECTS(t >= now_);
-  SCMP_EXPECTS(static_cast<bool>(fn));
-  Event* ev = acquire_node();
+void EventQueue::enqueue(Event* ev, SimTime t) {
   ev->time = t;
   ev->seq = next_seq_++;
-  ev->fn = std::move(fn);
   ev->next = nullptr;
   file_event(ev);
   ++pending_;
@@ -210,14 +206,18 @@ bool EventQueue::run_next() {
   SCMP_ASSERT(ev->time >= now_);
   now_ = ev->time;
   passed_seq_ = ev->seq + 1;
-  // Move the handler out and recycle the node before invoking: a handler
-  // that schedules a follow-up event (the common steady-state shape) reuses
-  // this very node instead of growing the pool.
-  Handler fn = std::move(ev->fn);
-  release_node(ev);
   --pending_;
   if (obs::metrics_enabled()) queue_counters().executed->inc();
-  fn();
+  // The handler runs in its node, which no queue structure references any
+  // more (a node whose event has passed is not pending; see
+  // rebuild_calendar), and the node is recycled once the handler returns or
+  // throws. A follow-up event the handler schedules takes another free node.
+  struct Release {
+    EventQueue* queue;
+    Event* ev;
+    ~Release() { queue->release_node(ev); }
+  } release{this, ev};
+  ev->fn();
   return true;
 }
 
@@ -271,7 +271,8 @@ void EventQueue::rebuild_calendar(std::size_t nbuckets) {
   // Gather every pending event into scratch_. When most pool nodes are
   // live (growth rebuilds), sweep the slabs sequentially — a node is
   // pending exactly when it holds a handler (schedule_at requires one;
-  // release_node drops it) — which is far cheaper than chasing the
+  // release_node drops it) and its event has not passed (a handler running
+  // in its node has passed) — which is far cheaper than chasing the
   // scattered bucket chains. When the pool is mostly free (shrink rebuilds
   // after a drain), the sweep would scan the whole high-water pool, so
   // chase the chains instead. Gather order is irrelevant either way:
@@ -281,7 +282,8 @@ void EventQueue::rebuild_calendar(std::size_t nbuckets) {
     for (const auto& slab : slabs_) {
       Event* const nodes = slab.nodes.get();
       for (std::size_t i = 0; i < slab.count; ++i) {
-        if (nodes[i].fn) scratch_.push_back(&nodes[i]);
+        const Event& ev = nodes[i];
+        if (ev.fn && !passed(ev.time, ev.seq)) scratch_.push_back(&nodes[i]);
       }
     }
   } else {
@@ -347,9 +349,10 @@ EventQueue::Event* EventQueue::acquire_node() {
 }
 
 void EventQueue::release_node(Event* ev) {
-  // Drop the (already moved-from) handler so any boxed closure is freed
-  // eagerly — an empty fn is also what marks the node dead for the
-  // rebuild gather's slab sweep — then push onto the free list.
+  // Destroy the handler that just ran, so its captures (a delivered
+  // packet, a boxed closure) are freed eagerly — an empty fn is also what
+  // marks the node dead for the rebuild gather's slab sweep — then push
+  // onto the free list.
   ev->fn.reset();
   ev->next = free_;
   free_ = ev;
@@ -362,7 +365,7 @@ void EventQueue::allocate_slab() {
   // population in O(log n) allocations and never exceeds twice of it.
   // make_unique_for_overwrite default-initializes: only each Handler's
   // default construction touches the fresh pages; the scalars are written
-  // by acquire_node()/schedule_at before first use.
+  // by acquire_node()/enqueue before first use.
   const std::size_t count = std::max<std::size_t>(64, pool_allocated_);
   auto nodes = std::make_unique_for_overwrite<Event[]>(count);
   bump_ = nodes.get();

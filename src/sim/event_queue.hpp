@@ -20,13 +20,16 @@
 // Allocation never happens in steady state: event nodes come from a slab-
 // backed free list owned by the queue, and handlers are stored in an
 // InlineFunction whose buffer is sized to fit the network's delivery
-// closures (see kEventHandlerCapacity). tools/lint.py pins schedule_at and
+// closures (see kEventHandlerCapacity). schedule_at builds each closure in
+// its node and run_next invokes it there, so a closure moves once, from the
+// caller into the node. tools/lint.py pins schedule_at, enqueue and
 // run_next allocation-free; docs/performance.md has the design notes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -51,12 +54,16 @@ class EventQueue {
   bool empty() const { return pending_ == 0; }
   std::size_t pending() const { return pending_; }
 
-  /// Schedules `fn` at absolute time `t`. Requires t >= now().
-  void schedule_at(SimTime t, Handler fn);
+  /// Schedules `fn` — any void() callable, or a Handler — at absolute time
+  /// `t`. Requires t >= now() and a non-empty `fn`. The closure is built in
+  /// its event node, where run_next() later invokes it.
+  template <typename F>
+  void schedule_at(SimTime t, F&& fn);
 
   /// Schedules `fn` after a relative delay (>= 0).
-  void schedule_in(SimTime delay, Handler fn) {
-    schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  void schedule_in(SimTime delay, F&& fn) {
+    schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Executes the earliest event; returns false when the queue is empty.
@@ -101,8 +108,8 @@ class EventQueue {
  private:
   /// No default member initializers on the scalars: slabs are allocated
   /// with make_unique_for_overwrite so only the Handler's (necessary)
-  /// default construction touches fresh memory, and acquire_node() writes
-  /// every scalar before the node is ever read.
+  /// default construction touches fresh memory, and acquire_node() and
+  /// enqueue() write every scalar before the node is ever read.
   struct Event {
     SimTime time;
     std::uint64_t seq;
@@ -129,6 +136,9 @@ class EventQueue {
     }
   };
 
+  /// Stamps a node whose handler schedule_at just built with time `t` and
+  /// the next sequence number, and files it.
+  void enqueue(Event* ev, SimTime t);
   /// The slot (integer-valued double, exact under floor) of time t.
   double slot_of(SimTime t) const;
   std::size_t bucket_index(double slot) const;
@@ -170,6 +180,7 @@ class EventQueue {
   /// only release()d nodes, so every hit there is one recycled node
   /// (counted as sim.pool.events.reuse) — and otherwise bumps a pointer
   /// through the newest slab, allocating a fresh slab when it runs out.
+  /// run_next releases a node once its handler has returned.
   Event* acquire_node();
   void release_node(Event* ev);
   void allocate_slab();
@@ -197,5 +208,14 @@ class EventQueue {
   Event* bump_end_ = nullptr;
   std::size_t pool_allocated_ = 0;
 };
+
+template <typename F>
+void EventQueue::schedule_at(SimTime t, F&& fn) {
+  SCMP_EXPECTS(t >= now_);
+  Event* ev = acquire_node();
+  ev->fn.emplace(std::forward<F>(fn));
+  SCMP_EXPECTS(static_cast<bool>(ev->fn));
+  enqueue(ev, t);
+}
 
 }  // namespace scmp::sim

@@ -52,6 +52,7 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
       queue_(&queue),
       paths_(g),
       agents_(static_cast<std::size_t>(g.num_nodes()), nullptr),
+      node_queue_limit_(static_cast<std::size_t>(g.num_nodes())),
       bandwidth_bps_(bandwidth_bps),
       delay_scale_(delay_scale) {
   SCMP_EXPECTS(bandwidth_bps > 0.0 && delay_scale > 0.0);
@@ -65,12 +66,13 @@ Network::Network(const graph::Graph& g, EventQueue& queue,
 
 void Network::set_node_queue_limit(graph::NodeId node, std::size_t packets) {
   SCMP_EXPECTS(graph_.valid(node));
-  node_queue_limit_[node] = packets;
+  node_queue_limit_[static_cast<std::size_t>(node)] = packets;
 }
 
 std::size_t Network::node_queue_limit(graph::NodeId node) const {
-  const auto it = node_queue_limit_.find(node);
-  return it == node_queue_limit_.end() ? queue_limit_ : it->second;
+  SCMP_EXPECTS(graph_.valid(node));
+  return node_queue_limit_[static_cast<std::size_t>(node)].value_or(
+      queue_limit_);
 }
 
 void Network::Egress::push(Stamp s) {
@@ -183,49 +185,41 @@ double Network::unicast_round_trip(graph::NodeId from, graph::NodeId to,
          idle_route_seconds(to, ack_to, kControlPacketBytes);
 }
 
-void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
+void Network::transmit(graph::NodeId from, graph::NodeId to, Packet&& pkt,
                        Arrival arrival) {
-  const graph::EdgeAttr* e = graph_.edge(from, to);
-  if (e == nullptr) {
+  // The link's slot in the sender's row indexes its egress queue and byte
+  // counter; the row entry holds its attributes.
+  const auto* nbs = graph_.valid(from) ? &graph_.neighbors(from) : nullptr;
+  std::size_t slot = 0;
+  while (nbs != nullptr && slot < nbs->size() && (*nbs)[slot].to != to) ++slot;
+  if (nbs == nullptr || slot == nbs->size()) {
     // The interface is down (the link failed while this router still held
     // forwarding state across it): drop, as a real router would.
     ++stats_.no_link_drops;
     link_counters().no_link_drops->inc();
-    packet_pool_.release(std::move(pkt));
     return;
   }
+  const graph::EdgeAttr& e = (*nbs)[slot].attr;
 
   // Injected loss (verification fault model) happens at the egress interface,
   // before the packet consumes any link resources.
   if (drop_filter_ && drop_filter_(from, to, pkt)) {
     ++stats_.injected_drops;
     link_counters().injected_drops->inc();
-    packet_pool_.release(std::move(pkt));
     return;
   }
-
-  // Serialisation on the directed link, then propagation.
-  const auto& nbs = graph_.neighbors(from);
-  std::size_t slot = nbs.size();
-  for (std::size_t i = 0; i < nbs.size(); ++i) {
-    if (nbs[i].to == to) {
-      slot = i;
-      break;
-    }
-  }
-  SCMP_ASSERT(slot < nbs.size());
 
   // Drop-tail egress queue (the finite buffers behind the paper's §I
   // traffic-concentration argument). Packets whose departure the event
   // queue has passed leave it first.
-  Egress& egress = egress_[static_cast<std::size_t>(from)][slot];
+  const auto f = static_cast<std::size_t>(from);
+  Egress& egress = egress_[f][slot];
   while (!egress.empty() &&
          queue_->passed(egress.at(0).done, egress.at(0).seq))
     egress.pop();
   if (egress.size() >= node_queue_limit(from)) {
     ++stats_.queue_drops;
     link_counters().queue_drops->inc();
-    packet_pool_.release(std::move(pkt));
     return;
   }
 
@@ -234,14 +228,14 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   // packets count — a queue-dropped packet never crosses the link, so it
   // must not inflate the overhead metrics.
   if (pkt.is_data()) {
-    stats_.data_overhead += e->cost;
+    stats_.data_overhead += e.cost;
     ++stats_.data_link_crossings;
   } else {
-    stats_.protocol_overhead += e->cost;
+    stats_.protocol_overhead += e.cost;
     ++stats_.protocol_link_crossings;
   }
 
-  link_bytes_[static_cast<std::size_t>(from)][slot] += pkt.size_bytes;
+  link_bytes_[f][slot] += pkt.size_bytes;
   {
     const auto type_idx = static_cast<std::size_t>(pkt.type);
     const LinkCounters& counters = link_counters();
@@ -261,11 +255,12 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
   const SimTime start =
       egress.empty() ? now : std::max(now, egress.back().done);
   const SimTime done = start + tx;
-  const SimTime arrival_at = done + e->delay * delay_scale_;
+  const SimTime arrival_at = done + e.delay * delay_scale_;
   // The packet moves into the arrival closure — no copy — and the closure
   // is a fixed-size capture (this + endpoints + mode + the packet itself)
   // sized to the queue's inline handler buffer, so the hot delivery path
-  // stores it without boxing. Network guarantees this at compile time:
+  // stores it without boxing; schedule_at builds it in its event node and
+  // runs it there. Network guarantees the fit at compile time:
   auto deliver = [this, from, to, arrival, p = std::move(pkt)]() mutable {
     if (arrival == Arrival::kForward) {
       forward_unicast(to, from, std::move(p));
@@ -274,9 +269,6 @@ void Network::transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
     RouterAgent* a = agents_[static_cast<std::size_t>(to)];
     SCMP_ASSERT(a != nullptr);
     a->handle(p, from);
-    // The agent saw a const reference (anything it kept is a copy); the
-    // packet is dead here and its vector capacity goes back to the pool.
-    packet_pool_.release(std::move(p));
   };
   static_assert(EventQueue::Handler::stores_inline<decltype(deliver)>(),
                 "delivery closure must fit kEventHandlerCapacity");
@@ -295,12 +287,11 @@ void Network::send_link(graph::NodeId from, graph::NodeId to, Packet pkt) {
 }
 
 void Network::forward_unicast(graph::NodeId at, graph::NodeId prev,
-                              Packet pkt) {
+                              Packet&& pkt) {
   if (at == pkt.dst) {
     RouterAgent* a = agents_[static_cast<std::size_t>(at)];
     SCMP_ASSERT(a != nullptr);
     a->handle(pkt, prev);
-    packet_pool_.release(std::move(pkt));
     return;
   }
   const graph::NodeId hop = paths_.next_hop(at, pkt.dst);
@@ -313,11 +304,10 @@ void Network::send_unicast(graph::NodeId from, Packet pkt) {
     log_trace("unicast ", from, "=>", pkt.dst, " ", describe(pkt));
   if (from == pkt.dst) {
     // Local delivery still goes through the event queue for determinism.
-    queue_->schedule_in(0.0, [this, from, p = std::move(pkt)]() mutable {
+    queue_->schedule_in(0.0, [this, from, p = std::move(pkt)]() {
       RouterAgent* a = agents_[static_cast<std::size_t>(from)];
       SCMP_ASSERT(a != nullptr);
       a->handle(p, graph::kInvalidNode);
-      packet_pool_.release(std::move(p));
     });
     return;
   }
@@ -325,27 +315,11 @@ void Network::send_unicast(graph::NodeId from, Packet pkt) {
 }
 
 void Network::inject(graph::NodeId at, Packet pkt) {
-  queue_->schedule_in(0.0, [this, at, p = std::move(pkt)]() mutable {
+  queue_->schedule_in(0.0, [this, at, p = std::move(pkt)]() {
     RouterAgent* a = agents_[static_cast<std::size_t>(at)];
     SCMP_ASSERT(a != nullptr);
     a->handle(p, graph::kInvalidNode);
-    packet_pool_.release(std::move(p));
   });
-}
-
-Packet Network::clone_packet(const Packet& p) {
-  Packet c = packet_pool_.acquire();
-  c.type = p.type;
-  c.group = p.group;
-  c.src = p.src;
-  c.dst = p.dst;
-  c.uid = p.uid;
-  c.req = p.req;
-  c.created_at = p.created_at;
-  c.size_bytes = p.size_bytes;
-  c.path = p.path;        // vector assignment reuses the recycled capacity
-  c.payload = p.payload;
-  return c;
 }
 
 std::uint64_t Network::bytes_on_link(graph::NodeId u, graph::NodeId v) const {

@@ -6,14 +6,13 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
-#include "sim/packet_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace scmp::sim {
@@ -107,16 +106,6 @@ class Network {
   /// Fresh identity for an original data packet.
   std::uint64_t next_uid() { return ++uid_counter_; }
 
-  /// Packet recycling (see PacketPool). The network releases every packet
-  /// it retires — delivered to an agent or dropped at an egress — so
-  /// protocols that build many short-lived packets (tree fan-out, floods)
-  /// can acquire recycled ones instead of allocating fresh vectors.
-  Packet make_packet() { return packet_pool_.acquire(); }
-  /// A field-for-field copy of `p` built on a recycled packet, reusing the
-  /// recycled path/payload capacity (the fan-out clone primitive).
-  Packet clone_packet(const Packet& p);
-  const PacketPool& packet_pool() const { return packet_pool_; }
-
   using DeliveryCallback =
       std::function<void(const Packet&, graph::NodeId member, SimTime at)>;
   void set_delivery_callback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
@@ -208,7 +197,10 @@ class Network {
     kHandle,   ///< hand to the agent at `to` (link-level delivery)
     kForward,  ///< continue IP forwarding toward pkt.dst
   };
-  void transmit(graph::NodeId from, graph::NodeId to, Packet pkt,
+  /// Sends `pkt` over the link from -> to: one scan of `from`'s adjacency
+  /// row finds the link's attributes, egress queue and byte counter, and
+  /// the packet moves once, into the arrival event.
+  void transmit(graph::NodeId from, graph::NodeId to, Packet&& pkt,
                 Arrival arrival);
 
   /// One directed link's egress queue as departure stamps, oldest first:
@@ -252,7 +244,7 @@ class Network {
   /// idle_hop_seconds summed along the unicast route from -> to.
   double idle_route_seconds(graph::NodeId from, graph::NodeId to,
                             std::size_t bytes) const;
-  void forward_unicast(graph::NodeId at, graph::NodeId prev, Packet pkt);
+  void forward_unicast(graph::NodeId at, graph::NodeId prev, Packet&& pkt);
 
   graph::Graph graph_;
   EventQueue* queue_;
@@ -266,7 +258,8 @@ class Network {
   /// Bytes sent per directed link, indexed like adjacency.
   std::vector<std::vector<std::uint64_t>> link_bytes_;
   std::size_t queue_limit_ = SIZE_MAX;
-  std::map<graph::NodeId, std::size_t> node_queue_limit_;
+  /// Per-router overrides of queue_limit_, indexed by router.
+  std::vector<std::optional<std::size_t>> node_queue_limit_;
   double bandwidth_bps_;  ///< every port's line rate
   double delay_scale_;
   std::uint64_t uid_counter_ = 0;
@@ -276,7 +269,6 @@ class Network {
   /// rejected during dispatch (see add_transmit_observer).
   bool dispatching_observers_ = false;
   DropFilter drop_filter_;
-  PacketPool packet_pool_;
 };
 
 }  // namespace scmp::sim

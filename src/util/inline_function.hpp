@@ -10,8 +10,7 @@
 // std::unique_ptr constructed in the same inline buffer.
 //
 // Unlike std::function the stored callable does not need to be copyable —
-// closures may own moved-in Packets (whose buffers return to a pool) or
-// other move-only resources.
+// closures may own moved-in Packets or other move-only resources.
 #pragma once
 
 #include <cstddef>
@@ -44,14 +43,7 @@ class InlineFunction<R(Args...), Capacity> {
                                         std::is_invocable_r_v<R, D&, Args...>>>
   // NOLINTNEXTLINE(google-explicit-constructor,bugprone-forwarding-reference-overload)
   InlineFunction(F&& f) {
-    if constexpr (kFitsInline<D>) {
-      std::construct_at(target<D>(), std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      std::construct_at(target<std::unique_ptr<D>>(),
-                        std::make_unique<D>(std::forward<F>(f)));
-      ops_ = &kBoxedOps<D>;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -75,6 +67,23 @@ class InlineFunction<R(Args...), Capacity> {
   R operator()(Args... args) {
     SCMP_EXPECTS(ops_ != nullptr);
     return ops_->invoke(storage(), std::forward<Args>(args)...);
+  }
+
+  /// Replaces the stored callable with `f`, built directly in this object's
+  /// buffer: unlike assigning a temporary InlineFunction, the closure is
+  /// not relocated a second time. Another InlineFunction is moved in;
+  /// nullptr empties the function.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, InlineFunction>) {
+      *this = std::forward<F>(f);
+    } else if constexpr (std::is_same_v<D, std::nullptr_t>) {
+      reset();
+    } else {
+      static_assert(std::is_invocable_r_v<R, D&, Args...>);
+      reset();
+      construct(std::forward<F>(f));
+    }
   }
 
   /// Destroys the stored callable (if any), leaving the function empty.
@@ -128,6 +137,19 @@ class InlineFunction<R(Args...), Capacity> {
       }};
 
   void* storage() noexcept { return static_cast<void*>(&buf_); }
+
+  /// Builds `f` into the (empty) buffer, boxed when it does not fit.
+  template <typename F, typename D = std::decay_t<F>>
+  void construct(F&& f) {
+    if constexpr (kFitsInline<D>) {
+      std::construct_at(target<D>(), std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      std::construct_at(target<std::unique_ptr<D>>(),
+                        std::make_unique<D>(std::forward<F>(f)));
+      ops_ = &kBoxedOps<D>;
+    }
+  }
 
   template <typename T>
   T* target() noexcept {

@@ -35,7 +35,8 @@ GroupSnapshot take_group_snapshot(const core::Scmp& scmp, GroupId group) {
     EntrySnapshot es;
     es.router = v;
     es.upstream = e->upstream;
-    es.downstream_routers = e->downstream_routers;
+    es.downstream_routers.insert(e->downstream_routers.begin(),
+                                 e->downstream_routers.end());
     snap.entries.push_back(std::move(es));
   }
   return snap;

@@ -68,7 +68,7 @@ TEST(ScmpMultiGroup, SameRouterInMultipleGroups) {
   ASSERT_NE(e1, nullptr);
   ASSERT_NE(e2, nullptr);
   EXPECT_TRUE(e1->downstream_routers.empty());
-  EXPECT_EQ(e2->downstream_routers, (std::set<graph::NodeId>{4}));
+  EXPECT_EQ(e2->downstream_routers, (util::FlatSet<graph::NodeId>{4}));
   EXPECT_EQ(f.send_and_collect(0, 1), (std::vector<graph::NodeId>{3}));
   EXPECT_EQ(f.send_and_collect(0, 2), (std::vector<graph::NodeId>{3, 4}));
 }

@@ -66,7 +66,7 @@ TEST(ScmpProtocol, SingleJoinInstallsBranch) {
   const Scmp::Entry* relay = f.scmp_->entry_at(1, kGroup);
   ASSERT_NE(relay, nullptr);
   EXPECT_EQ(relay->upstream, 0);
-  EXPECT_EQ(relay->downstream_routers, std::set<graph::NodeId>{2});
+  EXPECT_EQ(relay->downstream_routers, util::FlatSet<graph::NodeId>{2});
   EXPECT_TRUE(f.igmp_.member_ifaces(1, kGroup).empty());
 }
 
@@ -169,7 +169,7 @@ TEST(ScmpProtocol, RestructureInstallsFullTree) {
   const Scmp::Entry* n2 = f.scmp_->entry_at(2, kGroup);
   ASSERT_NE(n2, nullptr);
   EXPECT_EQ(n2->upstream, 0);
-  EXPECT_EQ(n2->downstream_routers, (std::set<graph::NodeId>{3, 5}));
+  EXPECT_EQ(n2->downstream_routers, (util::FlatSet<graph::NodeId>{3, 5}));
 
   const auto got = f.send_and_collect(0);
   EXPECT_EQ(got, (std::vector<graph::NodeId>{3, 4, 5}));

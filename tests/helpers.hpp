@@ -15,6 +15,7 @@
 #include "graph/multicast_tree.hpp"
 #include "graph/paths.hpp"
 #include "topo/waxman.hpp"
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 
 namespace scmp::graph {
@@ -140,8 +141,9 @@ inline void expect_paths_identical(const graph::AllPairsPaths& got,
 /// Every router's installed SCMP entry for one group, keyed by router:
 /// (upstream, downstream routers, install version).
 using EntryDigest =
-    std::map<graph::NodeId, std::tuple<graph::NodeId, std::set<graph::NodeId>,
-                                       std::uint64_t>>;
+    std::map<graph::NodeId,
+             std::tuple<graph::NodeId, util::FlatSet<graph::NodeId>,
+                        std::uint64_t>>;
 
 inline EntryDigest installed_entries(const core::Scmp& scmp,
                                      core::GroupId group) {

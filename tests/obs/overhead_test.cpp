@@ -2,17 +2,19 @@
 // with metrics and tracing both off, OBS_SPAN and counter updates must not
 // touch the heap, the instrumented DCDM hot path must allocate exactly as
 // much as an identical uninstrumented-equivalent run (i.e. the obs layer
-// adds zero allocations), and the event path and SCMP's DATA forwarding
-// allocate nothing once warm. Global operator new/delete are replaced with
-// counting versions — crude but exact.
+// adds zero allocations), and the event path, SCMP's DATA forwarding and
+// the retransmission table allocate nothing once warm. Global operator
+// new/delete are replaced with counting versions — crude but exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "core/dcdm.hpp"
+#include "core/retx.hpp"
 #include "core/scmp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -130,15 +132,51 @@ TEST(Overhead, ScmpDataForwardingAllocFree) {
     scmp.send_data(7, kGroup);
     q.run_all();
   };
-  // Warm up: packet and event pools, egress rings, the sender record.
+  // Warm up: the event pool, egress rings, the sender record.
   for (int r = 0; r < 3; ++r) round();
   const std::uint64_t deliveries = net.stats().deliveries;
   const std::uint64_t before = alloc_count();
   for (int r = 0; r < 100; ++r) round();
   // Every hop — the entry lookup, the in-place F check and fan-out, the
-  // pooled clones, the one-event link crossing — reuses what it has.
+  // fan-out copies, the one-event link crossing — reuses what it has.
   EXPECT_EQ(alloc_count(), before);
   EXPECT_EQ(net.stats().deliveries, deliveries + 100 * 4);
+}
+
+TEST(Overhead, RetxTableAllocFreeOnceWarm) {
+  set_metrics_enabled(false);
+  set_tracing_enabled(false);
+  sim::EventQueue q;
+  core::RetxConfig cfg;
+  cfg.enabled = true;
+  core::RetxTable table(q, cfg);
+  constexpr std::size_t kWindow = 64;
+  std::vector<std::uint64_t> reqs(kWindow);
+  const auto sender = [](std::size_t k) {
+    return static_cast<graph::NodeId>(k % 7);
+  };
+  // One round: a window of requests, every third an install for one of
+  // five groups, acked newest-first (each ack but the last clears a slot
+  // behind a live oldest request), then their timers fire as no-ops.
+  auto round = [&] {
+    for (std::size_t k = 0; k < kWindow; ++k) {
+      reqs[k] = table.next_req();
+      const std::optional<int> install =
+          k % 3 == 0 ? std::optional<int>(static_cast<int>(k % 5))
+                     : std::nullopt;
+      table.arm(sender(k), reqs[k], 0.01, [] {}, install);
+    }
+    for (std::size_t k = kWindow; k-- > 0;) table.ack(sender(k), reqs[k]);
+    q.run_all();
+  };
+  // Warm up: ring and install-count capacity, the event pool, the gauge.
+  for (int r = 0; r < 3; ++r) round();
+  const std::uint64_t before = alloc_count();
+  for (int r = 0; r < 50; ++r) round();
+  EXPECT_EQ(alloc_count(), before);
+  EXPECT_EQ(table.pending_count(), 0u);
+  EXPECT_EQ(table.acked(), 53u * kWindow);
+  EXPECT_FALSE(table.install_in_flight(0));
 }
 
 }  // namespace

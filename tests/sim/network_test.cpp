@@ -291,49 +291,5 @@ TEST(NetworkDeath, FailLinkRejectsDisconnection) {
   EXPECT_DEATH(net.fail_link(1, 2), "Precondition");
 }
 
-TEST(Network, PacketPoolRecyclesDeliveredPackets) {
-  const auto g = test::line(3);
-  EventQueue q;
-  Network net(g, q);
-  RecordingAgent a0;
-  RecordingAgent a2;
-  net.attach(0, &a0);
-  net.attach(2, &a2);
-  // Delivered packets park on the pool; a later clone reuses one.
-  Packet p;
-  p.type = PacketType::kData;
-  p.dst = 2;
-  p.path = {0, 1, 2};
-  net.send_unicast(0, std::move(p));
-  q.run_all();
-  EXPECT_EQ(net.packet_pool().free_count(), 1u);
-  Packet tmpl;
-  tmpl.type = PacketType::kData;
-  tmpl.group = 7;
-  tmpl.payload = {1, 2, 3};
-  const Packet clone = net.clone_packet(tmpl);
-  EXPECT_EQ(net.packet_pool().free_count(), 0u);  // recycled, not fresh
-  EXPECT_EQ(clone.group, 7);
-  EXPECT_EQ(clone.payload, tmpl.payload);
-  EXPECT_TRUE(clone.path.empty());
-}
-
-TEST(Network, PacketPoolRecyclesDroppedPackets) {
-  const auto g = test::line(3);
-  EventQueue q;
-  Network net(g, q);
-  RecordingAgent a1;
-  net.attach(1, &a1);
-  net.set_drop_filter([](graph::NodeId, graph::NodeId, const Packet&) {
-    return true;
-  });
-  Packet p;
-  p.type = PacketType::kData;
-  net.send_link(0, 1, std::move(p));
-  q.run_all();
-  EXPECT_EQ(net.stats().injected_drops, 1u);
-  EXPECT_EQ(net.packet_pool().free_count(), 1u);
-}
-
 }  // namespace
 }  // namespace scmp::sim

@@ -38,9 +38,10 @@ Rules (each failure prints ``file:line: rule-id: message``):
                    without updating the tx-counter manifest fails lint.
   hot-path-alloc   the functions listed in HOT_PATH_FUNCS (DCDM's per-join
                    path, the tree operations it runs, the Dijkstra kernel,
-                   its link-failure repair, the event core, SCMP's
-                   per-hop DATA forwarding and the retransmission table's
-                   per-request arm/ack) must not
+                   its link-failure repair, the event core, the per-hop
+                   DATA path — SCMP's forwarding, IGMP's membership test
+                   and the network's link crossing — and the
+                   retransmission table's per-request arm/ack) must not
                    construct a std::vector or call the allocating
                    convenience accessors (members()/on_tree_nodes()/
                    sl_path()/lc_path()/path_to()) — they reuse
@@ -100,12 +101,15 @@ PACKET_CPP = "src/sim/packet.cpp"
 # postconditions (validate_graft/validate_prune) they ensure —
 # dijkstra_into() n times per path-store build, the subtree repair
 # (repair_after_removal, and the store update built on it, first hops
-# included) once per source and metric per link failure, the event-queue/transmit trio once per
-# simulated event or link crossing, forward_data once per DATA hop, and the
-# retransmission table's arm and ack once per reliable control request
-# (a ring slot indexed by request id, the resend closure stored inline); an
-# accidental per-call allocation here is a real throughput regression even
-# when every test stays green.
+# included) once per source and metric per link failure, the event core
+# (schedule_at, a template defined in the header, the enqueue it ends in,
+# and run_next) once per simulated event, and the retransmission table's
+# arm and ack once per reliable control request (a ring slot indexed by
+# request id, the resend closure stored inline). The per-hop DATA path runs
+# once per link crossing: forward_data reads the entry and asks IGMP
+# router_is_member, send_link or forward_unicast hands the packet to
+# transmit. An accidental per-call allocation here is a real throughput
+# regression even when every test stays green.
 HOT_PATH_FUNCS = {
     "src/core/dcdm.cpp": ("DcdmTree::join", "DcdmTree::leave",
                           "DcdmTree::delay_bound_for",
@@ -119,9 +123,12 @@ HOT_PATH_FUNCS = {
                                      "MulticastTree::validate_prune"),
     "src/graph/dijkstra.cpp": ("dijkstra_into", "repair_after_removal"),
     "src/graph/paths.cpp": ("AllPairsPaths::apply_link_event",),
-    "src/sim/event_queue.cpp": ("EventQueue::schedule_at",
+    "src/igmp/igmp.cpp": ("IgmpDomain::router_is_member",),
+    "src/sim/event_queue.hpp": ("EventQueue::schedule_at",),
+    "src/sim/event_queue.cpp": ("EventQueue::enqueue",
                                 "EventQueue::run_next"),
-    "src/sim/network.cpp": ("Network::transmit",),
+    "src/sim/network.cpp": ("Network::transmit", "Network::send_link",
+                            "Network::forward_unicast"),
 }
 
 CONTRACT_RE = re.compile(r"\bSCMP_(EXPECTS|ENSURES|ASSERT)\s*\(")
