@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -124,8 +125,11 @@ class TableSink {
 /// point's distribution summary is collected and, on destruction, written to
 /// `<dir>/BENCH_<name>.json` (schema "scmp-bench-v1"). The directory comes
 /// from `--json <dir>` on the command line or the SCMP_BENCH_JSON_DIR
-/// environment variable; without either, the collector is inert. CI's
-/// bench-smoke job validates every emitted file with tools/check_bench_json.py.
+/// environment variable; without either, the collector is inert. A lost
+/// export is an error: a directory that does not exist ends the process with
+/// a failure status when the collector is built, before the run spends any
+/// time, and so does a file that cannot be written. CI's bench-smoke job
+/// validates every emitted file with tools/check_bench_json.py.
 class BenchJson {
  public:
   BenchJson(std::string name, int argc, char** argv)
@@ -135,6 +139,12 @@ class BenchJson {
     }
     if (dir_.empty()) {
       if (const char* env = std::getenv("SCMP_BENCH_JSON_DIR")) dir_ = env;
+    }
+    std::error_code ec;
+    if (enabled() && !std::filesystem::is_directory(dir_, ec)) {
+      std::cerr << "error: JSON export directory " << dir_
+                << " does not exist\n";
+      std::exit(EXIT_FAILURE);
     }
   }
 
@@ -154,16 +164,13 @@ class BenchJson {
     points_.push_back(Point{series, x, summarize(stats)});
   }
 
-  /// Writes the JSON file now (also called by the destructor, once).
+  /// Writes the JSON file now (also called by the destructor, once); exits
+  /// with a failure status when the file cannot be written.
   void write() {
     if (!enabled() || written_) return;
     written_ = true;
     const std::string path = dir_ + "/BENCH_" + name_ + ".json";
     std::ofstream out(path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << path << "\n";
-      return;
-    }
     out << "{\n  \"schema\": \"scmp-bench-v1\",\n  \"bench\": \""
         << escape(name_) << "\",\n  \"points\": [";
     for (std::size_t i = 0; i < points_.size(); ++i) {
@@ -180,6 +187,11 @@ class BenchJson {
           << ", \"max\": " << num(p.summary.max) << "}";
     }
     out << "\n  ]\n}\n";
+    out.close();
+    if (!out) {
+      std::cerr << "error: cannot write " << path << "\n";
+      std::exit(EXIT_FAILURE);
+    }
   }
 
  private:

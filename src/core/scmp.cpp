@@ -56,34 +56,12 @@ std::optional<int> install_group(const sim::Packet& pkt) {
   return install ? std::optional<int>(pkt.group) : std::nullopt;
 }
 
-/// Flight-record label for a control packet (string literals only: the
-/// recorder stores the pointer, not a copy). Non-SCMP types label as "?" —
-/// SCMP's send sites never pass one.
-const char* control_name(sim::PacketType t) {
-  switch (t) {
-    case sim::PacketType::kJoin: return "JOIN";
-    case sim::PacketType::kLeave: return "LEAVE";
-    case sim::PacketType::kTree: return "TREE";
-    case sim::PacketType::kBranch: return "BRANCH";
-    case sim::PacketType::kPrune: return "PRUNE";
-    case sim::PacketType::kClear: return "CLEAR";
-    case sim::PacketType::kAck: return "ACK";
-    case sim::PacketType::kData:
-    case sim::PacketType::kDataEncap:
-    case sim::PacketType::kCbtJoin:
-    case sim::PacketType::kCbtAck:
-    case sim::PacketType::kCbtQuit:
-    case sim::PacketType::kDvmrpPrune:
-    case sim::PacketType::kDvmrpGraft:
-    case sim::PacketType::kGroupLsa:
-    case sim::PacketType::kPimJoin:
-    case sim::PacketType::kPimPrune:
-    case sim::PacketType::kIgmpQuery:
-    case sim::PacketType::kIgmpReport:
-    case sim::PacketType::kIgmpLeave:
-      return "?";
-  }
-  return "?";
+/// Whether `child` hangs under `parent` in `tree`. `child` may be any id an
+/// installed entry lists, so its range is checked before the tree reads it.
+bool hangs_under(const graph::MulticastTree& tree, graph::NodeId child,
+                 graph::NodeId parent) {
+  return child >= 0 && child < tree.num_nodes() && tree.on_tree(child) &&
+         tree.parent(child) == parent;
 }
 
 // scmp.rx.dropped counters for the packets ordinary races make the i-router
@@ -140,7 +118,7 @@ void Scmp::send_control_link(graph::NodeId from, graph::NodeId to,
   }
   pkt.req = retx_.next_req();
   obs::flight_record(obs::FlightEventKind::kSend, net().now(), pkt.req,
-                     control_name(pkt.type), pkt.group, from, to);
+                     sim::to_string(pkt.type), pkt.group, from, to);
   // Hop-by-hop ack: one round trip over the link itself.
   const double timeout =
       net().link_round_trip(from, to, pkt.size_bytes) + kRetxMargin;
@@ -160,7 +138,7 @@ void Scmp::send_control_unicast(graph::NodeId from, sim::Packet pkt) {
   }
   pkt.req = retx_.next_req();
   obs::flight_record(obs::FlightEventKind::kSend, net().now(), pkt.req,
-                     control_name(pkt.type), pkt.group, from, pkt.dst);
+                     sim::to_string(pkt.type), pkt.group, from, pkt.dst);
   // The receiver acknowledges unicast control end to end, to pkt.src (see
   // send_ack), so the request is tracked there, and its round trip runs
   // from -> dst -> src. That is `from` itself, except when a stale m-router
@@ -675,22 +653,19 @@ std::size_t Scmp::diff_installed(GroupId group, Report&& report) const {
   tree->walk_subtree(root, [&](graph::NodeId v) {
     if (v == root) return true;
     ++checked;
+    // The edge p -> v is installed when v's entry names p upstream and p's
+    // entry lists v; the anchor forwards from the tree itself. A child c
+    // that p's entry misses is reported here, at c.
+    const graph::NodeId p = tree->parent(v);
     const Entry* e = entry_at(v, group);
-    if (e == nullptr) return report(v, Drift::kDivergent, kNone);
-    const auto& kids = tree->children(v);
-    const bool missing_child =
-        std::any_of(kids.begin(), kids.end(), [&](graph::NodeId c) {
-          return !e->downstream_routers.contains(c);
-        });
-    if ((e->upstream != tree->parent(v) || missing_child) &&
-        !report(v, Drift::kDivergent, kNone))
-      return false;
-    // Holding every child, an entry of the same size holds nothing else.
-    if (!missing_child && e->downstream_routers.size() == kids.size())
-      return true;
+    const Entry* pe = p == root ? nullptr : entry_at(p, group);
+    const bool installed =
+        e != nullptr && e->upstream == p &&
+        (p == root || (pe != nullptr && pe->downstream_routers.contains(v)));
+    if (!installed && !report(v, Drift::kMissingEdge, kNone)) return false;
+    if (e == nullptr) return true;
     for (graph::NodeId c : e->downstream_routers) {
-      if (std::find(kids.begin(), kids.end(), c) == kids.end() &&
-          !report(v, Drift::kExtraChild, c))
+      if (!hangs_under(*tree, c, v) && !report(v, Drift::kExtraChild, c))
         return false;
     }
     return true;
@@ -725,22 +700,19 @@ int Scmp::repair_installed_state() {
     // Digest diff against the authoritative tree.
     std::vector<graph::NodeId> orphaned;  // entry but off-tree: drop it
     std::map<graph::NodeId, std::vector<graph::NodeId>> extra_children;
-    std::set<graph::NodeId> divergent;  // on-tree, digest wrong or missing
+    std::vector<graph::NodeId> missing;  // tree edge not installed, preorder
     checked += diff_installed(
         g, [&](graph::NodeId v, Drift drift, graph::NodeId child) {
           switch (drift) {
             case Drift::kOrphaned: orphaned.push_back(v); break;
             case Drift::kExtraChild: extra_children[v].push_back(child); break;
-            case Drift::kDivergent: divergent.insert(v); break;
+            case Drift::kMissingEdge: missing.push_back(v); break;
           }
           return true;
         });
-    if (orphaned.empty() && extra_children.empty() && divergent.empty())
+    if (orphaned.empty() && extra_children.empty() && missing.empty())
       continue;
     const graph::NodeId root = mrouter_of(g);
-    const auto tit = trees_.find(g);
-    const graph::MulticastTree* tree =
-        tit == trees_.end() ? nullptr : &tit->second.tree();
 
     // One install operation per group per pass versions every repair.
     const std::uint64_t version = next_install_version(g);
@@ -757,25 +729,14 @@ int Scmp::repair_installed_state() {
       send_clear(g, v, std::move(extras), version);
       ++repairs;
     }
-    if (!divergent.empty()) {
-      SCMP_ASSERT(tree != nullptr);
-      // Reinstall the root path of every member it crosses a divergent
-      // router on: the BRANCH rewrites upstream + downstream of each hop en
-      // route and terminates at a member DR, so it can never trigger the
-      // terminal-relay prune cascade a truncated reinstall could.
-      for (graph::NodeId m : db_.members_of(g)) {
-        if (m == root || !tree->on_tree(m)) continue;
-        const std::vector<graph::NodeId> path = tree->path_from_root(m);
-        const bool crosses =
-            std::any_of(path.begin(), path.end(), [&](graph::NodeId v) {
-              return divergent.contains(v);
-            });
-        if (!crosses) continue;
-        obs::flight_record(obs::FlightEventKind::kRepair, now, 0, "branch", g,
-                           root, m);
-        install_branch(g, m, version);
-        ++repairs;
-      }
+    // Each BRANCH rewrites upstream + downstream of every hop en route and
+    // terminates at a member DR, so it can never trigger the terminal-relay
+    // prune cascade a truncated reinstall could.
+    for (graph::NodeId m : branch_cover(g, missing)) {
+      obs::flight_record(obs::FlightEventKind::kRepair, now, 0, "branch", g,
+                         root, m);
+      install_branch(g, m, version);
+      ++repairs;
     }
   }
   repair_counter.inc(static_cast<std::uint64_t>(repairs));
@@ -904,11 +865,8 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
     for (graph::NodeId v : dcdm.leave(m).removed_nodes)
       intact_parent[static_cast<std::size_t>(v)] = graph::kInvalidNode;
   }
-  std::vector<graph::NodeId> joined;
   for (graph::NodeId m : want) {
-    if (tree.is_member(m)) continue;
-    dcdm.join(m);
-    joined.push_back(m);
+    if (!tree.is_member(m)) dcdm.join(m);
   }
 
   // Install the diff. Every packet below touches its own (router, child)
@@ -930,38 +888,45 @@ bool Scmp::replay_delta(GroupId group, const std::set<graph::NodeId>& left) {
     }
     if (!lost.empty()) send_clear(group, w, std::move(lost), version);
   }
-  // BRANCHes to every joined member whose own edge is not intact. Then one
-  // BRANCH to a member below each other new, re-parented or regrafted edge
-  // none of them crossed; every non-root leaf is a member, so each such edge
-  // has one below it. The second pass alone would cover every edge; the
-  // first fixes which BRANCHes the close sends.
-  const graph::NodeId root = tree.root();
-  std::vector<char> crossed(static_cast<std::size_t>(n), 0);
-  const auto intact = [&](graph::NodeId v) {
-    return intact_parent[static_cast<std::size_t>(v)] == tree.parent(v);
-  };
-  const auto branch_to = [&](graph::NodeId member) {
-    install_branch(group, member, version);
-    for (graph::NodeId v = member;
-         v != root && !crossed[static_cast<std::size_t>(v)];
-         v = tree.parent(v))
-      crossed[static_cast<std::size_t>(v)] = 1;
-  };
-  for (graph::NodeId m : joined) {
-    if (!intact(m)) branch_to(m);
-  }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (!tree.on_tree(v) || crossed[static_cast<std::size_t>(v)] || intact(v))
-      continue;  // the root is always intact
+  // A BRANCH across every new, re-parented or regrafted edge: the routers
+  // whose intact parent is not their tree parent (the root has neither, so
+  // it is never listed). Every non-root leaf is a member, and the database
+  // members are now the tree's, so each listed router has one below it.
+  std::vector<graph::NodeId> made;
+  tree.walk_subtree(tree.root(), [&](graph::NodeId v) {
+    if (intact_parent[static_cast<std::size_t>(v)] != tree.parent(v))
+      made.push_back(v);
+    return true;
+  });
+  for (graph::NodeId m : branch_cover(group, made))
+    install_branch(group, m, version);
+  return true;
+}
+
+std::vector<graph::NodeId> Scmp::branch_cover(
+    GroupId group, std::span<const graph::NodeId> routers) const {
+  if (routers.empty()) return {};
+  const graph::MulticastTree& tree = trees_.at(group).tree();
+  const std::set<graph::NodeId>& members = db_.members_of(group);
+  std::vector<char> crossed(static_cast<std::size_t>(tree.num_nodes()), 0);
+  std::vector<graph::NodeId> out;
+  for (graph::NodeId v : std::views::reverse(routers)) {
+    if (crossed[static_cast<std::size_t>(v)]) continue;
     graph::NodeId below = graph::kInvalidNode;
     tree.walk_subtree(v, [&](graph::NodeId x) {
-      if (tree.is_member(x)) below = x;
+      if (members.contains(x)) below = x;
       return below == graph::kInvalidNode;
     });
-    SCMP_ASSERT(below != graph::kInvalidNode);
-    branch_to(below);
+    if (below == graph::kInvalidNode) continue;
+    out.push_back(below);
+    // The BRANCH crosses every router from the member up to the root; an
+    // already crossed router's ancestors are crossed too.
+    for (graph::NodeId x = below;
+         x != tree.root() && !crossed[static_cast<std::size_t>(x)];
+         x = tree.parent(x))
+      crossed[static_cast<std::size_t>(x)] = 1;
   }
-  return true;
+  return out;
 }
 
 void Scmp::rebuild_trees(const std::vector<GroupId>& groups) {
@@ -1021,13 +986,9 @@ std::vector<GroupId> Scmp::broken_trees(graph::NodeId u,
   // every member's delay and admitted bound: only a tree that hung a node
   // from {u, v} needs rebuilding. The auditor's tree-well-formed check
   // (validate: every parent edge exists) guards the premise.
-  const auto hangs = [](const graph::MulticastTree& tree, graph::NodeId child,
-                        graph::NodeId parent) {
-    return tree.on_tree(child) && tree.parent(child) == parent;
-  };
   std::vector<GroupId> out;
   for (const auto& [group, dcdm] : trees_) {
-    if (hangs(dcdm.tree(), u, v) || hangs(dcdm.tree(), v, u))
+    if (hangs_under(dcdm.tree(), u, v) || hangs_under(dcdm.tree(), v, u))
       out.push_back(group);
   }
   return out;
@@ -1308,14 +1269,15 @@ void Scmp::handle_packet(graph::NodeId at, const sim::Packet& pkt,
       static obs::Counter& dups = obs::counter("scmp.retx.duplicates");
       dups.inc();
       obs::flight_record(obs::FlightEventKind::kDuplicate, net().now(),
-                         pkt.req, control_name(pkt.type), pkt.group, from, at);
+                         pkt.req, sim::to_string(pkt.type), pkt.group, from,
+                         at);
       return;
     }
     seen.insert(pos, pkt.req);
     static obs::Gauge& seen_gauge = obs::gauge("scmp.state.seen_requests");
     seen_gauge.set(static_cast<double>(++seen_req_total_));
     obs::flight_record(obs::FlightEventKind::kRecv, net().now(), pkt.req,
-                       control_name(pkt.type), pkt.group, from, at);
+                       sim::to_string(pkt.type), pkt.group, from, at);
   }
   // Causal scope: flight records appended while this packet is dispatched —
   // including records for new requests sent when forwarding — carry its

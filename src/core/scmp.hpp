@@ -28,6 +28,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "core/database.hpp"
 #include "core/dcdm.hpp"
@@ -160,10 +162,10 @@ class Scmp final : public proto::MulticastProtocol {
   /// database against one sweep of the IGMP ground truth, then diffs each
   /// group's installed digests (upstream + downstream set) — its holders'
   /// and its tree routers' — against the anchoring m-router's
-  /// authoritative tree and repairs divergence with targeted BRANCH
-  /// reinstalls and CLEARs. The pass costs O(live state), not O(groups ×
-  /// routers). A group with an install (TREE, BRANCH
-  /// or CLEAR) still unacked is deferred, not diffed: its digests are
+  /// authoritative tree and repairs the differences with CLEARs and the
+  /// BRANCH cover of the missing tree edges (branch_cover). The pass costs
+  /// O(live state), not O(groups × routers). A group with an install (TREE,
+  /// BRANCH or CLEAR) still unacked is deferred, not diffed: its digests are
   /// mid-change (counted in scmp.reconcile.deferred). Returns the number of
   /// repair actions initiated plus the groups deferred (0 = the domain
   /// matched the digests; repairs travel as ordinary — reliable, if
@@ -310,11 +312,24 @@ class Scmp final : public proto::MulticastProtocol {
   /// member the database no longer lists or whose LEAVE is in `left`, then
   /// join() the missing members in ascending order, and install exactly the
   /// tree diff under one version — an entry-drop CLEAR per router that left
-  /// the tree, a detach CLEAR per surviving router that lost children, a
-  /// BRANCH per joined member whose own tree edge the close made, and a
-  /// BRANCH across every other new, re-parented or pruned-and-regrafted
-  /// edge. Returns false (and does nothing) when the delta is empty.
+  /// the tree, a detach CLEAR per surviving router that lost children, and
+  /// the BRANCH cover (branch_cover) of every new, re-parented or
+  /// pruned-and-regrafted edge. Returns false (and does nothing) when the
+  /// delta is empty.
   bool replay_delta(GroupId group, const std::set<graph::NodeId>& left);
+  /// The one BRANCH selection of the epoch close and reconciliation: the
+  /// members whose BRANCHes (re)install the edge from its tree parent to
+  /// every router in `routers`, which lists on-tree routers of `group`'s
+  /// tree in preorder. The routers are taken deepest first (reverse
+  /// preorder), so a router's listed descendants come before it and their
+  /// BRANCH has already crossed it; each one no earlier BRANCH crosses gets
+  /// a BRANCH to the first database member below it, in preorder. At a
+  /// close the database members are the tree's; between closes a member
+  /// that left may still sit on the tree, and no BRANCH goes to a DR whose
+  /// hosts are gone. A router with no database member below gets none: the
+  /// next close removes that path. Returns the members in send order.
+  std::vector<graph::NodeId> branch_cover(
+      GroupId group, std::span<const graph::NodeId> routers) const;
   /// Starts a new install operation for the group and returns its version.
   std::uint64_t next_install_version(GroupId group) {
     return ++install_version_[group];
@@ -348,16 +363,20 @@ class Scmp final : public proto::MulticastProtocol {
   enum class Drift {
     kOrphaned,    ///< an entry off the tree, or at the anchor itself
     kExtraChild,  ///< the entry lists a downstream router the tree does not
-    kDivergent,   ///< on the tree: no entry, wrong upstream or a child missing
+    /// On the tree, the edge from its tree parent is not installed at both
+    /// ends: the router has no entry or another upstream, or the parent is
+    /// not the anchor and holds no entry or one that does not list it.
+    kMissingEdge,
   };
   /// The one scan behind network_state_consistent and reconciliation, in
   /// O(holders + tree): it calls `report(router, drift, child)` for every
   /// difference, `child` naming the extra downstream router of a kExtraChild
   /// (kInvalidNode otherwise). First the orphans, from the group's holder
   /// index in ascending router order; then one preorder walk of the tree
-  /// below the root reports every on-tree router's drift. `report` returns
-  /// false to stop the scan. Returns the routers examined: the orphans and
-  /// the on-tree routers walked. Allocates nothing.
+  /// below the root reports, per on-tree router, a kMissingEdge and then
+  /// its extra children. `report` returns false to stop the scan. Returns
+  /// the routers examined: the orphans and the on-tree routers walked.
+  /// Allocates nothing.
   template <typename Report>
   std::size_t diff_installed(GroupId group, Report&& report) const;
 

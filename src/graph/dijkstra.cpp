@@ -57,17 +57,13 @@ void dijkstra_into(const Graph& g, NodeId source, Metric metric,
   // hot-path: allow(one-time per-run setup, outside the relaxation loop)
   std::vector<char> done(n, 0);
 
-  // Relax over the flat CSR rows: the whole frontier's neighbours live in
-  // one contiguous array instead of n separate vectors.
-  const Graph::CsrView& csr = g.csr();
-
   while (!heap.empty()) {
     const auto [d, u] = heap.top();
     heap.pop();
     if (done[static_cast<std::size_t>(u)]) continue;
     done[static_cast<std::size_t>(u)] = 1;
     const double cu = out.companion[static_cast<std::size_t>(u)];
-    for (const auto& nb : csr.row(u)) {
+    for (const auto& nb : g.neighbors(u)) {
       // A finalized node never re-parents: with positive weights no later
       // relaxation can match its distance anyway, and for zero-weight edges
       // the guard keeps every descendant's companion consistent with
@@ -121,7 +117,6 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
   subtree.clear();
   settled.clear();
   heap.clear();
-  const Graph::CsrView& csr = g.csr();
   const Metric comp = companion_of(metric);
   // Every exit leaves `state` all-outside again for the next call.
   const auto finish = [&](SptRepair result) {
@@ -139,7 +134,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
   for (std::size_t i = 0; i < subtree.size(); ++i) {
     const NodeId z = subtree[i];
     const double dz = dist[static_cast<std::size_t>(z)];
-    for (const auto& nb : csr.row(z)) {
+    for (const auto& nb : g.neighbors(z)) {
       if (!(dz + weight_of(nb.attr, metric) > dz))
         return finish(SptRepair::kNeedsFullRun);
       if (parent[static_cast<std::size_t>(nb.to)] == z) {
@@ -163,7 +158,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
     const auto sz = static_cast<std::size_t>(z);
     double& cur = dist[sz];
     NodeId& par = parent[sz];
-    for (const auto& nb : csr.row(z)) {
+    for (const auto& nb : g.neighbors(z)) {
       const auto sx = static_cast<std::size_t>(nb.to);
       if (state[sx] != kOutside) continue;
       const double dx = dist[sx];
@@ -194,7 +189,7 @@ SptRepair repair_after_removal(const Graph& g, Metric metric, NodeId a,
     su = kSettled;
     settled.push_back(u);
     const double cu = companion[static_cast<std::size_t>(u)];
-    for (const auto& nb : csr.row(u)) {
+    for (const auto& nb : g.neighbors(u)) {
       const double nd = d + weight_of(nb.attr, metric);
       if (!(nd > d)) return finish(SptRepair::kNeedsFullRun);
       const auto sw = static_cast<std::size_t>(nb.to);

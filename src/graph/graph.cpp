@@ -11,27 +11,7 @@ Graph::Graph(int num_nodes) {
 
 NodeId Graph::add_node() {
   adj_.emplace_back();
-  csr_valid_ = false;
   return num_nodes() - 1;
-}
-
-const Graph::CsrView& Graph::csr() const {
-  if (!csr_valid_) {
-    const auto n = adj_.size();
-    csr_.offsets_.assign(n + 1, 0);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      csr_.offsets_[i] = static_cast<std::uint32_t>(total);
-      total += adj_[i].size();
-    }
-    csr_.offsets_[n] = static_cast<std::uint32_t>(total);
-    csr_.flat_.clear();
-    csr_.flat_.reserve(total);
-    for (const auto& row : adj_)
-      csr_.flat_.insert(csr_.flat_.end(), row.begin(), row.end());
-    csr_valid_ = true;
-  }
-  return csr_;
 }
 
 void Graph::add_edge(NodeId u, NodeId v, double delay, double cost) {
@@ -42,7 +22,6 @@ void Graph::add_edge(NodeId u, NodeId v, double delay, double cost) {
   adj_[static_cast<std::size_t>(u)].push_back({v, attr});
   adj_[static_cast<std::size_t>(v)].push_back({u, attr});
   ++num_edges_;
-  csr_valid_ = false;
 }
 
 bool Graph::remove_edge(NodeId u, NodeId v) {
@@ -57,7 +36,6 @@ bool Graph::remove_edge(NodeId u, NodeId v) {
   erase_from(adj_[static_cast<std::size_t>(u)], v);
   erase_from(adj_[static_cast<std::size_t>(v)], u);
   --num_edges_;
-  csr_valid_ = false;
   return true;
 }
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -60,40 +59,6 @@ class Graph {
     return adj_[static_cast<std::size_t>(u)];
   }
 
-  /// Compressed-sparse-row snapshot of the adjacency: every node's
-  /// neighbours packed into one flat array (in exactly the neighbors(u)
-  /// order, so canonical tie-breaks are unchanged) indexed by per-node
-  /// offsets. Traversals that sweep many rows — Dijkstra relaxation, Prim —
-  /// walk contiguous memory instead of chasing per-node vectors.
-  class CsrView {
-   public:
-    /// Half-open neighbour range of `u`; iterable with a range-for.
-    struct Row {
-      const Neighbor* first;
-      const Neighbor* last;
-      const Neighbor* begin() const { return first; }
-      const Neighbor* end() const { return last; }
-      std::size_t size() const {
-        return static_cast<std::size_t>(last - first);
-      }
-    };
-    Row row(NodeId u) const {
-      const auto i = static_cast<std::size_t>(u);
-      SCMP_EXPECTS(i + 1 < offsets_.size());
-      return {flat_.data() + offsets_[i], flat_.data() + offsets_[i + 1]};
-    }
-    std::size_t num_entries() const { return flat_.size(); }
-
-   private:
-    friend class Graph;
-    std::vector<std::uint32_t> offsets_;  ///< num_nodes()+1 entries
-    std::vector<Neighbor> flat_;          ///< adjacency order preserved
-  };
-
-  /// The CSR snapshot, built lazily on first use and cached until the next
-  /// mutation (add_node/add_edge/remove_edge), which invalidates it.
-  const CsrView& csr() const;
-
   int degree(NodeId u) const {
     return static_cast<int>(neighbors(u).size());
   }
@@ -108,8 +73,6 @@ class Graph {
  private:
   std::vector<std::vector<Neighbor>> adj_;
   int num_edges_ = 0;
-  mutable CsrView csr_;          ///< cached flat adjacency (see csr())
-  mutable bool csr_valid_ = false;
 };
 
 /// Sum of `metric` over consecutive path edges. Requires every hop to exist.

@@ -17,15 +17,12 @@ std::vector<NodeId> prim_mst(const Graph& g, NodeId root, Metric metric) {
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   heap.emplace(0.0, root);
-  // Same CSR sweep as Dijkstra: neighbour order matches neighbors(u), so
-  // the canonical tie-breaks below are unaffected.
-  const Graph::CsrView& csr = g.csr();
   while (!heap.empty()) {
     const auto [k, u] = heap.top();
     heap.pop();
     if (done[static_cast<std::size_t>(u)]) continue;
     done[static_cast<std::size_t>(u)] = 1;
-    for (const auto& nb : csr.row(u)) {
+    for (const auto& nb : g.neighbors(u)) {
       const double w = weight_of(nb.attr, metric);
       const auto idx = static_cast<std::size_t>(nb.to);
       if (!done[idx] &&

@@ -261,6 +261,23 @@ TEST(ScmpEpoch, RestructuringCloseDetachesExactlyTheEdgeDiff) {
   expect_no_violations(*f.scmp, "restructuring close");
 }
 
+TEST(ScmpEpoch, CloseCoversTwoJoinsOnOnePathWithOneBranchWave) {
+  // 2 and 3 join in one epoch on the line 0-1-2-3. The BRANCH to 3 crosses
+  // 2's new edge too, so the close sends no second BRANCH to 2.
+  Fixture f(test::line(4), config(0.5));
+  CloseTraffic traffic;
+  watch_close(f, traffic);
+  f.scmp->host_join(2, 1);
+  f.scmp->host_join(3, 1);
+  f.drain();
+  EXPECT_EQ(tree_members(*f.scmp, 1), (std::vector<graph::NodeId>{2, 3}));
+  EXPECT_EQ(traffic.branch_waves, 1);
+  EXPECT_EQ(traffic.trees, 0);
+  EXPECT_TRUE(traffic.clears.empty());
+  EXPECT_TRUE(f.scmp->network_state_consistent(1));
+  expect_no_violations(*f.scmp, "two joins on one path");
+}
+
 // ---- retransmission-table high-water mark under a lossy join storm --------
 
 TEST(ScmpEpoch, RetxTableDrainsToZeroAfterLossyJoinStorm) {

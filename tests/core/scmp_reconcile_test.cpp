@@ -1,8 +1,9 @@
 // Soft-state reconciliation (Scmp::reconcile_all) at the scale of the live
 // state: a pass diffs each group's holders and tree routers, not every
-// router; its repairs go out in a fixed order; and the entry store's holder
-// index and the IGMP membership sweep agree with brute-force scans of the
-// state they summarise.
+// router; its repairs go out in a fixed order, one BRANCH per missing tree
+// edge no other BRANCH crosses; and the entry store's holder index and the
+// IGMP membership sweep agree with brute-force scans of the state they
+// summarise.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,6 +187,76 @@ TEST(ScmpReconcile, RepairsGoOutInTheSameOrder) {
   EXPECT_TRUE(d.scmp->network_state_consistent(1));
   EXPECT_TRUE(d.scmp->network_state_consistent(2));
   EXPECT_EQ(d.scmp->reconcile_all(), 0);
+}
+
+TEST(ScmpReconcile, OneLostEdgeIsReinstalledWithOneBranch) {
+  // Router 1 relays to relay 2, whose leaves 3, 4 and 5 are the members. A
+  // CLEAR that detaches 2 from 1 leaves one tree edge uninstalled, and one
+  // BRANCH, to the first member below 2, reinstalls it: the members below
+  // 1 do not each get their own.
+  graph::Graph g(6);
+  for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+           {0, 1}, {1, 2}, {2, 3}, {2, 4}, {2, 5}})
+    g.add_edge(u, v, 1, 1);
+  Domain d(std::move(g));
+  for (graph::NodeId m : {3, 4, 5}) {
+    d.scmp->host_join(m, 1);
+    d.drain();
+  }
+  const Scmp::Entry* relay = d.scmp->entry_at(1, 1);
+  ASSERT_NE(relay, nullptr);
+  sim::Packet clear;
+  clear.type = sim::PacketType::kClear;
+  clear.group = 1;
+  clear.src = 0;
+  clear.dst = 1;
+  clear.uid = relay->version;  // not older than 1's entry: it applies
+  clear.path = {2};
+  d.scmp->handle_packet(1, clear, 0);
+  ASSERT_FALSE(d.scmp->network_state_consistent(1));
+
+  std::vector<std::string> sent;
+  bool recording = true;
+  d.net.add_transmit_observer([&](graph::NodeId from, graph::NodeId to,
+                                  const sim::Packet& p, sim::SimTime) {
+    if (recording) sent.push_back(describe(from, to, p));
+  });
+  EXPECT_EQ(d.scmp->reconcile_all(), 1);
+  recording = false;
+  EXPECT_EQ(sent, (std::vector<std::string>{"BRANCH g1 0->1 v4 [0 1 2 3]"}));
+  d.drain();
+  EXPECT_TRUE(d.scmp->network_state_consistent(1));
+  EXPECT_EQ(d.scmp->reconcile_all(), 0);
+}
+
+TEST(ScmpReconcile, AnEntryListingANonexistentRouterIsDetached) {
+  // Packets are input: a BRANCH whose path names a router the network does
+  // not have still makes the hop before it list that router downstream.
+  // The diff reads it as an extra child, and one pass detaches it.
+  Domain d(test::line(3));
+  d.scmp->host_join(2, 1);
+  d.drain();
+  sim::Packet branch;
+  branch.type = sim::PacketType::kBranch;
+  branch.group = 1;
+  branch.src = 0;
+  branch.uid = d.scmp->entry_at(1, 1)->version;
+  branch.path = {0, 1, 999};
+  d.scmp->handle_packet(1, branch, 0);
+  ASSERT_TRUE(d.scmp->entry_at(1, 1)->downstream_routers.contains(999));
+  EXPECT_FALSE(d.scmp->network_state_consistent(1));
+
+  std::vector<std::string> sent;
+  bool recording = true;
+  d.net.add_transmit_observer([&](graph::NodeId from, graph::NodeId to,
+                                  const sim::Packet& p, sim::SimTime) {
+    if (recording) sent.push_back(describe(from, to, p));
+  });
+  EXPECT_EQ(d.scmp->reconcile_all(), 1);
+  recording = false;
+  EXPECT_EQ(sent, (std::vector<std::string>{"CLEAR g1 0->1 dst 1 v2 [999]"}));
+  d.drain();
+  EXPECT_TRUE(d.scmp->network_state_consistent(1));
 }
 
 /// The groups some router holds an entry for, by asking every router about

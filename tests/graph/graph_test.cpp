@@ -122,44 +122,5 @@ TEST(Graph, WeightOfSelectsMetric) {
   EXPECT_DOUBLE_EQ(weight_of(e, Metric::kCost), 9.0);
 }
 
-TEST(Graph, CsrMatchesAdjacency) {
-  Graph g = test::line(5);
-  g.add_edge(0, 3, 2.0, 4.0);
-  const Graph::CsrView& csr = g.csr();
-  std::size_t total = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& adj = g.neighbors(u);
-    const auto row = csr.row(u);
-    ASSERT_EQ(row.size(), adj.size());
-    std::size_t i = 0;
-    for (const auto& nb : row) {
-      // Same neighbours in the same order, same attributes — CSR is a flat
-      // relayout, not a reordering.
-      EXPECT_EQ(nb.to, adj[i].to);
-      EXPECT_DOUBLE_EQ(nb.attr.delay, adj[i].attr.delay);
-      EXPECT_DOUBLE_EQ(nb.attr.cost, adj[i].attr.cost);
-      ++i;
-    }
-    total += row.size();
-  }
-  EXPECT_EQ(csr.num_entries(), total);
-  EXPECT_EQ(csr.num_entries(), 2 * static_cast<std::size_t>(g.num_edges()));
-}
-
-TEST(Graph, CsrInvalidatedByMutation) {
-  Graph g = test::line(4);
-  EXPECT_EQ(g.csr().num_entries(), 6u);
-  g.add_edge(0, 2, 1.0, 1.0);
-  EXPECT_EQ(g.csr().num_entries(), 8u);
-  g.remove_edge(0, 1);
-  EXPECT_EQ(g.csr().num_entries(), 6u);
-  const NodeId n = g.add_node();
-  g.add_edge(n, 0, 1.0, 1.0);
-  const Graph::CsrView& csr = g.csr();
-  EXPECT_EQ(csr.num_entries(), 8u);
-  ASSERT_EQ(csr.row(n).size(), 1u);
-  EXPECT_EQ(csr.row(n).begin()->to, 0);
-}
-
 }  // namespace
 }  // namespace scmp::graph
